@@ -32,8 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import rng as _rng
 from .products import PathSet
-from .rng import path_generator
+from .rng import path_generator  # bench/trace.py wraps it under this name
 from .termstructure import Tenor
 
 EXPLOSION_THRESHOLD = 1e12
@@ -707,7 +708,12 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     coefficient frozen at the step start.  Jump events use the intensity
     frozen at the step start.  Each path owns a counter-based stream keyed
     by (seed, path index): one normal block for the whole path, then
-    per-step jump draws.
+    per-step jump draws.  Without jumps the normal blocks come from
+    ``rng.driver_increment_block``, which re-keys one Philox per path; with
+    jumps each path of a batch holds its own generator, because its jump
+    draws follow the step loop.  Without positive factors the spread
+    diffusion factor does not depend on the state and is factored once per
+    call rather than at every step.
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("horizon and dt must be positive")
@@ -730,6 +736,11 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
             float(h): _ou_step_factors(spec, float(h)) for h in np.unique(step_sizes)
         }
 
+    # without positive factors the Y diffusion does not depend on the state
+    fixed_y_factor = None
+    if diffusive_y and spec.pos_dims == 0:
+        fixed_y_factor = _y_diffusion_factor(spec, np.zeros((1, d)))[0]
+
     x_out = np.empty((n_paths, d))
     y_out = np.empty((n_paths, n))
     z_out = np.empty(n_paths)
@@ -737,12 +748,15 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     for lo in range(0, n_paths, batch_size):
         hi = min(lo + batch_size, n_paths)
         m = hi - lo
-        normals = np.empty((m, n_steps, n_noise))
-        gens = []
-        for i in range(m):
-            gen = path_generator(seed, lo + i)
-            normals[i] = gen.standard_normal((n_steps, n_noise))
-            gens.append(gen)
+        if spec.jumps is None:
+            normals, _ = _rng.driver_increment_block(seed, lo, hi, n_steps, n_noise)
+        else:
+            normals = np.empty((m, n_steps, n_noise))
+            gens = []
+            for i in range(m):
+                gen = path_generator(seed, lo + i)
+                normals[i] = gen.standard_normal((n_steps, n_noise))
+                gens.append(gen)
         x = np.tile(spec.x0, (m, 1))
         y = np.tile(spec.y0, (m, 1))
         z = np.zeros(m)
@@ -761,7 +775,8 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                 )
             if diffusive_y:
                 eta = normals[:, step, d:]
-                y_factor = _y_diffusion_factor(spec, x)
+                y_factor = (_y_diffusion_factor(spec, x) if fixed_y_factor is None
+                            else np.broadcast_to(fixed_y_factor, (m, n, n)))
                 y = y + math.sqrt(h) * np.einsum("bij,bj->bi", y_factor, eta)
             if spec.jumps is not None:
                 jmp = spec.jumps

@@ -125,7 +125,10 @@ class RunConfig:
 
     def path(self, key: str) -> Path:
         """Resolve a config path relative to the config file and check it exists."""
-        raw = self.require(key)
+        return self.resolve_path(self.require(key), key)
+
+    def resolve_path(self, raw, key: str) -> Path:
+        """Resolve the raw path string ``raw`` found under config key ``key``."""
         if not isinstance(raw, str):
             raise ConfigError(f"config key {key!r} must be a path string")
         p = (self.base_dir / raw).resolve() if not os.path.isabs(raw) else Path(raw)
@@ -187,9 +190,7 @@ def _load_spread_curves(run: RunConfig, key: str = "spread_curves"
         paths = [paths]
     curves: dict[Tenor, SpreadTermStructure] = {}
     for raw in paths:
-        run.options["_probe"] = raw
-        curve = load_curve_json(run.path("_probe"))
-        del run.options["_probe"]
+        curve = load_curve_json(run.resolve_path(raw, key))
         if not isinstance(curve, SpreadTermStructure):
             raise ConfigError(f"{raw}: expected a spread curve")
         curves[curve.tenor] = curve

@@ -725,6 +725,7 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         held_psi = None  # factor exponent at each u_i selected over the previous step
         jump_gens = None
         if model.spread_factor_mode == "kernel":
+            # _kernel_step draws for every path at each step: one live generator per path
             jump_gens = [_rng.path_generator(seed, p, _rng.YPERP_STREAM) for p in range(lo, hi)]
         local_snaps: dict[float, tuple] = {}
 

@@ -379,8 +379,9 @@ def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int
     comps = np.zeros((n_paths, m, n_steps + 1))
     counts = np.zeros(n_paths, dtype=np.int64)
 
+    streams = _rng.PathStreams(seed, _rng.YPERP_STREAM)
     for ipath in range(n_paths):
-        gen = _rng.path_generator(seed, ipath, _rng.YPERP_STREAM)
+        gen = streams.at(ipath)
         y = float(y0)
         values[ipath, 0] = y
         for l in range(n_steps):

@@ -12,7 +12,7 @@ import pytest
 
 from multicurve.affine import AffineModelSpec, affine_bond, affine_spread, caplet_price_fourier
 from multicurve.calibration import black_implied_vol, VolQuote, VolQuoteSurface
-from multicurve.cli import main
+from multicurve.cli import ConfigError, RunConfig, _load_spread_curves, main
 from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet
 from multicurve.marketio import (
     load_curve_json,
@@ -427,6 +427,21 @@ class TestErrorHandling:
             "spread_curves": ["spread.json"]})
         assert run_cli("price", "--config", cfg, "--out", tmp_path / "out") == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
+
+    def test_loading_spread_curves_leaves_options_unchanged(self, cli_files, tmp_path):
+        def run_with(paths):
+            return RunConfig(command="price", options={"spread_curves": paths},
+                             base_dir=cli_files, out_dir=tmp_path)
+
+        run = run_with(["spread.json"])
+        assert set(_load_spread_curves(run)) == {T6M}
+        assert run.options == {"spread_curves": ["spread.json"]}
+        for paths, message in ((["spread.json", "disc.json"], "expected a spread curve"),
+                               (["absent.json"], "spread_curves: file not found")):
+            run = run_with(paths)
+            with pytest.raises(ConfigError, match=message):
+                _load_spread_curves(run)
+            assert run.options == {"spread_curves": paths}
 
     def test_log_environment_variable_is_honoured(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MULTICURVE_LOG", "DEBUG")

@@ -6,8 +6,9 @@ characteristics depend on X only, and Z = -integral of the short rate
 r = rate_const + <rate_linear, X> so the bank account is exp(-Z).  Discount
 bonds and multiplicative tenor spreads are exponentials of affine transforms
 of the state; the transform exponents solve generalized Riccati ODEs that are
-assembled here from the model coefficients and integrated with fixed-step RK4
-plus a Richardson accuracy check.
+assembled here from the model coefficients and integrated, a batch of
+arguments at a time, by an adaptive Dormand-Prince pair that steps each row
+on its own, so a row's exponents do not depend on the batch it is solved in.
 
 Two spread-factor conventions are supported.  In "integrated" mode Y is the
 running integral of an affine function of X (nonnegative when the function
@@ -25,7 +26,7 @@ transform of the weighted payoff.
 
 from __future__ import annotations
 
-import cmath
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,10 +38,10 @@ from .products import PathSet
 from .rng import path_generator  # bench/trace.py wraps it under this name
 from .termstructure import Tenor
 
+log = logging.getLogger(__name__)
+
 EXPLOSION_THRESHOLD = 1e12
-RICHARDSON_TOL = 1e-10
-BASE_STEPS = 1000
-MAX_STEPS = 16000
+_RICCATI_TOL = 1e-10
 
 
 class RiccatiExplosion(RuntimeError):
@@ -52,7 +53,7 @@ class RiccatiExplosion(RuntimeError):
 
 
 class RiccatiAccuracyError(RuntimeError):
-    """Richardson error estimate stayed above tolerance after refinement."""
+    """A row's step size collapsed before its horizon at the requested tolerance."""
 
 
 class DampingOutOfDomain(ValueError):
@@ -188,10 +189,8 @@ class AffineModelSpec:
 
         Raises RiccatiExplosion on failure, returns True otherwise.
         """
-        zero = np.zeros(self.dim)
-        _terminal_exponents(self, zero[None, :], np.zeros((1, self.n_spread)), 1.0, horizon)
-        for u in self.u_vectors:
-            _terminal_exponents(self, zero[None, :], u[None, :], 1.0, horizon)
+        U = np.vstack([np.zeros((1, self.n_spread)), self.u_vectors])
+        _terminal_exponents(self, np.zeros((len(U), self.dim)), U, 1.0, horizon)
         return True
 
     def _validate_admissibility(self):
@@ -281,191 +280,153 @@ def _check_psd(m: np.ndarray, name: str):
 # The transform E[exp(<v, X_T> + u.Y_T + w Z_T)] = exp(phi + <psi, x> + u.y
 # + w z) requires phi' = F(psi), psi' = R(psi) with the coefficient of y and
 # z frozen at (u, w).  Both maps are quadratic in psi with u- and w-dependent
-# constants, assembled below once per solve.
+# constants, assembled below once per solve.  Rows are stacked as
+# y = (phi, psi) and every product is taken elementwise or by einsum, never by
+# a BLAS matrix product, whose rounding can depend on the batch size: a row's
+# exponents are then bitwise the same whatever batch it is solved in.
+
+# Dormand-Prince 5(4) pair (Hairer, Norsett and Wanner, Solving ODEs I, II.5):
+# stage coefficients, 5th-order weights, and 5th- minus 4th-order weights of
+# the seven stages (the last stage is the derivative at the new point)
+_DP_A = (
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
 
 
 def _solve_constants(spec: AffineModelSpec, U: np.ndarray, w: complex):
-    """Per-argument constant terms of (F, R) and jump atom factors."""
-    f_const = U @ spec.y_drift_const - w * spec.rate_const
-    if spec.y_diff_const.size:
-        f_const = f_const + 0.5 * np.einsum("bi,ij,bj->b", U, spec.y_diff_const, U)
-    r_const = U @ spec.y_drift_linear - w * spec.rate_linear[None, :]
-    if spec.n_spread:
-        r_const = r_const + 0.5 * np.einsum(
-            "bi,kij,bj->bk", U, spec.y_diff_linear, U
-        )
-    atom_factors = None
+    """Terms of (F, R) for one solve, stacked over the 1 + dim outputs.
+
+    Returns the coefficients of psi shared by all rows (linear, halved
+    quadratic, and jump atoms with compensator and intensity loading), the
+    per-row constants, and the per-row jump atom weights p_a exp(u.atoms_y[a])
+    (None without jumps).
+    """
+    lin = np.concatenate([spec.drift_const[:, None], spec.drift_linear], axis=1)
+    quad = 0.5 * np.concatenate(
+        [spec.diffusion_const[:, :, None], spec.diffusion_linear.transpose(1, 2, 0)],
+        axis=2)
+    consts = np.empty((len(U), 1 + spec.dim), dtype=complex)
+    consts[:, 0] = np.einsum("bi,i->b", U, spec.y_drift_const) - w * spec.rate_const
+    consts[:, 0] += 0.5 * np.einsum("bi,ij,bj->b", U, spec.y_diff_const, U)
+    consts[:, 1:] = np.einsum("bi,ik->bk", U, spec.y_drift_linear) - w * spec.rate_linear
+    consts[:, 1:] += 0.5 * np.einsum("bi,kij,bj->bk", U, spec.y_diff_linear, U)
+    jumps = weights = None
     if spec.jumps is not None:
-        atom_factors = np.exp(U @ spec.jumps.atoms_y.T)  # (batch, n_atoms)
-    return f_const, r_const, atom_factors
-
-
-def _batch_rates(spec: AffineModelSpec, psi: np.ndarray, f_const, r_const, atom_factors):
-    """(F, R) for a batch of psi rows; quadratic + linear + jump parts."""
-    lin = psi @ spec.diffusion_const
-    f_val = psi @ spec.drift_const + 0.5 * np.sum(lin * psi, axis=1) + f_const
-    r_val = psi @ spec.drift_linear + r_const
-    if np.any(spec.diffusion_linear):
-        quad = np.einsum("bi,kij,bj->bk", psi, spec.diffusion_linear, psi)
-        r_val = r_val + 0.5 * quad
-    if atom_factors is not None:
         j = spec.jumps
-        transformed = (np.exp(psi @ j.atoms_x.T) * atom_factors - 1.0) @ j.probabilities
-        f_val = f_val + j.intensity_const * transformed
-        r_val = r_val + transformed[:, None] * j.intensity_linear[None, :]
-    return f_val, r_val
+        jumps = (j.atoms_x, j.probabilities.sum(),
+                 np.concatenate([[j.intensity_const], j.intensity_linear]))
+        weights = j.probabilities * np.exp(np.einsum("bi,ai->ba", U, j.atoms_y))
+    return (lin, quad, jumps), consts, weights
 
 
-def _rk4_batch(spec, v, f_const, r_const, atom_factors, horizon, n_steps,
-               keep_grid=False):
-    """Fixed-step RK4 in scaled time; raises RiccatiExplosion on blow-up."""
-    batch = len(v)
-    scale = np.broadcast_to(np.asarray(horizon, dtype=float), (batch,))
-    psi = v.astype(complex).copy()
-    phi = np.zeros(batch, dtype=complex)
-    h = 1.0 / n_steps
-    grid_phi = [phi.copy()] if keep_grid else None
-    grid_psi = [psi.copy()] if keep_grid else None
-
-    def rates(p):
-        f_val, r_val = _batch_rates(spec, p, f_const, r_const, atom_factors)
-        return scale * f_val, scale[:, None] * r_val
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            f1, r1 = rates(psi)
-            f2, r2 = rates(psi + 0.5 * h * r1)
-            f3, r3 = rates(psi + 0.5 * h * r2)
-            f4, r4 = rates(psi + h * r3)
-            phi = phi + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
-            psi = psi + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
-            norms = np.maximum(np.abs(phi), np.abs(psi).max(axis=1))
-            bad = ~np.isfinite(norms) | (norms > EXPLOSION_THRESHOLD)
-            if np.any(bad):
-                t_blow = (step + 1) * h * float(scale[np.argmax(bad)])
-                raise RiccatiExplosion(
-                    f"transform exponent exceeded {EXPLOSION_THRESHOLD:g}",
-                    blow_up_time=t_blow,
-                )
-            if keep_grid:
-                grid_phi.append(phi.copy())
-                grid_psi.append(psi.copy())
-    if keep_grid:
-        return np.array(grid_phi), np.array(grid_psi)
-    return phi, psi
-
-
-def _rk4_scalar(spec, v0, f_const, r_const, atom_factors, horizon, n_steps,
-                keep_grid=False):
-    """Python-scalar RK4 for one-dimensional drivers (much faster than numpy)."""
-    b = float(spec.drift_const[0])
-    bm = float(spec.drift_linear[0, 0])
-    a = float(spec.diffusion_const[0, 0])
-    alpha = float(spec.diffusion_linear[0, 0, 0])
-    fc = complex(f_const)
-    rc = complex(r_const)
-    jumps = spec.jumps
+def _batch_rates(coefficients, psi: np.ndarray, consts, weights):
+    """(F, R) rows for a batch of psi rows, stacked as (batch, 1 + dim):
+    constant + linear + quadratic parts, plus the compensated jump transform
+    sum_a weights_a exp(<psi, atoms_x[a]>) - sum_a p_a."""
+    lin, quad, jumps = coefficients
+    out = consts
+    for i in range(len(lin)):
+        inner = lin[i]
+        for j in range(len(lin)):
+            inner = inner + psi[:, j, None] * quad[i, j]
+        out = out + psi[:, i, None] * inner
     if jumps is not None:
-        zx = [float(z) for z in jumps.atoms_x[:, 0]]
-        pw = [float(p) * complex(e) for p, e in zip(jumps.probabilities, atom_factors)]
-        m0 = float(jumps.intensity_const)
-        m1 = float(jumps.intensity_linear[0])
-    T = float(horizon)
-    h = 1.0 / n_steps
-    psi = complex(v0)
-    phi = 0.0 + 0.0j
-    grid_phi = [phi] if keep_grid else None
-    grid_psi = [psi] if keep_grid else None
-
-    def rates(p):
-        f_val = b * p + 0.5 * a * p * p + fc
-        r_val = bm * p + 0.5 * alpha * p * p + rc
-        if jumps is not None:
-            try:
-                j = sum(w * cmath.exp(z * p) for z, w in zip(zx, pw)) - sum(
-                    w for w in pw
-                )
-            except OverflowError:
-                j = complex(float("inf"), 0.0)
-            f_val += m0 * j
-            r_val += m1 * j
-        return T * f_val, T * r_val
-
-    for step in range(n_steps):
-        f1, r1 = rates(psi)
-        f2, r2 = rates(psi + 0.5 * h * r1)
-        f3, r3 = rates(psi + 0.5 * h * r2)
-        f4, r4 = rates(psi + h * r3)
-        phi = phi + (h / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
-        psi = psi + (h / 6.0) * (r1 + 2 * r2 + 2 * r3 + r4)
-        norm = max(abs(phi), abs(psi))
-        if not norm == norm or norm > EXPLOSION_THRESHOLD:  # NaN-safe
-            raise RiccatiExplosion(
-                f"transform exponent exceeded {EXPLOSION_THRESHOLD:g}",
-                blow_up_time=(step + 1) * h * T,
-            )
-        if keep_grid:
-            grid_phi.append(phi)
-            grid_psi.append(psi)
-    if keep_grid:
-        return np.array(grid_phi), np.array(grid_psi)[:, None]
-    return phi, psi
+        atoms_x, compensator, loading = jumps
+        expo = psi[:, 0, None] * atoms_x[:, 0]
+        for i in range(1, len(lin)):
+            expo = expo + psi[:, i, None] * atoms_x[:, i]
+        moved = np.einsum("ba,ba->b", np.exp(expo), weights)
+        out = out + (moved - compensator)[:, None] * loading
+    return out
 
 
 def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray,
-                        w: complex, horizon, base_steps: int | None = None,
-                        tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (phi, psi) at the horizon with Richardson refinement.
+                        w: complex, horizon, tol: float | None = None,
+                        grid: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Batched (phi, psi) at the horizon by adaptive Dormand-Prince steps.
 
-    V: (batch, d) complex or real initial psi rows; U: (batch, n) exponent
-    loadings on Y; w: shared Z loading; horizon: scalar or (batch,) array.
-    base_steps and tol override the module accuracy defaults, which callers
-    with relaxed accuracy needs (repeated calibration objectives) use.
+    V: (batch, d) initial psi rows; U: (batch, n) exponent loadings on Y; w:
+    shared Z loading; horizon: scalar or (batch,) array.  Each row has its
+    own step size, error norm (against tol * (1 + |y|) per component; tol is
+    1e-10 unless a caller relaxes it) and explosion check, and leaves the
+    batch at its own horizon, so its result is the same in any batch.  Raises
+    RiccatiExplosion when a row passes 1e12 and RiccatiAccuracyError when a
+    row's step size collapses.  A ``grid`` list of a one-row solve collects
+    (t, (phi, psi)) after every accepted step.
     """
-    base_steps = BASE_STEPS if base_steps is None else base_steps
-    tol = RICHARDSON_TOL if tol is None else tol
+    tol = _RICCATI_TOL if tol is None else tol
     V = np.atleast_2d(np.asarray(V, dtype=complex))
     U = np.atleast_2d(np.asarray(U, dtype=complex))
-    f_const, r_const, atom_factors = _solve_constants(spec, U, w)
-    horizon_arr = np.broadcast_to(np.asarray(horizon, dtype=float), (len(V),))
-    if np.any(horizon_arr < 0):
+    rows = len(V)
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (rows,))
+    if np.any(horizon < 0):
         raise ValueError("horizon must be nonnegative")
-    if np.all(horizon_arr == 0.0):
-        return np.zeros(len(V), dtype=complex), V.copy()
+    coefficients, consts, weights = _solve_constants(spec, U, w)
+    out = np.zeros((rows, 1 + spec.dim), dtype=complex)
+    out[:, 1:] = V
+    idx = np.flatnonzero(horizon > 0)
+    y, end, consts = out[idx], horizon[idx], consts[idx]
+    weights = None if weights is None else weights[idx]
 
-    def run(n_steps):
-        # scalar arithmetic beats numpy overhead for a handful of 1-d solves;
-        # larger batches amortize the numpy per-step cost instead
-        if spec.dim == 1 and len(V) <= 8:
-            phis = np.empty(len(V), dtype=complex)
-            psis = np.empty((len(V), 1), dtype=complex)
-            for i in range(len(V)):
-                af = atom_factors[i] if atom_factors is not None else None
-                phis[i], psis[i, 0] = _rk4_scalar(
-                    spec, V[i, 0], f_const[i], r_const[i, 0], af,
-                    horizon_arr[i], n_steps,
+    def rates(state):
+        return _batch_rates(coefficients, state[:, 1:], consts, weights)
+
+    accepted = rejected = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.zeros(len(idx))
+        k1 = rates(y)
+        # first step from the rates' scale (Hairer, Norsett and Wanner, II.4)
+        h = np.minimum(end, (0.01 * tol / (np.abs(k1) / (1.0 + np.abs(y))).max(axis=1)) ** 0.2)
+        while len(idx):
+            remaining = end - t
+            h = np.minimum(h, remaining)
+            last = h == remaining
+            ks = np.empty((7,) + y.shape, dtype=complex)
+            ks[0] = k1
+            for s, coeffs in enumerate(_DP_A, start=1):
+                ks[s] = rates(y + h[:, None] * np.einsum("s,sbm->bm", coeffs, ks[:s]))
+            y_new = y + h[:, None] * np.einsum("s,sbm->bm", _DP_B, ks[:6])
+            blown = ~(np.abs(y_new).max(axis=1) <= EXPLOSION_THRESHOLD)
+            if np.any(blown):
+                raise RiccatiExplosion(
+                    f"transform exponent exceeded {EXPLOSION_THRESHOLD:g}",
+                    blow_up_time=float((t + h)[blown][0]),
                 )
-            return phis, psis
-        return _rk4_batch(spec, V, f_const, r_const, atom_factors,
-                          horizon_arr, n_steps)
-
-    n_steps = base_steps
-    phi_c, psi_c = run(n_steps)
-    while True:
-        phi_f, psi_f = run(2 * n_steps)
-        err = max(
-            float(np.max(np.abs(phi_f - phi_c))),
-            float(np.max(np.abs(psi_f - psi_c))),
-        ) / 15.0
-        if err <= tol:
-            return phi_f, psi_f
-        n_steps *= 2
-        if 2 * n_steps > MAX_STEPS:
-            raise RiccatiAccuracyError(
-                f"Richardson estimate {err:.2e} above {tol:g} "
-                f"at {2 * n_steps} steps"
-            )
-        phi_c, psi_c = phi_f, psi_f
+            ks[6] = rates(y_new)
+            err_vec = h[:, None] * np.einsum("s,sbm->bm", _DP_E, ks)
+            scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+            err = (np.abs(err_vec) / scale).max(axis=1)
+            ok = err <= 1.0
+            accepted += int(np.count_nonzero(ok))
+            rejected += int(np.count_nonzero(~ok))
+            y = np.where(ok[:, None], y_new, y)
+            k1 = np.where(ok[:, None], ks[6], k1)
+            t = np.where(ok, np.where(last, end, t + h), t)
+            if grid is not None and ok[0]:
+                grid.append((float(t[0]), y[0].copy()))
+            # standard controller: safety 0.9, growth at most 10 (none after
+            # a rejection), shrink at most 5, also when the error is NaN
+            h = h * np.fmin(np.where(ok, 10.0, 1.0), np.fmax(0.2, 0.9 * err ** -0.2))
+            if np.any(~ok & (h < 16.0 * np.spacing(end))):
+                raise RiccatiAccuracyError(
+                    f"step size collapsed to {float(h[~ok].min()):.2e} before the horizon")
+            done = ok & last
+            if np.any(done):
+                out[idx[done]] = y[done]
+                keep = ~done
+                idx, y, end, t, h, k1, consts = (
+                    a[keep] for a in (idx, y, end, t, h, k1, consts))
+                weights = None if weights is None else weights[keep]
+    log.debug("riccati solve: rows=%d accepted_steps=%d rejected_steps=%d",
+              rows, accepted, rejected)
+    return out[:, 0], out[:, 1:]
 
 
 @dataclass
@@ -491,28 +452,20 @@ def solve_riccati(spec: AffineModelSpec, v, u, w, T: float) -> RiccatiSolution:
 
     phi and psi satisfy phi(0) = 0, psi(0) = v and drive the transform
     E[exp(<v, X_T> + u.Y_T + w Z_T)] = exp(phi(T) + <psi(T), x0> + u.y0).
-    Fixed-step RK4 with a Richardson accuracy check at the terminal point;
-    raises RiccatiExplosion when the solution norm passes 1e12.
+    The grid holds t = 0 and every step the adaptive integration of
+    ``_terminal_exponents`` accepted, ending at T; raises RiccatiExplosion
+    when the solution norm passes 1e12.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     v = _vec_complex(v, spec.dim, "v")
     u = _vec_complex(u, spec.n_spread, "u")
     w = complex(w)
-    f_const, r_const, atom_factors = _solve_constants(spec, u[None, :], w)
-    # terminal pass first: raises on explosion or insufficient accuracy
-    _terminal_exponents(spec, v[None, :], u[None, :], w, T)
-    n_steps = 2 * BASE_STEPS
-    if spec.dim == 1:
-        af = atom_factors[0] if atom_factors is not None else None
-        phi, psi = _rk4_scalar(spec, v[0], f_const[0], r_const[0, 0], af, T,
-                               n_steps, keep_grid=True)
-    else:
-        phi, psi = _rk4_batch(spec, v[None, :], f_const, r_const, atom_factors,
-                              T, n_steps, keep_grid=True)
-        phi, psi = phi[:, 0], psi[:, 0, :]
-    times = np.linspace(0.0, T, n_steps + 1)
-    return RiccatiSolution(times=times, phi=phi, psi=psi, argument=(v, u, w))
+    grid = [(0.0, np.concatenate([[0.0], v]))]
+    _terminal_exponents(spec, v[None, :], u[None, :], w, T, grid=grid)
+    rows = np.array([row for _, row in grid])
+    times = np.array([t for t, _ in grid])
+    return RiccatiSolution(times=times, phi=rows[:, 0], psi=rows[:, 1:], argument=(v, u, w))
 
 
 def _vec_complex(value, length, name):
@@ -536,21 +489,13 @@ def affine_transform(spec: AffineModelSpec, v, u, w, T: float) -> complex:
     return complex(np.exp(phi[0] + psi[0] @ spec.x0 + u @ spec.y0))
 
 
-def _bond_exponents(spec: AffineModelSpec, taus: np.ndarray):
-    """Real (phi, psi) rows of the discount exponent at times-to-maturity taus."""
+def _exponents(spec: AffineModelSpec, taus, u=0.0, tol=None):
+    """Real (phi, psi) rows at times-to-maturity taus of the exponent with Y
+    loading u (zero for the discount bond; one vector, or one row per tau)."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    phi, psi = _terminal_exponents(
-        spec, np.zeros((len(taus), spec.dim)), np.zeros((len(taus), spec.n_spread)),
-        1.0, taus,
-    )
-    return phi.real, psi.real
-
-
-def _spread_exponents(spec: AffineModelSpec, i: int, taus: np.ndarray):
-    """Real (phi, psi) rows of the joint exponent with loading u_i."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    U = np.broadcast_to(spec.u_vectors[i], (len(taus), spec.n_spread))
-    phi, psi = _terminal_exponents(spec, np.zeros((len(taus), spec.dim)), U, 1.0, taus)
+    U = np.broadcast_to(u, (len(taus), spec.n_spread))
+    phi, psi = _terminal_exponents(spec, np.zeros((len(taus), spec.dim)), U, 1.0, taus,
+                                   tol)
     return phi.real, psi.real
 
 
@@ -562,7 +507,7 @@ def affine_bond(spec: AffineModelSpec, x, tau):
     """
     x = _vec(x, spec.dim, "x")
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    phi, psi = _bond_exponents(spec, tau_arr)
+    phi, psi = _exponents(spec, tau_arr)
     out = np.exp(phi + psi @ x)
     return out if np.ndim(tau) else float(out[0])
 
@@ -572,11 +517,30 @@ def affine_spread(spec: AffineModelSpec, x, y, tau, i: int):
     x = _vec(x, spec.dim, "x")
     y = _vec(y, spec.n_spread, "y")
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    phi_b, psi_b = _bond_exponents(spec, tau_arr)
-    phi_s, psi_s = _spread_exponents(spec, i, tau_arr)
+    phi_b, psi_b = _exponents(spec, tau_arr)
+    phi_s, psi_s = _exponents(spec, tau_arr, spec.u_vectors[i])
     log_spot = float(spec.u_vectors[i] @ y)
     out = np.exp(log_spot + (phi_s - phi_b) + (psi_s - psi_b) @ x)
     return out if np.ndim(tau) else float(out[0])
+
+
+def _model_curves(spec: AffineModelSpec, x: np.ndarray, y: np.ndarray, taus):
+    """Bonds (P, m) and spreads {tenor: (P, m)} at P states (x, y) and m
+    times-to-maturity, with the bond and every tenor's exponents from one
+    batched solve."""
+    m = len(np.atleast_1d(taus))
+    U = np.repeat(np.vstack([np.zeros((1, spec.n_spread)), spec.u_vectors]), m, axis=0)
+    phi, psi = _exponents(spec, np.tile(taus, spec.n_tenors + 1), U)
+    phi_b, psi_b = phi[:m], psi[:m]
+    bonds = np.exp(phi_b[None, :] + x @ psi_b.T)
+    spreads = {}
+    for i, tenor in enumerate(spec.tenors):
+        phi_s, psi_s = phi[(i + 1) * m:(i + 2) * m], psi[(i + 1) * m:(i + 2) * m]
+        log_spot = y @ spec.u_vectors[i]
+        spreads[tenor] = np.exp(
+            log_spot[:, None] + (phi_s - phi_b)[None, :] + x @ (psi_s - psi_b).T
+        )
+    return bonds, spreads
 
 
 @dataclass
@@ -605,35 +569,21 @@ def shifted_curves(spec: AffineModelSpec, market_disc, market_spreads,
         raise ValueError("T must not precede t")
     x = _vec(x, spec.dim, "x")
     tau = T - t
-    # one solve per distinct time so that t = 0 cancels bitwise
-    times = sorted({float(t), float(T), float(tau)})
-    phi_b, psi_b = _bond_exponents(spec, np.array(times))
-    exps = {s: (phi_b[j], psi_b[j]) for j, s in enumerate(times)}
-
-    def bond0(s):
-        if s == 0.0:
-            return 1.0
-        ph, ps = exps[float(s)]
-        return math.exp(ph + ps @ spec.x0)
-
-    ph_tau, ps_tau = exps[float(tau)] if tau > 0 else (0.0, np.zeros(spec.dim))
-    model_bond_t = math.exp(ph_tau + ps_tau @ x)
+    # rows solve independently: equal times give equal exponents, so t = 0
+    # cancels bitwise
+    phi, psi = _exponents(spec, [t, T, tau])
+    bond0_t, bond0_T = (math.exp(phi[k] + psi[k] @ spec.x0) for k in (0, 1))
     bond = (market_disc.discount(T) / market_disc.discount(t)
-            * bond0(t) / bond0(T) * model_bond_t)
+            * bond0_t / bond0_T * math.exp(phi[2] + psi[2] @ x))
     spread = None
     if tenor is not None:
         i = spec.tenor_index(tenor)
         y = _vec(y, spec.n_spread, "y")
-        phi_s, psi_s = _spread_exponents(spec, i, np.array([tau, T]))
-        ph_now, ps_now = exps[float(tau)]
-        ph_zero, ps_zero = exps[float(T)]
         u = spec.u_vectors[i]
-        model_now = math.exp(
-            u @ y + phi_s[0] - ph_now + (psi_s[0] - ps_now) @ x
-        )
+        phi_s, psi_s = _exponents(spec, [tau, T], u)
+        model_now = math.exp(u @ y + phi_s[0] - phi[2] + (psi_s[0] - psi[2]) @ x)
         model_zero = math.exp(
-            u @ spec.y0 + phi_s[1] - ph_zero + (psi_s[1] - ps_zero) @ spec.x0
-        )
+            u @ spec.y0 + phi_s[1] - phi[1] + (psi_s[1] - psi[1]) @ spec.x0)
         curve = market_spreads if hasattr(market_spreads, "spread") \
             else market_spreads[spec.tenors[i]]
         spread = curve.spread(T) * model_now / model_zero
@@ -798,16 +748,7 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
             qx = qx_new
         x_out[lo:hi], y_out[lo:hi], z_out[lo:hi] = x, y, z
 
-    taus = maturities - horizon
-    phi_b, psi_b = _bond_exponents(spec, taus)
-    bonds = np.exp(phi_b[None, :] + x_out @ psi_b.T)
-    spreads = {}
-    for i, tenor in enumerate(spec.tenors):
-        phi_s, psi_s = _spread_exponents(spec, i, taus)
-        log_spot = y_out @ spec.u_vectors[i]
-        spreads[tenor] = np.exp(
-            log_spot[:, None] + (phi_s - phi_b)[None, :] + x_out @ (psi_s - psi_b).T
-        )
+    bonds, spreads = _model_curves(spec, x_out, y_out, maturities - horizon)
     return PathSet(
         time=horizon,
         maturities=maturities,
@@ -823,8 +764,7 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
 # Fourier caplet
 
 
-def _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z,
-                               base_steps=None, tol=None):
+def _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z, tol=None):
     """Lambda(z) = E[exp(Z_T + phi_b + <psi_b, X_T>) * exp(z * l_T)].
 
     l_T is the log of the capped ratio, l_T = u.Y_T - phi_b - <psi_b, X_T>;
@@ -833,7 +773,7 @@ def _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z,
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     V = (1.0 - z)[:, None] * psi_b[None, :]
     U = z[:, None] * spec.u_vectors[i][None, :]
-    phi, psi = _terminal_exponents(spec, V, U, 1.0, T, base_steps, tol)
+    phi, psi = _terminal_exponents(spec, V, U, 1.0, T, tol)
     return np.exp(
         (1.0 - z) * phi_b + phi + psi @ spec.x0 + (U @ spec.y0)
     )
@@ -841,7 +781,7 @@ def _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z,
 
 def _caplet_contour_prices(spec, T, i, kappas, damping=0.75, quad_nodes=64,
                            panel_width=None, tail_tol=1e-12, max_panels=64,
-                           base_steps=None, tol=None):
+                           tol=None):
     """Unit-notional caplet prices for several cap factors on one contour.
 
     The damped transform values are strike independent, so one batch of
@@ -854,15 +794,11 @@ def _caplet_contour_prices(spec, T, i, kappas, damping=0.75, quad_nodes=64,
     if np.any(kappas <= 0.0):
         raise ValueError("contour pricing requires cap factors above zero")
     delta = float(spec.tenors[i])
-    phi_b_arr, psi_b_arr = _terminal_exponents(
-        spec, np.zeros((1, spec.dim)), np.zeros((1, spec.n_spread)), 1.0,
-        delta, base_steps, tol,
-    )
-    phi_b, psi_b = float(phi_b_arr[0].real), psi_b_arr[0].real
+    phi_b, psi_b = _exponents(spec, delta, tol=tol)
+    phi_b, psi_b = float(phi_b[0]), psi_b[0]
 
     def transform(z):
-        return _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z,
-                                          base_steps, tol)
+        return _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z, tol)
 
     if damping <= 0.0:
         raise DampingOutOfDomain("damping must be positive")
@@ -961,8 +897,8 @@ def caplet_price_fourier(spec: AffineModelSpec, T: float, tenor: Tenor | int,
     kappa = 1.0 + delta * fixed_rate
 
     if kappa <= 0.0 or spec.is_deterministic():
-        phi_b_arr, psi_b_arr = _bond_exponents(spec, np.array([delta]))
-        phi_b, psi_b = float(phi_b_arr[0]), psi_b_arr[0]
+        phi_b, psi_b = _exponents(spec, delta)
+        phi_b, psi_b = float(phi_b[0]), psi_b[0]
         base = _weighted_payoff_transform(
             spec, i, T, phi_b, psi_b, np.array([0.0, 1.0])).real
         if kappa <= 0.0:

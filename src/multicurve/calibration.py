@@ -31,9 +31,9 @@ from .affine import (
 )
 from .termstructure import Tenor, fra_rate_from_curves
 
-# relaxed transform accuracy for repeated objective evaluations; the induced
-# price error sits far below the 1e-4 vol-residual scale of the fit
-_PRICER_STEPS = 250
+# relaxed Riccati tolerance (absolute and relative, against 1e-10 by
+# default) for repeated objective evaluations; the induced price error sits
+# far below the 1e-4 vol-residual scale of the fit
 _PRICER_TOL = 1e-8
 _PENALTY = 1e8
 
@@ -223,18 +223,16 @@ def _from_unconstrained(z, bounds):
 def _model_forward_setup(spec: AffineModelSpec, expiry: float, i: int):
     """(forward, annuity) implied by the spec's own time-0 curves."""
     delta = float(spec.tenors[i])
-    taus = np.array([expiry, expiry + delta])
-    zeros = np.zeros((2, spec.n_spread))
-    phi, psi = _terminal_exponents(spec, np.zeros((2, spec.dim)), zeros, 1.0,
-                                   taus, _PRICER_STEPS, _PRICER_TOL)
-    bonds = np.exp(phi.real + psi.real @ spec.x0)
-    u_rows = np.tile(spec.u_vectors[i], (1, 1))
-    phi_s, psi_s = _terminal_exponents(spec, np.zeros((1, spec.dim)), u_rows,
-                                       1.0, expiry, _PRICER_STEPS, _PRICER_TOL)
-    spread_bond = math.exp(
-        float(phi_s[0].real + psi_s.real[0] @ spec.x0 + spec.u_vectors[i] @ spec.y0))
-    forward = (spread_bond / bonds[1] - 1.0) / delta
-    return forward, delta * bonds[1]
+    # bonds to expiry and payment, then the spread-weighted bond to expiry
+    U = np.zeros((3, spec.n_spread))
+    U[2] = spec.u_vectors[i]
+    phi, psi = _terminal_exponents(spec, np.zeros((3, spec.dim)), U, 1.0,
+                                   np.array([expiry, expiry + delta, expiry]), _PRICER_TOL)
+    logs = phi.real + psi.real @ spec.x0
+    payment_bond = math.exp(logs[1])
+    spread_bond = math.exp(logs[2] + spec.u_vectors[i] @ spec.y0)
+    forward = (spread_bond / payment_bond - 1.0) / delta
+    return forward, delta * payment_bond
 
 
 def _quote_environment(surface, market_disc, market_spreads):
@@ -269,8 +267,7 @@ def _evaluate_fit(build_spec, params, surface, env, target_vols):
             delta = float(spec.tenors[i])
             kappas = [1.0 + delta * surface.quotes[j].strike for j in idx]
             prices = _caplet_contour_prices(
-                spec, expiry, i, kappas, tail_tol=1e-11,
-                base_steps=_PRICER_STEPS, tol=_PRICER_TOL,
+                spec, expiry, i, kappas, tail_tol=1e-11, tol=_PRICER_TOL,
             )
             model_env = None if env is not None else _model_forward_setup(
                 spec, expiry, i)

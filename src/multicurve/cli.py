@@ -31,6 +31,7 @@ import numpy as np
 
 from .affine import (
     AffineModelSpec,
+    _model_curves,
     affine_bond,
     affine_spread,
     caplet_price_fourier,
@@ -325,11 +326,15 @@ def cmd_price(run: RunConfig) -> int:
 # simulate
 
 
-def _initial_model_curves(model) -> tuple:
+def _initial_model_curves(model, maturities) -> tuple:
     """Time-0 bond and spread functions implied by the simulated model."""
     if isinstance(model, AffineModelSpec):
-        bond0 = lambda T: affine_bond(model, model.x0, T)  # noqa: E731
-        spread0 = lambda i, T: affine_spread(model, model.x0, model.y0, T, i)  # noqa: E731
+        mats = [float(m) for m in maturities]
+        bonds, spreads = _model_curves(model, model.x0[None, :], model.y0[None, :], mats)
+        bond_at = dict(zip(mats, bonds[0]))
+        spread_at = [dict(zip(mats, spreads[tenor][0])) for tenor in model.tenors]
+        bond0 = lambda T: bond_at[float(T)]  # noqa: E731
+        spread0 = lambda i, T: spread_at[i][float(T)]  # noqa: E731
         tenors = list(model.tenors)
     else:
         f0 = float(model.forward_curve)
@@ -409,7 +414,7 @@ def cmd_simulate(run: RunConfig) -> int:
         report["model"] = "hjm"
         report["consistency_residual"] = consistency_residual(result)
         report["aborted_paths"] = result.diagnostics["aborted"]
-    bond0, spread0, tenors = _initial_model_curves(model)
+    bond0, spread0, tenors = _initial_model_curves(model, maturities)
     report["martingale"] = _martingale_rows(pathsets, bond0, spread0, tenors)
     save_report_json(report, run.out_dir / "simulation_report.json")
     n_dump = int(run.options.get("dump_paths", 100))
@@ -818,6 +823,8 @@ def main(argv=None) -> int:
                 seed = int(seed)
             except (TypeError, ValueError):
                 raise ConfigError("seed must be an integer") from None
+            if not 0 <= seed < 2 ** 64:
+                raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         run = RunConfig(command=args.command, options=options,

@@ -1,7 +1,11 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from multicurve.affine import (
@@ -10,6 +14,7 @@ from multicurve.affine import (
     DampingOutOfDomain,
     QuadratureNonConvergence,
     RiccatiExplosion,
+    _terminal_exponents,
     affine_bond,
     affine_spread,
     affine_transform,
@@ -195,6 +200,117 @@ class TestRiccati:
     def test_nonpositive_horizon_rejected(self, cir_spec):
         with pytest.raises(ValueError, match="T must be positive"):
             solve_riccati(cir_spec, v=[0.0], u=[], w=0.0, T=0.0)
+
+    def test_solver_work_is_logged(self, cir_spec, caplog):
+        with caplog.at_level(logging.DEBUG, logger="multicurve.affine"):
+            affine_bond(cir_spec, [CIR_X0], np.array([1.0, 5.0]))
+        records = [r for r in caplog.records if r.name == "multicurve.affine"]
+        assert len(records) == 1
+        assert re.fullmatch(r"riccati solve: rows=\d+ accepted_steps=\d+ rejected_steps=\d+",
+                            records[0].getMessage())
+
+
+# ---------------------------------------------------------------------------
+# Riccati properties: closed forms and row independence
+
+
+@given(kappa=st.floats(0.05, 2.0), theta=st.floats(-0.02, 0.08),
+       sigma=st.floats(0.001, 0.05), x0=st.floats(-0.05, 0.1), T=st.floats(0.01, 10.0))
+def test_gaussian_bond_matches_closed_form(kappa, theta, sigma, x0, T):
+    spec = AffineModelSpec(
+        pos_dims=0, real_dims=1, drift_const=[kappa * theta], drift_linear=[[-kappa]],
+        diffusion_const=[[sigma ** 2]], rate_const=0.0, rate_linear=[1.0], x0=[x0])
+    assert abs(affine_bond(spec, [x0], T) - vasicek_bond(T, kappa, theta, sigma, x0)) <= 1e-8
+
+
+@given(kappa=st.floats(0.05, 2.0), theta=st.floats(0.001, 0.1),
+       sigma=st.floats(0.01, 0.5), x0=st.floats(0.0, 0.15), T=st.floats(0.01, 10.0))
+def test_square_root_bond_matches_closed_form(kappa, theta, sigma, x0, T):
+    spec = AffineModelSpec(
+        pos_dims=1, real_dims=0, drift_const=[kappa * theta], drift_linear=[[-kappa]],
+        diffusion_const=[[0.0]], diffusion_linear=[[[sigma ** 2]]],
+        rate_const=0.0, rate_linear=[1.0], x0=[x0])
+    assert abs(affine_bond(spec, [x0], T) - cir_bond(T, kappa, theta, sigma, x0)) <= 1e-8
+
+
+def y_jump_spec():
+    """Gaussian short rate whose jumps move only the spread factor."""
+    return AffineModelSpec(
+        pos_dims=0, real_dims=1, drift_const=[0.015], drift_linear=[[-0.5]],
+        diffusion_const=[[1.4e-4]], rate_const=0.0, rate_linear=[1.0], n_spread=1,
+        u_vectors=[[1.0]], tenors=(T6M,), y_mode="diffusive",
+        y_drift_const=[0.001], y_diff_const=[[4e-4]], x0=[0.02], y0=[0.004],
+        jumps=AffineJumps(atoms_x=[[0.0], [0.0]], probabilities=[0.5, 0.5],
+                          intensity_const=1.5, atoms_y=[[0.001], [0.0015]]))
+
+
+def test_spread_with_y_jumps_independent_of_batch_size():
+    # the compensator of the Y jumps enters every row, solved alone or not
+    spec = y_jump_spec()
+    one_row = affine_spread(spec, spec.x0, spec.y0, np.array([1.0]), 0)[0]
+    nine_rows = affine_spread(spec, spec.x0, spec.y0, np.full(9, 1.0), 0)
+    assert np.all(nine_rows == one_row)
+    # Y, independent of X, moves by a constant drift, noise and jumps only
+    jump_mean = 1.5 * (0.5 * math.exp(0.001) + 0.5 * math.exp(0.0015) - 1.0)
+    assert math.log(one_row) == pytest.approx(
+        0.004 + 0.001 + 0.5 * 4e-4 + jump_mean, rel=1e-9)
+
+
+ROW_SPECS = {
+    "y_jumps": y_jump_spec(),
+    "gauss2": AffineModelSpec(
+        pos_dims=0, real_dims=2, drift_const=[0.012, 0.0],
+        drift_linear=[[-0.4, 0.0], [0.1, -1.25]],
+        diffusion_const=[[1e-4, -2.8e-5], [-2.8e-5, 6.4e-5]], rate_const=0.0,
+        rate_linear=[1.0, 1.0], n_spread=1, u_vectors=[[1.0]], tenors=(T6M,),
+        y_mode="diffusive", y_drift_const=[0.001], y_drift_linear=[[0.15, 0.05]],
+        y_diff_const=[[4e-4]], x0=[0.02, 0.001], y0=[0.004]),
+    "cir_jumps": AffineModelSpec(
+        pos_dims=1, real_dims=1, drift_const=[0.032, 0.0],
+        drift_linear=[[-0.8, 0.0], [0.2, -0.5]],
+        diffusion_const=[[0.0, 0.0], [0.0, 1e-4]],
+        diffusion_linear=[[[0.05, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        rate_const=0.0, rate_linear=[1.0, 1.0], n_spread=1, u_vectors=[[1.0]],
+        tenors=(T6M,), y_mode="diffusive", y_drift_const=[0.001],
+        y_drift_linear=[[0.1, 0.0]], y_diff_const=[[1e-4]], y_diff_linear=[
+            [[2.5e-3]], [[0.0]]],
+        jumps=AffineJumps(atoms_x=[[0.01, 0.002], [0.0, -0.004]], probabilities=[0.3, 0.7],
+                          intensity_const=0.5, intensity_linear=[4.0, 0.0],
+                          atoms_y=[[0.002], [0.0]]),
+        x0=[0.03, 0.0], y0=[0.004]),
+}
+
+
+def riccati_rows(spec, kinds, vs, horizons):
+    """(V, U, horizon) rows: discount bonds, spread bonds, or damped contour
+    nodes z = 1.75 + i v of the caplet transform."""
+    psi_b = _terminal_exponents(spec, np.zeros((1, spec.dim)), np.zeros((1, 1)),
+                                1.0, 0.5)[1][0].real
+    V, U = [], []
+    for kind, v in zip(kinds, vs):
+        z = {"bond": 0.0, "spread": 1.0, "contour": 1.75 + 1j * v}[kind]
+        V.append((1.0 - z) * psi_b if kind == "contour" else np.zeros(spec.dim))
+        U.append(z * spec.u_vectors[0])
+    return np.array(V, dtype=complex), np.array(U, dtype=complex), np.asarray(horizons)
+
+
+row_kinds = st.sampled_from(["bond", "spread", "contour"])
+
+
+@given(name=st.sampled_from(sorted(ROW_SPECS)),
+       kinds=st.lists(row_kinds, min_size=2, max_size=10),
+       data=st.data())
+def test_row_exponents_independent_of_their_batch(name, kinds, data):
+    spec = ROW_SPECS[name]
+    n = len(kinds)
+    vs = data.draw(st.lists(st.floats(0.0, 300.0), min_size=n, max_size=n))
+    horizons = data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    V, U, T = riccati_rows(spec, kinds, vs, horizons)
+    phi, psi = _terminal_exponents(spec, V, U, 1.0, T)
+    for k in range(n):
+        phi_k, psi_k = _terminal_exponents(spec, V[k:k + 1], U[k:k + 1], 1.0, T[k])
+        assert np.array_equal(phi[k:k + 1], phi_k)
+        assert np.array_equal(psi[k:k + 1], psi_k)
 
 
 class TestTransform:

@@ -272,6 +272,21 @@ class TestSimulate:
         assert run_cli("simulate", "--config", cfg, "--out", tmp_path / "out") == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [-3, 2 ** 64])
+    def test_seed_outside_the_key_range_is_a_config_error(self, cli_files, tmp_path,
+                                                          capsys, seed, where):
+        options = {"model": "affine.json", "n_paths": 20, "dt": 0.05,
+                   "horizon": 0.5, "maturities": [1.0]}
+        if where == "config":
+            options["seed"] = seed
+        cfg = write_json_config(cli_files / "sim_badseed.json", options)
+        flag = ["--seed", seed] if where == "flag" else []
+        assert run_cli("simulate", "--config", cfg, *flag, "--out", tmp_path / "out") == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert "seed must lie in [0, 2**64)" in err["message"]
+
 
 @pytest.fixture(scope="module")
 def calibration_inputs(cli_files):

@@ -7,7 +7,7 @@ stream change has to be made, and announced, on purpose.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicurve import rng
@@ -17,9 +17,6 @@ from multicurve.termstructure import Tenor
 
 T3M = Tenor.parse("3M")
 T6M = Tenor.parse("6M")
-
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50,
-                    suppress_health_check=[HealthCheck.too_slow])
 
 seeds = st.integers(0, 2 ** 64 - 1)
 paths = st.integers(0, 2 ** 63 - 1)
@@ -117,7 +114,6 @@ def mixed_draws(gen, n_normals):
     ]
 
 
-@PROPERTY
 @given(seed=seeds, stream=streams,
        indices=st.lists(paths | st.integers(0, 64), min_size=1, max_size=6),
        n_normals=st.integers(0, 9))
@@ -130,7 +126,6 @@ def test_rekeyed_stream_matches_fresh_generator(seed, stream, indices, n_normals
             assert np.array_equal(a, b)
 
 
-@PROPERTY
 @given(seed=seeds, lo=st.integers(0, 2 ** 40), n_paths=st.integers(1, 8),
        cut=st.integers(0, 8), with_jumps=st.booleans())
 def test_driver_block_independent_of_path_split(seed, lo, n_paths, cut, with_jumps):
@@ -147,7 +142,7 @@ def test_driver_block_independent_of_path_split(seed, lo, n_paths, cut, with_jum
     assert np.array_equal(normals[-1], gen.standard_normal((3, 2)))
 
 
-@settings(PROPERTY, max_examples=30)
+@settings(max_examples=30)
 @given(name=st.sampled_from(sorted(SPECS)), n_paths=st.integers(1, 9),
        batch_size=st.integers(1, 9), seed=st.integers(0, 2 ** 64 - 1))
 def test_simulate_affine_independent_of_batch_size(name, n_paths, batch_size, seed):
@@ -174,22 +169,25 @@ def test_pinned_driver_block():
         [1, 1, 1, 5, 0, 1, 0, 1], [0, 2, 0, 1, 0, 2, 0, 2], [0, 1, 0, 3, 0, 3, 0, 3]]
 
 
+# Each entry: the numeraire, a pure function of the streams, and the spread at
+# maturity 1.0, which also carries the Riccati exponents at tau = 0.5, so a
+# change of the Riccati solver moves it too.
 PINNED_AFFINE = {
     "gauss": (
         [1.0105897176857686, 1.0071421637313958, 1.0128992660320162,
          1.0120478129141928, 1.0084288390347205],
-        [0.995411410918324, 1.013308653452904, 1.0032503314890537,
-         1.011034273213499, 1.0075094591937097]),
+        [0.9954114109183241, 1.013308653452904, 1.0032503314890535,
+         1.0110342732134987, 1.0075094591937097]),
     "cir": (
         [1.0207874641381323, 1.003230690197184, 1.0178656776651829,
          1.004514512531918, 1.004479442050513],
-        [1.0075325722618689, 0.9954955443376219, 1.008170209485781,
-         1.0100797678780873, 1.0044826998777476]),
+        [1.0075325722618662, 0.9954955443376224, 1.0081702094857792,
+         1.0100797678780884, 1.004482699877749]),
     "jump": (
         [1.0092924394511475, 1.008102995101204, 1.0132462346910878,
          1.011996801908409, 1.0108753324751505],
-        [1.008778008453021, 0.9985530156334061, 1.0157842062018991,
-         1.0191018191463528, 1.0107507062503385]),
+        [1.012419801152007, 1.002157895053271, 1.0194512919976766,
+         1.0227808818671804, 1.0143996205919215]),
 }
 
 

@@ -77,6 +77,7 @@ from .affine import (  # noqa: F401
     AffineJumps,
     AffineModelSpec,
     DampingOutOfDomain,
+    InadmissibleSpec,
     QuadratureNonConvergence,
     RiccatiAccuracyError,
     RiccatiExplosion,
@@ -91,6 +92,7 @@ from .affine import (  # noqa: F401
     solve_riccati,
 )
 from .calibration import (  # noqa: F401
+    BlackDomainError,
     CalibrationResult,
     MaxIterations,
     ObjectiveNaN,

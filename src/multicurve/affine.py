@@ -56,6 +56,10 @@ class RiccatiAccuracyError(RuntimeError):
     """A row's step size collapsed before its horizon at the requested tolerance."""
 
 
+class InadmissibleSpec(ValueError):
+    """Model coefficients outside the admissible set of the canonical state space."""
+
+
 class DampingOutOfDomain(ValueError):
     """The damped payoff transform is not finite for the requested damping."""
 
@@ -84,7 +88,7 @@ class AffineJumps:
         if len(self.probabilities) != len(self.atoms_x):
             raise ValueError("one probability per jump atom required")
         if np.any(self.probabilities < 0) or abs(self.probabilities.sum() - 1.0) > 1e-12:
-            raise ValueError("jump probabilities must be nonnegative and sum to one")
+            raise InadmissibleSpec("jump probabilities must be nonnegative and sum to one")
 
 
 @dataclass
@@ -95,7 +99,8 @@ class AffineModelSpec:
     drift_const + drift_linear @ x and diffusion matrix
     diffusion_const + sum_k x_k diffusion_linear[k].  Admissibility of the
     positive block (inward drift, boundary-degenerate diffusion) is validated
-    on construction and follows the canonical state-space conditions.
+    on construction and follows the canonical state-space conditions; a
+    violation raises InadmissibleSpec, a malformed argument ValueError.
     """
 
     pos_dims: int
@@ -197,28 +202,28 @@ class AffineModelSpec:
         d, p = self.dim, self.pos_dims
         _check_psd(self.diffusion_const, "diffusion_const")
         if np.any(np.abs(self.diffusion_const[:p, :]) > 0):
-            raise ValueError("constant diffusion must vanish on positive components")
+            raise InadmissibleSpec("constant diffusion must vanish on positive components")
         for k in range(d):
             alpha = self.diffusion_linear[k]
             if k >= p:
                 if np.any(alpha != 0.0):
-                    raise ValueError("real components admit no state-scaled diffusion")
+                    raise InadmissibleSpec("real components admit no state-scaled diffusion")
                 continue
             _check_psd(alpha, f"diffusion_linear[{k}]")
             idx = np.arange(d)
             other_pos = (idx < p) & (idx != k)
             if np.any(alpha[other_pos, :] != 0.0) or np.any(alpha[:, other_pos] != 0.0):
-                raise ValueError(
+                raise InadmissibleSpec(
                     f"diffusion_linear[{k}] couples positive components other than {k}"
                 )
         if np.any(self.drift_const[:p] < 0):
-            raise ValueError("constant drift must point inward on positive components")
+            raise InadmissibleSpec("constant drift must point inward on positive components")
         off = self.drift_linear[:p, :p].copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < 0):
-            raise ValueError("linear drift must be inward-pointing on positive components")
+            raise InadmissibleSpec("linear drift must be inward-pointing on positive components")
         if np.any(self.drift_linear[:p, p:] != 0.0):
-            raise ValueError("real components may not drive positive components")
+            raise InadmissibleSpec("real components may not drive positive components")
         if self.jumps is not None:
             j = self.jumps
             if j.atoms_x.shape[1] != d:
@@ -229,18 +234,18 @@ class AffineModelSpec:
                 raise ValueError("jump atoms must have one Y column per spread factor")
             j.intensity_linear = _vec(j.intensity_linear, d, "intensity_linear", default=0.0)
             if j.intensity_const < 0 or np.any(j.intensity_linear[:p] < 0):
-                raise ValueError("jump intensity must be nonnegative on the state space")
+                raise InadmissibleSpec("jump intensity must be nonnegative on the state space")
             if np.any(j.intensity_linear[p:] != 0.0):
-                raise ValueError("jump intensity may not load on real components")
+                raise InadmissibleSpec("jump intensity may not load on real components")
             if np.any(j.atoms_x[:, :p] < 0):
-                raise ValueError("jumps must keep positive components nonnegative")
+                raise InadmissibleSpec("jumps must keep positive components nonnegative")
         _check_psd(self.y_diff_const, "y_diff_const")
         for k in range(d):
             if k >= p and np.any(self.y_diff_linear[k] != 0.0):
-                raise ValueError("spread diffusion may scale with positive components only")
+                raise InadmissibleSpec("spread diffusion may scale with positive components only")
             _check_psd(self.y_diff_linear[k], f"y_diff_linear[{k}]")
         if np.any(self.x0[:p] < 0):
-            raise ValueError("x0 must respect the positive components")
+            raise InadmissibleSpec("x0 must respect the positive components")
 
 
 def _vec(value, length, name, default=None):
@@ -269,9 +274,9 @@ def _check_psd(m: np.ndarray, name: str):
     if m.size == 0:
         return
     if not np.allclose(m, m.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
+        raise InadmissibleSpec(f"{name} must be symmetric")
     if np.linalg.eigvalsh(m).min() < -1e-10:
-        raise ValueError(f"{name} must be positive semidefinite")
+        raise InadmissibleSpec(f"{name} must be positive semidefinite")
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +650,105 @@ def _y_diffusion_factor(spec, x_block):
     return vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
 
 
+class _JumpDraws:
+    """One batch's normal blocks and jump draws, replayed across paths at once.
+
+    numpy's ``Generator.poisson`` draws a count with mean below 10 by
+    multiplying ``random()`` doubles until the product falls to exp(-mean) or
+    below (a zero mean draws nothing), and ``choice`` with probabilities
+    searches one such double in the normalized cumulative probabilities.
+    Each path's doubles are therefore drawn up front, after its normal block,
+    and read through a per-path cursor in the order a generator per path
+    would draw them: a step's Poisson doubles, then one per jump.  The same
+    draws come out bit for bit.  A path that reads past its buffer is redrawn
+    from its stream at twice the length; a path whose mean reaches 10 (or is
+    not finite) takes a generator positioned at its cursor and draws with it
+    for the rest of the batch.
+    """
+
+    def __init__(self, spec: AffineModelSpec, seed: int, lo: int, hi: int,
+                 n_steps: int, n_noise: int, horizon: float):
+        jumps = spec.jumps
+        self.atoms_x, self.atoms_y = jumps.atoms_x, jumps.atoms_y
+        self.probabilities = jumps.probabilities
+        # Generator.choice's own cumulative probabilities
+        self.cdf = jumps.probabilities.cumsum()
+        self.cdf /= self.cdf[-1]
+        self.seed, self.lo, self.n_steps, self.n_noise = seed, lo, n_steps, n_noise
+        # a step with a positive mean reads one double more than its jumps,
+        # plus one per jump for the atom: sized from the intensity at x0
+        expected = max(jumps.intensity_const + spec.x0 @ jumps.intensity_linear, 0.0) * horizon
+        width = n_steps + math.ceil(2.0 * expected + 8.0 * math.sqrt(expected)) + 16
+        self.normals, self.uniforms = _rng.normal_uniform_block(
+            seed, range(lo, hi), n_steps, n_noise, width)
+        self.filled = np.full(hi - lo, width)
+        self.cursor = np.zeros(hi - lo, dtype=np.int64)
+        self.refilled = np.zeros(hi - lo, dtype=bool)
+        self.live: dict[int, np.random.Generator] = {}
+        self.jumps = 0
+
+    def _ensure(self, rows: np.ndarray, need: np.ndarray) -> None:
+        """Redraw the rows whose buffer ends before column ``need``."""
+        short = need > self.filled[rows]
+        if not short.any():
+            return
+        rows = rows[short]
+        length = max(2 * int(self.filled[rows].max()), int(need[short].max()))
+        if length > self.uniforms.shape[1]:
+            wider = np.empty((len(self.uniforms), length))
+            wider[:, : self.uniforms.shape[1]] = self.uniforms
+            self.uniforms = wider
+        _, self.uniforms[rows, :length] = _rng.normal_uniform_block(
+            self.seed, self.lo + rows, self.n_steps, self.n_noise, length)
+        self.filled[rows] = length
+        self.refilled[rows] = True
+
+    def _go_live(self, row: int) -> None:
+        gen = path_generator(self.seed, self.lo + row)
+        gen.standard_normal((self.n_steps, self.n_noise))
+        gen.random(int(self.cursor[row]))
+        self.live[row] = gen
+
+    def add_jumps(self, means: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+        """Draw one step's jumps with the given Poisson means; add them to x and y."""
+        for row in np.flatnonzero(~(means < 10.0)).tolist():
+            if row not in self.live:
+                self._go_live(row)
+        positive = means > 0.0
+        positive[list(self.live)] = False
+        rows = np.flatnonzero(positive)
+        # Poisson counts by multiplication, one round per double drawn
+        unique, inverse = np.unique(means[rows], return_inverse=True)
+        floor = np.array([math.exp(-mean) for mean in unique.tolist()])[inverse]
+        counts = np.zeros(len(rows), dtype=np.int64)
+        product = np.ones(len(rows))
+        active = np.arange(len(rows))
+        while len(active):
+            r = rows[active]
+            self._ensure(r, self.cursor[r] + 1)
+            product[active] *= self.uniforms[r, self.cursor[r]]
+            self.cursor[r] += 1
+            active = active[product[active] > floor[active]]
+            counts[active] += 1
+        # atoms, one double each, added one at a time in draw order
+        jumped = counts > 0
+        rows, counts = rows[jumped], counts[jumped]
+        self._ensure(rows, self.cursor[rows] + counts)
+        for k in range(int(counts.max(initial=0))):
+            r = rows[counts > k]
+            atom = self.cdf.searchsorted(self.uniforms[r, self.cursor[r] + k], side="right")
+            x[r] += self.atoms_x[atom]
+            y[r] += self.atoms_y[atom]
+        self.cursor[rows] += counts
+        self.jumps += int(counts.sum())
+        for row, gen in self.live.items():
+            for _ in range(gen.poisson(means[row])):
+                atom = gen.choice(len(self.probabilities), p=self.probabilities)
+                x[row] += self.atoms_x[atom]
+                y[row] += self.atoms_y[atom]
+                self.jumps += 1
+
+
 def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                     n_paths: int, seed: int, maturities: Sequence[float],
                     batch_size: int = 65536) -> PathSet:
@@ -658,12 +762,16 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     coefficient frozen at the step start.  Jump events use the intensity
     frozen at the step start.  Each path owns a counter-based stream keyed
     by (seed, path index): one normal block for the whole path, then
-    per-step jump draws.  Without jumps the normal blocks come from
-    ``rng.driver_increment_block``, which re-keys one Philox per path; with
-    jumps each path of a batch holds its own generator, because its jump
-    draws follow the step loop.  Without positive factors the spread
-    diffusion factor does not depend on the state and is factored once per
-    call rather than at every step.
+    per-step jump draws.  One Philox is re-keyed to each path in turn to
+    draw its normal block (``rng.driver_increment_block``) and, for jump
+    models, a buffer of the uniforms that follow it, from which every
+    path's Poisson counts and atoms are replayed at each step for all paths
+    at once (``_JumpDraws``); the draws are bit for bit those of a generator
+    per path, and only a path whose step mean reaches 10 holds a generator.
+    Without positive factors the spread diffusion factor does not depend on
+    the state and is factored once per call rather than at every step.  One
+    DEBUG record per batch on ``multicurve.affine`` gives its paths, steps,
+    jumps, and the paths whose buffer was redrawn or that held a generator.
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("horizon and dt must be positive")
@@ -698,15 +806,12 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     for lo in range(0, n_paths, batch_size):
         hi = min(lo + batch_size, n_paths)
         m = hi - lo
+        draws = None
         if spec.jumps is None:
             normals, _ = _rng.driver_increment_block(seed, lo, hi, n_steps, n_noise)
         else:
-            normals = np.empty((m, n_steps, n_noise))
-            gens = []
-            for i in range(m):
-                gen = path_generator(seed, lo + i)
-                normals[i] = gen.standard_normal((n_steps, n_noise))
-                gens.append(gen)
+            draws = _JumpDraws(spec, seed, lo, hi, n_steps, n_noise, horizon)
+            normals = draws.normals
         x = np.tile(spec.x0, (m, 1))
         y = np.tile(spec.y0, (m, 1))
         z = np.zeros(m)
@@ -728,17 +833,11 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                 y_factor = (_y_diffusion_factor(spec, x) if fixed_y_factor is None
                             else np.broadcast_to(fixed_y_factor, (m, n, n)))
                 y = y + math.sqrt(h) * np.einsum("bij,bj->bi", y_factor, eta)
-            if spec.jumps is not None:
-                jmp = spec.jumps
+            if draws is not None:
                 lam = np.clip(
-                    jmp.intensity_const + x @ jmp.intensity_linear, 0.0, None
+                    spec.jumps.intensity_const + x @ spec.jumps.intensity_linear, 0.0, None
                 )
-                for i in range(m):
-                    count = gens[i].poisson(lam[i] * h)
-                    for _ in range(count):
-                        atom = gens[i].choice(len(jmp.probabilities), p=jmp.probabilities)
-                        x_new[i] += jmp.atoms_x[atom]
-                        y[i] += jmp.atoms_y[atom]
+                draws.add_jumps(lam * h, x_new, y)
             x = x_new
             rate_new = spec.rate_const + x @ spec.rate_linear
             z -= 0.5 * h * (rate + rate_new)
@@ -747,6 +846,10 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
             y = y + 0.5 * h * (qx + qx_new)
             qx = qx_new
         x_out[lo:hi], y_out[lo:hi], z_out[lo:hi] = x, y, z
+        jumps, refilled, live = ((0, 0, 0) if draws is None else
+                                 (draws.jumps, int(draws.refilled.sum()), len(draws.live)))
+        log.debug("affine batch: paths=%d steps=%d jumps=%d refilled_paths=%d live_paths=%d",
+                  m, n_steps, jumps, refilled, live)
 
     bonds, spreads = _model_curves(spec, x_out, y_out, maturities - horizon)
     return PathSet(

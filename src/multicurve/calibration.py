@@ -6,8 +6,9 @@ affine-model parameters to an implied-vol surface.  The objective reprices
 every quote with the damped-contour transform, converts to implied vol, and
 sums squared vol residuals.  Parameters move through an unconstrained
 transform built from optional per-parameter bounds; trial points where the
-transform explodes or the price leaves the invertible range are penalized
-rather than aborting the search.
+spec is inadmissible, the transform explodes, or the price leaves the
+invertible range are penalized rather than aborting the search, and any
+other error propagates.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from scipy.stats import norm
 from .affine import (
     AffineModelSpec,
     DampingOutOfDomain,
+    InadmissibleSpec,
     QuadratureNonConvergence,
     RiccatiAccuracyError,
     RiccatiExplosion,
@@ -36,6 +38,10 @@ from .termstructure import Tenor, fra_rate_from_curves
 # far below the 1e-4 vol-residual scale of the fit
 _PRICER_TOL = 1e-8
 _PENALTY = 1e8
+
+
+class BlackDomainError(ValueError):
+    """Black-76 needs a positive forward and strike."""
 
 
 class PriceOutOfBounds(ValueError):
@@ -63,7 +69,7 @@ def black_caplet(forward: float, strike: float, expiry: float, vol: float,
     of the forward rate.
     """
     if forward <= 0.0 or strike <= 0.0:
-        raise ValueError("Black-76 requires positive forward and strike")
+        raise BlackDomainError("Black-76 requires positive forward and strike")
     if expiry <= 0.0 or vol < 0.0 or annuity <= 0.0:
         raise ValueError("expiry and annuity must be positive, vol nonnegative")
     stddev = vol * math.sqrt(expiry)
@@ -86,7 +92,7 @@ def black_implied_vol(price: float, forward: float, strike: float,
     PriceOutOfBounds.
     """
     if forward <= 0.0 or strike <= 0.0:
-        raise ValueError("Black-76 requires positive forward and strike")
+        raise BlackDomainError("Black-76 requires positive forward and strike")
     intrinsic = annuity * max(forward - strike, 0.0)
     upper_bound = annuity * forward
     if price <= intrinsic or price >= upper_bound:
@@ -254,7 +260,8 @@ def _evaluate_fit(build_spec, params, surface, env, target_vols):
     """Objective and residual vector at one parameter point.
 
     Raises ObjectiveNaN when the trial spec is inadmissible, a transform
-    explodes, or a model price cannot be inverted to a vol.
+    explodes, or a model price cannot be inverted to a vol; any other error,
+    a bug in ``build_spec`` among them, propagates.
     """
     try:
         spec = build_spec(params)
@@ -276,8 +283,8 @@ def _evaluate_fit(build_spec, params, surface, env, target_vols):
                 vol = black_implied_vol(
                     price, forward, surface.quotes[j].strike, expiry, annuity)
                 residuals[j] = vol - target_vols[j]
-    except (RiccatiExplosion, RiccatiAccuracyError, DampingOutOfDomain,
-            QuadratureNonConvergence, PriceOutOfBounds, ValueError,
+    except (InadmissibleSpec, BlackDomainError, RiccatiExplosion, RiccatiAccuracyError,
+            DampingOutOfDomain, QuadratureNonConvergence, PriceOutOfBounds,
             OverflowError, FloatingPointError) as exc:
         raise ObjectiveNaN(str(exc)) from exc
     objective = float(residuals @ residuals)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .affine import AffineJumps, AffineModelSpec
+from .affine import AffineJumps, AffineModelSpec, InadmissibleSpec
 from .calibration import CalibrationResult, VolQuote, VolQuoteSurface
 from .hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet
 from .momentkernel import JumpKernel, MomentTargets
@@ -46,6 +46,11 @@ _VOL_HEADER = ["expiry", "tenor", "strike", "vol"]
 
 class SchemaError(ValueError):
     """A file does not match the expected schema or version."""
+
+
+class InadmissibleSchema(SchemaError, InadmissibleSpec):
+    """A model file whose coefficients are inadmissible: a schema error to the
+    CLI, an inadmissible trial point to calibration."""
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +317,8 @@ def affine_spec_from_dict(payload: dict, where: str = "affine spec") -> AffineMo
             x0=state.get("x0"),
             y0=spreads.get("y0"),
         )
+    except InadmissibleSpec as exc:
+        raise InadmissibleSchema(f"{where}: {exc}") from exc
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

@@ -15,10 +15,13 @@ Two ways to reach a path's stream give the same variates.  ``PathStreams``
 re-keys one Philox generator per path by setting its state (counter zero, the
 path's key, an empty buffer); loops that finish one path's draws before the
 next path starts use it: ``driver_increment_block`` (the HJM engines and the
-normal block of jump-free affine models) and ``momentkernel.simulate_yperp``.
-``path_generator`` builds a fresh generator, which costs several times as
-much; loops whose draws interleave across paths step by step hold one per
-path: affine models with jumps and HJM kernel mode.
+normal block of jump-free affine models), ``normal_uniform_block`` (affine
+models with jumps, which replay their step-by-step jump draws from the
+buffered uniforms) and ``momentkernel.simulate_yperp``.  ``path_generator``
+builds a fresh generator, which costs several times as much; HJM kernel mode
+holds one per path because its draws interleave across paths step by step,
+and an affine jump path holds one only when its Poisson mean reaches the
+range the buffered replay does not cover.
 """
 
 from __future__ import annotations
@@ -100,3 +103,23 @@ def driver_increment_block(
         if counts is not None:
             counts[i] = gen.poisson(lam=jump_means, size=(n_steps, len(jump_means)))
     return normals, counts
+
+
+def normal_uniform_block(seed: int, paths, n_steps: int, n_normals: int,
+                         n_uniforms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normal blocks and the uniform doubles that follow them, per path.
+
+    Row i of ``uniforms`` holds the next ``n_uniforms`` values that
+    ``Generator.random()`` returns on path ``paths[i]``'s stream after its
+    (n_steps, n_normals) normal block; draws that numpy makes from such
+    doubles one at a time (small-mean Poisson counts, ``choice`` with
+    probabilities) can be replayed from them in order.
+    """
+    normals = np.empty((len(paths), n_steps, n_normals))
+    uniforms = np.empty((len(paths), n_uniforms))
+    streams = PathStreams(seed)
+    for i, path in enumerate(paths):
+        gen = streams.at(int(path))
+        gen.standard_normal(out=normals[i])
+        gen.random(out=uniforms[i])
+    return normals, uniforms

@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 import re
@@ -495,6 +496,23 @@ class TestSimulation:
             simulate_affine(vasicek_spec, 0.5, 1.0, 10, 1, [0.5])
         with pytest.raises(ValueError, match="at or beyond"):
             simulate_affine(vasicek_spec, 1.0, 0.1, 10, 1, [0.5])
+
+    @pytest.mark.parametrize("jumps", [False, True])
+    def test_batches_are_logged(self, vasicek_spec, jumps, caplog):
+        spec = vasicek_spec
+        if jumps:
+            spec = copy.deepcopy(vasicek_spec)
+            spec.jumps = AffineJumps(atoms_x=[[0.01], [-0.008]], probabilities=[0.6, 0.4],
+                                     intensity_const=3.0)
+            spec.__post_init__()
+        with caplog.at_level(logging.DEBUG, logger="multicurve.affine"):
+            simulate_affine(spec, 0.5, 0.1, 5, 3, [0.5], batch_size=2)
+        batches = [r.getMessage() for r in caplog.records
+                   if r.name == "multicurve.affine" and "batch" in r.getMessage()]
+        assert len(batches) == 3
+        for message in batches:
+            assert re.fullmatch(r"affine batch: paths=\d+ steps=\d+ jumps=\d+ "
+                                r"refilled_paths=\d+ live_paths=\d+", message)
 
     def test_seed_reproducibility(self, vasicek_spec):
         a = simulate_affine(vasicek_spec, 0.5, 1 / 50, 64, 11, [0.5])

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from multicurve.affine import AffineModelSpec, affine_bond, affine_spread, caplet_price_fourier
+from multicurve.affine import (
+    AffineModelSpec,
+    InadmissibleSpec,
+    affine_bond,
+    affine_spread,
+    caplet_price_fourier,
+)
 from multicurve.calibration import (
+    BlackDomainError,
     CalibrationResult,
     MaxIterations,
     ObjectiveNaN,
@@ -100,6 +107,8 @@ class TestBlackFormula:
             black_caplet(-0.01, 0.03, 1.0, 0.2, 0.9)
         with pytest.raises(ValueError, match="positive forward"):
             black_implied_vol(0.001, 0.02, -0.03, 1.0, 0.9)
+        with pytest.raises(BlackDomainError):
+            black_implied_vol(0.001, -0.02, 0.03, 1.0, 0.9)
 
 
 class TestQuoteSurface:
@@ -228,6 +237,47 @@ class TestCalibrate:
         targets = np.array([q.value for q in surface.quotes])
         with pytest.raises(ObjectiveNaN):
             _evaluate_fit(build_hot, np.array([]), surface, env, targets)
+
+    def test_build_spec_bug_propagates(self, toy_market):
+        # a plain ValueError is a bug, not a bad trial point: it must not
+        # become a penalty that steers the search away from the buggy region
+        disc, spreads, surface = toy_market
+        single = VolQuoteSurface([surface.quotes[7]])
+
+        def build_buggy(params):
+            spec = build_toy([TRUE_PARAMS[0], params[0], TRUE_PARAMS[2]])
+            if params[0] < 0.025:
+                spec.y_diff_const = [[spec.y_diff_const[0, 0], 0.0]]
+                spec.__post_init__()
+            return spec
+
+        with pytest.raises(ValueError, match="y_diff_const must have shape") as err:
+            calibrate(build_buggy, [0.03], single, disc, spreads,
+                      bounds=[(1e-5, None)], restarts=0, seed=3)
+        assert not isinstance(err.value, InadmissibleSpec)
+
+    def test_inadmissible_trial_point_scores_penalty(self, toy_market):
+        disc, spreads, surface = toy_market
+        single = VolQuoteSurface([surface.quotes[7]])
+        trials = []
+
+        def build_variance(params):
+            # the spread variance itself is free and unbounded: negative
+            # trial values are inadmissible
+            trials.append(params[0])
+            spec = build_toy(TRUE_PARAMS)
+            spec.y_diff_const = [[params[0]]]
+            spec.__post_init__()
+            return spec
+
+        env = [(0.04, 0.45)]
+        with pytest.raises(ObjectiveNaN) as err:
+            _evaluate_fit(build_variance, np.array([-1e-5]), single, env, np.array([0.2]))
+        assert isinstance(err.value.__cause__, InadmissibleSpec)
+        result = calibrate(build_variance, [-2e-5], single, disc, spreads,
+                           restarts=0, seed=3, xatol=1e-10, fatol=1e-18)
+        assert sum(t < 0 for t in trials) > 1
+        assert result.parameters[0] == pytest.approx(TRUE_PARAMS[1] ** 2, rel=1e-4)
 
     def test_deterministic_given_seed(self, toy_market):
         disc, spreads, surface = toy_market

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicurve.hjm import (
     ExponentialVolatility,
@@ -234,17 +236,7 @@ class TestSimulateDeterministic:
 class TestEngineAgreement:
     @pytest.fixture
     def rich_model(self):
-        trip = LevyTriplet(drift=[0.0, 0.0, 0.0], covariance=np.diag([1.0, 1.0, 0.04]),
-                           jump_sizes=[[0.01, 0.0, 0.0]], jump_intensities=[4.0])
-        return LevyHjmModel(
-            driver=trip, n_curve_factors=2,
-            ois_vol=ExponentialVolatility(scales=[0.01, 0.004], decays=[0.5, 0.0]),
-            spread_vols=[ExponentialVolatility(scales=[0.012, 0.002], decays=[0.3, 1.2])],
-            u_vectors=[[0.8]], tenors=[T6M],
-            forward_curve=lambda T: 0.02 + 0.001 * T,
-            forward_spread_curves=[lambda T: 0.003 + 0.0005 * np.sin(T)],
-            spread_factor_mode="integrated-drift",
-        )
+        return jump_driver_model()
 
     def test_grid_and_factor_agree(self, rich_model):
         kw = dict(horizon=1.0, dt=1 / 24, n_paths=48, seed=11,
@@ -279,6 +271,62 @@ class TestEngineAgreement:
         short = simulate_hjm(model, horizon=0.5, dt=1 / 12, n_paths=20, seed=5,
                              maturities=[1.0, 2.0])
         np.testing.assert_array_equal(long.pathset(0.5).bonds, short.pathset(0.5).bonds)
+
+
+def jump_driver_model():
+    """Two curve factors, a spread factor with integrated drift, driver jumps."""
+    trip = LevyTriplet(drift=[0.0, 0.0, 0.0], covariance=np.diag([1.0, 1.0, 0.04]),
+                       jump_sizes=[[0.01, 0.0, 0.0]], jump_intensities=[4.0])
+    return LevyHjmModel(
+        driver=trip, n_curve_factors=2,
+        ois_vol=ExponentialVolatility(scales=[0.01, 0.004], decays=[0.5, 0.0]),
+        spread_vols=[ExponentialVolatility(scales=[0.012, 0.002], decays=[0.3, 1.2])],
+        u_vectors=[[0.8]], tenors=[T6M],
+        forward_curve=lambda T: 0.02 + 0.001 * T,
+        forward_spread_curves=[lambda T: 0.003 + 0.0005 * np.sin(T)],
+        spread_factor_mode="integrated-drift",
+    )
+
+
+def kernel_model():
+    """Kernel mode; spread levels near a 1:2 ratio keep the atoms small and
+    the intensity high enough for a few jumps per run, and static spread
+    curves keep the kernel solves few."""
+    return make_model(ois_scale=0.01, spread_scales=(0.0, 0.0), u=[[0.5], [1.0]],
+                      tenors=[T3M, T6M], spreads=(0.01, 0.0202), cov_extra=(0.0,),
+                      mode="kernel")
+
+
+_GAUSSIAN = make_model(ois_scale=0.01, spread_scales=(0.004,), u=[[1.0]], tenors=[T6M],
+                       spreads=(0.005,), cov_extra=(0.04,), mode="integrated-drift")
+_JUMPS = jump_driver_model()
+# (model, method): the factor and grid engines, driver jumps, kernel mode
+BATCH_CASES = {
+    "factor": (_GAUSSIAN, "factor"),
+    "grid": (_GAUSSIAN, "grid"),
+    "jumps-factor": (_JUMPS, "factor"),
+    "jumps-grid": (_JUMPS, "grid"),
+    "kernel": (kernel_model(), "auto"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+@settings(max_examples=10)
+@given(n_paths=st.integers(2, 10), batch_size=st.integers(1, 9), seed=st.integers(0, 2 ** 32))
+def test_simulate_hjm_independent_of_batch_size(name, n_paths, batch_size, seed):
+    model, method = BATCH_CASES[name]
+    kw = dict(horizon=1.0, dt=1 / 8, n_paths=n_paths, seed=seed, maturities=[1.25, 2.0],
+              observation_times=[0.5, 1.0], method=method)
+    whole = simulate_hjm(model, batch_size=n_paths, **kw)
+    split = simulate_hjm(model, batch_size=batch_size, **kw)
+    assert whole.diagnostics["aborted"] == split.diagnostics["aborted"]
+    for t in (0.5, 1.0):
+        a, b = whole.pathset(t), split.pathset(t)
+        assert np.array_equal(a.maturities, b.maturities)
+        assert np.array_equal(a.numeraire, b.numeraire)
+        assert np.array_equal(a.bonds, b.bonds)
+        for tenor in model.tenors:
+            assert np.array_equal(a.spreads[tenor], b.spreads[tenor])
 
 
 def discrete_gaussian_bond_mean(sigma, f0, t, tau, dt):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from multicurve.affine import AffineJumps, AffineModelSpec, affine_bond
+from multicurve.affine import AffineJumps, AffineModelSpec, InadmissibleSpec, affine_bond
 from multicurve.calibration import VolQuote, VolQuoteSurface
 from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet, StateDependentVolatility
 from multicurve.marketio import (
@@ -247,8 +247,18 @@ class TestAffineSpecJson:
     def test_invalid_coefficients_reported(self):
         doc = affine_spec_to_dict(self.make_spec())
         doc["drift"]["const"] = [0.1]
-        with pytest.raises(SchemaError, match="drift_const"):
+        with pytest.raises(SchemaError, match="drift_const") as err:
             affine_spec_from_dict(doc)
+        assert not isinstance(err.value, InadmissibleSpec)
+
+    def test_inadmissible_coefficients_keep_their_type(self):
+        # a schema error to the CLI, an inadmissible trial point to calibration
+        doc = affine_spec_to_dict(self.make_spec())
+        doc["diffusion"]["const"] = [[-1e-4 if v else v for v in row]
+                                     for row in doc["diffusion"]["const"]]
+        with pytest.raises(SchemaError, match="positive semidefinite") as err:
+            affine_spec_from_dict(doc)
+        assert isinstance(err.value, InadmissibleSpec)
 
     def test_missing_field_reported(self):
         doc = affine_spec_to_dict(self.make_spec())

@@ -5,12 +5,17 @@ predate ``PathStreams``.  Any change to a seeded stream makes them fail, so a
 stream change has to be made, and announced, on purpose.
 """
 
+import logging
+import re
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicurve import rng
+from multicurve import affine, rng
 from multicurve.affine import AffineJumps, AffineModelSpec, simulate_affine
 from multicurve.momentkernel import KernelFamily, simulate_yperp
 from multicurve.termstructure import Tenor
@@ -55,6 +60,37 @@ def jump_spec():
         jumps=AffineJumps(atoms_x=[[0.01], [-0.008]], probabilities=[0.6, 0.4],
                           intensity_const=6.0, atoms_y=[[0.002], [0.0]]),
         x0=[0.02], y0=[0.004])
+
+
+def cir_jump_spec(intensity_const=0.5, intensity_linear=40.0, kappa=0.8, theta=0.04,
+                  sigma=0.25, x0=0.03):
+    """Euler square-root driver whose intensity loads on it; three atoms in X and Y."""
+    return AffineModelSpec(
+        pos_dims=1, real_dims=0, drift_const=[kappa * theta], drift_linear=[[-kappa]],
+        diffusion_const=[[0.0]], diffusion_linear=[[[sigma ** 2]]], rate_const=0.0,
+        rate_linear=[1.0], n_spread=2, u_vectors=[[1.0, 0.0], [1.0, 0.5]], tenors=(T3M, T6M),
+        y_mode="diffusive", y_drift_const=[0.001, 0.0], y_drift_linear=[[0.1], [0.05]],
+        y_diff_const=[[0.004 ** 2, 0.0], [0.0, 0.003 ** 2]],
+        y_diff_linear=[[[0.05 ** 2, 0.0], [0.0, 0.01 ** 2]]],
+        jumps=AffineJumps(atoms_x=[[0.02], [0.05], [0.0]], probabilities=[0.5, 0.3, 0.2],
+                          intensity_const=intensity_const,
+                          intensity_linear=[intensity_linear],
+                          atoms_y=[[0.001, 0.0], [0.0, 0.002], [-0.001, 0.001]]),
+        x0=[x0], y0=[0.002, 0.001])
+
+
+def hot_spec():
+    """Constant intensity 150: a step of 0.1 has Poisson mean 15."""
+    spec = jump_spec()
+    spec.jumps.intensity_const = 150.0
+    return spec
+
+
+def rising_spec():
+    """Intensity 15 * X with X started at 0 and reverting to 1: the draws
+    outgrow the buffer sized at x0, and steps of 0.5 reach means of 10."""
+    return cir_jump_spec(intensity_const=0.0, intensity_linear=15.0, kappa=2.0, theta=1.0,
+                         sigma=0.5, x0=0.0)
 
 
 SPECS = {"gauss": gaussian_spec(), "cir": cir_spec(), "jump": jump_spec()}
@@ -153,6 +189,95 @@ def test_simulate_affine_independent_of_batch_size(name, n_paths, batch_size, se
     assert np.array_equal(whole.bonds, split.bonds)
     for tenor in spec.tenors:
         assert np.array_equal(whole.spreads[tenor], split.spreads[tenor])
+
+
+# ---------------------------------------------------------------------------
+# affine jump draws replayed from buffered uniforms against a generator per path
+
+
+class ScalarJumps:
+    """Reference jump draws: one generator per path and a scalar Poisson draw,
+    then one ``choice`` per jump, for every path at every step."""
+
+    refilled = np.zeros(0, dtype=bool)
+    live: dict = {}
+
+    def __init__(self, spec, seed, lo, hi, n_steps, n_noise, horizon):
+        self.spec, self.jumps = spec, 0
+        self.gens = [rng.path_generator(seed, p) for p in range(lo, hi)]
+        self.normals = np.array([g.standard_normal((n_steps, n_noise)) for g in self.gens])
+
+    def add_jumps(self, means, x, y):
+        jmp = self.spec.jumps
+        for i, gen in enumerate(self.gens):
+            for _ in range(gen.poisson(means[i])):
+                atom = gen.choice(len(jmp.probabilities), p=jmp.probabilities)
+                x[i] += jmp.atoms_x[atom]
+                y[i] += jmp.atoms_y[atom]
+                self.jumps += 1
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.batches = []
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message.startswith("affine batch:"):
+            self.batches.append({k: int(v) for k, v in re.findall(r"(\w+)=(\d+)", message)})
+
+
+@contextmanager
+def batch_counters():
+    """Collect the per-batch counters ``simulate_affine`` logs at DEBUG."""
+    logger, handler = logging.getLogger("multicurve.affine"), _Records()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield handler.batches
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def replayed_and_scalar(spec, horizon, dt, n_paths, seed, batch_size):
+    """Both simulations with their summed batch counters; asserts bit identity."""
+    args = (spec, horizon, dt, n_paths, seed, [horizon, horizon + 1.0])
+    with batch_counters() as batches:
+        got = simulate_affine(*args, batch_size=batch_size)
+    with mock.patch.object(affine, "_JumpDraws", ScalarJumps), batch_counters() as reference:
+        want = simulate_affine(*args, batch_size=batch_size)
+    assert np.array_equal(got.numeraire, want.numeraire)
+    assert np.array_equal(got.bonds, want.bonds)
+    for tenor in spec.tenors:
+        assert np.array_equal(got.spreads[tenor], want.spreads[tenor])
+    counters = {k: sum(b[k] for b in batches) for k in batches[0]}
+    assert counters["jumps"] == sum(b["jumps"] for b in reference)
+    return counters
+
+
+JUMP_SPECS = {"constant": jump_spec(), "state": cir_jump_spec(), "hot": hot_spec(),
+              "rising": rising_spec()}
+JUMP_GRIDS = {"constant": (0.5, 0.1), "state": (1.0, 0.05), "hot": (0.3, 0.1),
+              "rising": (2.0, 0.5)}
+
+
+@settings(max_examples=30)
+@given(name=st.sampled_from(sorted(JUMP_SPECS)), n_paths=st.integers(1, 12),
+       batch_size=st.integers(1, 12), seed=st.integers(0, 2 ** 64 - 1))
+def test_jump_replay_matches_generator_per_path(name, n_paths, batch_size, seed):
+    horizon, dt = JUMP_GRIDS[name]
+    replayed_and_scalar(JUMP_SPECS[name], horizon, dt, n_paths, seed, batch_size)
+
+
+@pytest.mark.parametrize("name, branch", [("hot", "live_paths"), ("rising", "refilled_paths"),
+                                          ("rising", "live_paths")])
+def test_jump_replay_fallbacks_run_and_match(name, branch):
+    horizon, dt = JUMP_GRIDS[name]
+    counters = replayed_and_scalar(JUMP_SPECS[name], horizon, dt, 60, 2024, 25)
+    assert counters[branch] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import rng as _rng
 from .products import PathSet
-from .rng import path_generator  # bench/trace.py wraps it under this name
+from .rng import path_generator  # noqa: F401 - bench/trace.py wraps this name; rng calls it
 from .termstructure import Tenor
 
 log = logging.getLogger(__name__)
@@ -653,100 +653,40 @@ def _y_diffusion_factor(spec, x_block):
 class _JumpDraws:
     """One batch's normal blocks and jump draws, replayed across paths at once.
 
-    numpy's ``Generator.poisson`` draws a count with mean below 10 by
-    multiplying ``random()`` doubles until the product falls to exp(-mean) or
-    below (a zero mean draws nothing), and ``choice`` with probabilities
-    searches one such double in the normalized cumulative probabilities.
-    Each path's doubles are therefore drawn up front, after its normal block,
-    and read through a per-path cursor in the order a generator per path
-    would draw them: a step's Poisson doubles, then one per jump.  The same
-    draws come out bit for bit.  A path that reads past its buffer is redrawn
-    from its stream at twice the length; a path whose mean reaches 10 (or is
-    not finite) takes a generator positioned at its cursor and draws with it
-    for the rest of the batch.
+    A thin adapter over ``rng.StreamReplay`` on the driver stream: each
+    step's Poisson counts come from the replay, and each jump's atom from
+    one double searched in the cumulative probabilities, as
+    ``Generator.choice`` computes them, added one at a time in draw order.
     """
 
     def __init__(self, spec: AffineModelSpec, seed: int, lo: int, hi: int,
                  n_steps: int, n_noise: int, horizon: float):
         jumps = spec.jumps
         self.atoms_x, self.atoms_y = jumps.atoms_x, jumps.atoms_y
-        self.probabilities = jumps.probabilities
         # Generator.choice's own cumulative probabilities
         self.cdf = jumps.probabilities.cumsum()
         self.cdf /= self.cdf[-1]
-        self.seed, self.lo, self.n_steps, self.n_noise = seed, lo, n_steps, n_noise
         # a step with a positive mean reads one double more than its jumps,
         # plus one per jump for the atom: sized from the intensity at x0
         expected = max(jumps.intensity_const + spec.x0 @ jumps.intensity_linear, 0.0) * horizon
         width = n_steps + math.ceil(2.0 * expected + 8.0 * math.sqrt(expected)) + 16
-        self.normals, self.uniforms = _rng.normal_uniform_block(
-            seed, range(lo, hi), n_steps, n_noise, width)
-        self.filled = np.full(hi - lo, width)
-        self.cursor = np.zeros(hi - lo, dtype=np.int64)
-        self.refilled = np.zeros(hi - lo, dtype=bool)
-        self.live: dict[int, np.random.Generator] = {}
+        self.replay = _rng.StreamReplay(seed, range(lo, hi), n_steps, n_noise, width,
+                                        _rng.DRIVER_STREAM)
+        self.normals = self.replay.normals
+        self.refilled, self.live = self.replay.refilled, self.replay.live
         self.jumps = 0
-
-    def _ensure(self, rows: np.ndarray, need: np.ndarray) -> None:
-        """Redraw the rows whose buffer ends before column ``need``."""
-        short = need > self.filled[rows]
-        if not short.any():
-            return
-        rows = rows[short]
-        length = max(2 * int(self.filled[rows].max()), int(need[short].max()))
-        if length > self.uniforms.shape[1]:
-            wider = np.empty((len(self.uniforms), length))
-            wider[:, : self.uniforms.shape[1]] = self.uniforms
-            self.uniforms = wider
-        _, self.uniforms[rows, :length] = _rng.normal_uniform_block(
-            self.seed, self.lo + rows, self.n_steps, self.n_noise, length)
-        self.filled[rows] = length
-        self.refilled[rows] = True
-
-    def _go_live(self, row: int) -> None:
-        gen = path_generator(self.seed, self.lo + row)
-        gen.standard_normal((self.n_steps, self.n_noise))
-        gen.random(int(self.cursor[row]))
-        self.live[row] = gen
 
     def add_jumps(self, means: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Draw one step's jumps with the given Poisson means; add them to x and y."""
-        for row in np.flatnonzero(~(means < 10.0)).tolist():
-            if row not in self.live:
-                self._go_live(row)
-        positive = means > 0.0
-        positive[list(self.live)] = False
-        rows = np.flatnonzero(positive)
-        # Poisson counts by multiplication, one round per double drawn
-        unique, inverse = np.unique(means[rows], return_inverse=True)
-        floor = np.array([math.exp(-mean) for mean in unique.tolist()])[inverse]
-        counts = np.zeros(len(rows), dtype=np.int64)
-        product = np.ones(len(rows))
-        active = np.arange(len(rows))
-        while len(active):
-            r = rows[active]
-            self._ensure(r, self.cursor[r] + 1)
-            product[active] *= self.uniforms[r, self.cursor[r]]
-            self.cursor[r] += 1
-            active = active[product[active] > floor[active]]
-            counts[active] += 1
-        # atoms, one double each, added one at a time in draw order
-        jumped = counts > 0
-        rows, counts = rows[jumped], counts[jumped]
-        self._ensure(rows, self.cursor[rows] + counts)
+        counts = self.replay.poisson_counts(means)
+        rows = np.flatnonzero(counts)
+        counts = counts[rows]
         for k in range(int(counts.max(initial=0))):
             r = rows[counts > k]
-            atom = self.cdf.searchsorted(self.uniforms[r, self.cursor[r] + k], side="right")
+            atom = self.cdf.searchsorted(self.replay.next_doubles(r), side="right")
             x[r] += self.atoms_x[atom]
             y[r] += self.atoms_y[atom]
-        self.cursor[rows] += counts
         self.jumps += int(counts.sum())
-        for row, gen in self.live.items():
-            for _ in range(gen.poisson(means[row])):
-                atom = gen.choice(len(self.probabilities), p=self.probabilities)
-                x[row] += self.atoms_x[atom]
-                y[row] += self.atoms_y[atom]
-                self.jumps += 1
 
 
 def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
@@ -766,8 +706,9 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     draw its normal block (``rng.driver_increment_block``) and, for jump
     models, a buffer of the uniforms that follow it, from which every
     path's Poisson counts and atoms are replayed at each step for all paths
-    at once (``_JumpDraws``); the draws are bit for bit those of a generator
-    per path, and only a path whose step mean reaches 10 holds a generator.
+    at once (``rng.StreamReplay``, through ``_JumpDraws``); the draws are
+    bit for bit those of a generator per path, and only a path whose step
+    mean reaches 10 holds a generator.
     Without positive factors the spread diffusion factor does not depend on
     the state and is factored once per call rather than at every step.  One
     DEBUG record per batch on ``multicurve.affine`` gives its paths, steps,

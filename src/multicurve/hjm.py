@@ -30,6 +30,7 @@ node.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .momentkernel import KernelFamily
+from .momentkernel import KernelFamily, kernel_jump_step, yperp_replay
 from .products import PathSet
 from .termstructure import Tenor
 
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 ABORT_FRACTION = 1e-3
+
+log = logging.getLogger(__name__)
 
 
 class GridMismatch(ValueError):
@@ -651,6 +654,15 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
 
     ``zero_drift`` suppresses the no-arbitrage curve drifts (negative-control
     diagnostic: discounted prices should then fail their martingale checks).
+
+    Path i draws its driver increments from stream 0 of (seed, i) and, in
+    kernel mode, its orthogonal jumps from stream 1, replayed for all paths
+    of a batch at once from buffered doubles (``momentkernel.kernel_jump_step``)
+    bit for bit as a generator per path would draw them; results do not
+    depend on ``batch_size``.  One DEBUG record per batch on
+    ``multicurve.hjm`` gives its paths, steps, kernel jumps, the paths whose
+    jump buffer was redrawn or that held a generator, the kernel LP solves
+    and the aborted paths.
     """
     if observation_times is None:
         observation_times = [horizon]
@@ -723,10 +735,11 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         log_bank = np.zeros(nb)
         y = np.broadcast_to(model.y0, (nb, model.n_spread_factors)).copy()
         held_psi = None  # factor exponent at each u_i selected over the previous step
-        jump_gens = None
+        replay = None
+        kernel_jumps = 0
         if model.spread_factor_mode == "kernel":
-            # _kernel_step draws for every path at each step: one live generator per path
-            jump_gens = [_rng.path_generator(seed, p, _rng.YPERP_STREAM) for p in range(lo, hi)]
+            replay = yperp_replay(seed, range(lo, hi), n_steps)
+            lp_solves = kernel_family.lp_solves
         local_snaps: dict[float, tuple] = {}
 
         for l in range(n_steps + 1):
@@ -751,8 +764,8 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
                 y += q * dt
                 held_psi = q @ model.u_vectors.T + psi_hat
             elif model.spread_factor_mode == "kernel":
-                held_psi = np.empty_like(targets)
-                _kernel_step(kernel_family, model, targets, y, jump_gens, dt, held_psi, psi_hat)
+                held_psi, jumps = _kernel_step(kernel_family, replay, targets, y, dt, psi_hat)
+                kernel_jumps += int(jumps.sum())
             else:
                 held_psi = np.broadcast_to(psi_hat, targets.shape)
 
@@ -760,7 +773,13 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
             y = y + dx_block[:, l, model.n_curve_factors :]
 
         good = engine.finite_mask() & np.isfinite(log_bank) & np.all(np.isfinite(y), axis=1)
-        aborted += int(np.count_nonzero(~good))
+        dropped = int(np.count_nonzero(~good))
+        aborted += dropped
+        refilled, live, solves = ((0, 0, 0) if replay is None else (
+            int(replay.refilled.sum()), len(replay.live), kernel_family.lp_solves - lp_solves))
+        log.debug("hjm batch: paths=%d steps=%d kernel_jumps=%d refilled_paths=%d "
+                  "live_paths=%d lp_solves=%d aborted=%d",
+                  nb, n_steps, kernel_jumps, refilled, live, solves, dropped)
         for t_obs, (keep, numeraire, bonds, spreads) in local_snaps.items():
             snap_parts[t_obs].append(
                 (keep, numeraire[good], bonds[good],
@@ -797,27 +816,15 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     return HjmSimulationResult(snapshots, diagnostics)
 
 
-def _kernel_step(family: KernelFamily, model: LevyHjmModel, targets: np.ndarray,
-                 y: np.ndarray, jump_gens: list, dt: float,
-                 held_psi: np.ndarray, psi_hat: np.ndarray) -> None:
-    """One kernel-mode step: solve per path, draw jumps, record held exponents.
+def _kernel_step(family: KernelFamily, replay: _rng.StreamReplay, targets: np.ndarray,
+                 y: np.ndarray, dt: float, psi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel-mode step of a batch (``momentkernel.kernel_jump_step``).
 
-    The jump count is Poisson with the intensity frozen at the step start;
-    jump sizes draw from the kernel re-solved after each jump so the support
-    floor tracks the post-jump factor level.
+    Moves the factor ``y`` (n, 1) in place; returns the exponents held over
+    the step, the kernel's plus ``psi_hat``, and each path's jump count.
     """
-    for p in range(targets.shape[0]):
-        kernel, psi = family.solve_with_exponent(float(y[p, 0]), targets[p])
-        lam = kernel.total_intensity
-        held_psi[p] = psi + psi_hat
-        n_jumps = int(jump_gens[p].poisson(lam * dt)) if lam > 0 else 0
-        for _ in range(n_jumps):
-            j = int(jump_gens[p].choice(len(kernel.atoms), p=kernel.weights / lam))
-            y[p, 0] += float(kernel.atoms[j])
-            kernel, _ = family.solve_with_exponent(float(y[p, 0]), targets[p])
-            lam = kernel.total_intensity
-            if lam <= 0:
-                break
+    psi, jumps = kernel_jump_step(family, replay, y[:, 0], targets, dt)
+    return psi + psi_hat, jumps
 
 
 def _snapshot(engine, model: LevyHjmModel, t_obs: float, maturities: np.ndarray,

@@ -284,18 +284,18 @@ def affine_spec_from_dict(payload: dict, where: str = "affine spec") -> AffineMo
     diffusion = _get(payload, "diffusion", where)
     rate = _get(payload, "rate", where)
     spreads = _get(payload, "spreads", where)
-    jumps = None
-    if "jumps" in payload:
-        j = payload["jumps"]
-        jumps = AffineJumps(
-            atoms_x=_get(j, "atoms_x", where),
-            probabilities=_get(j, "probabilities", where),
-            intensity_const=float(j.get("intensity_const", 0.0)),
-            intensity_linear=j.get("intensity_linear"),
-            atoms_y=j.get("atoms_y"),
-        )
-    tenors = [Tenor.parse(t) for t in _get(spreads, "tenors", where)]
     try:
+        jumps = None
+        if "jumps" in payload:
+            j = payload["jumps"]
+            jumps = AffineJumps(
+                atoms_x=_get(j, "atoms_x", where),
+                probabilities=_get(j, "probabilities", where),
+                intensity_const=float(j.get("intensity_const", 0.0)),
+                intensity_linear=j.get("intensity_linear"),
+                atoms_y=j.get("atoms_y"),
+            )
+        tenors = [Tenor.parse(t) for t in _get(spreads, "tenors", where)]
         return AffineModelSpec(
             pos_dims=int(_get(state, "pos_dims", where)),
             real_dims=int(_get(state, "real_dims", where)),

@@ -308,6 +308,8 @@ class KernelFamily:
     targets resolve to a single LP solve for a whole simulation.  ``p_fn(t)``
     optionally supplies deterministic time-varying targets for ``solve``;
     callers with their own target rows use ``solve_for`` directly.
+    ``lookups`` counts the calls of ``solve_with_exponent`` and ``lp_solves``
+    those that missed the cache and solved a kernel.
     """
 
     def __init__(self, u: np.ndarray, mass_cap: float, p_fn: Callable[[float], np.ndarray] | None = None,
@@ -320,6 +322,8 @@ class KernelFamily:
         self.grid_size = grid_size
         self.floor_bucket = float(floor_bucket)
         self._cache: dict[tuple, tuple[JumpKernel, np.ndarray]] = {}
+        self.lookups = 0
+        self.lp_solves = 0
 
     def _bucket(self, y: float) -> float:
         if y <= 0:
@@ -331,11 +335,13 @@ class KernelFamily:
 
     def solve_with_exponent(self, y: float, p: np.ndarray) -> tuple[JumpKernel, np.ndarray]:
         """Kernel plus its exponent evaluated at the family's own u vector."""
+        self.lookups += 1
         p = np.atleast_1d(np.asarray(p, dtype=float))
         key = (self._bucket(y), np.round(p, 12).tobytes())
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        self.lp_solves += 1
         targets = MomentTargets(self.u, p, self.mass_cap, floor=self._bucket(y))
         kernel = solve_jump_kernel(targets, self.objective, grid_size=self.grid_size)
         entry = (kernel, np.asarray(kernel.exponent(self.u)))
@@ -343,9 +349,85 @@ class KernelFamily:
         return entry
 
     def solve(self, t: float, y: float) -> JumpKernel:
+        return self.solve_for(y, self.targets_at(t))
+
+    def targets_at(self, t: float) -> np.ndarray:
         if self.p_fn is None:
             raise ValueError("solve(t, y) requires a p_fn; use solve_for for explicit targets")
-        return self.solve_for(y, self.p_fn(t))
+        return np.atleast_1d(np.asarray(self.p_fn(t), dtype=float))
+
+    def solve_rows(self, y: np.ndarray, p: np.ndarray) -> tuple[list, np.ndarray]:
+        """Kernels for many rows at once: levels ``y`` (n,), targets ``p`` (n, m).
+
+        Rows are grouped by their cache key (floor bucket and rounded
+        targets, bit for bit), and ``solve_with_exponent`` is called once per
+        group, in row order, with the group's first row, the row a loop over
+        the rows would solve it for.  Returns the ``solve_with_exponent``
+        entries and each row's index into them.
+        """
+        buckets = np.where(y <= 0, 0.0, np.floor(y / self.floor_bucket) * self.floor_bucket)
+        keys = np.column_stack([buckets, np.round(p, 12)]).view(np.uint64)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        entries = [self.solve_with_exponent(float(y[i]), p[i]) for i in first[order].tolist()]
+        return entries, np.argsort(order)[inverse.ravel()]
+
+
+def yperp_replay(seed: int, paths, n_steps: int) -> _rng.StreamReplay:
+    """The orthogonal-jump streams of ``paths``, buffered for ``kernel_jump_step``.
+
+    Stream 1 has no normal block.  A step with a positive intensity reads
+    one double plus two per jump, so the buffer covers a jump every other
+    step before a path is redrawn.
+    """
+    return _rng.StreamReplay(seed, paths, 0, 0, 2 * n_steps + 16, _rng.YPERP_STREAM)
+
+
+def kernel_jump_step(family: KernelFamily, replay: _rng.StreamReplay, y: np.ndarray,
+                     targets: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the orthogonal jump factor for every row at once.
+
+    Row i starts the step at level ``y[i]`` with exponent targets
+    ``targets[i]``.  Its kernel is solved there, and its jump count is
+    Poisson with the kernel's intensity frozen over the step.  Each jump
+    draws its size from the current kernel's atoms, as ``Generator.choice``
+    with the normalized weights would, and the kernel is re-solved after
+    every jump, so that the support floor tracks the post-jump level; a row
+    stops early when its re-solved intensity is not positive.  Jumps are
+    taken one round at a time across the rows, and only the rows that
+    jumped are re-solved.  Draws come from row i's stream in ``replay``, in
+    the order a generator per path would make them.  A loop over the rows
+    would instead take all of a row's jumps before the next row starts; it
+    solves the same kernels unless one cache key is reached by rows whose
+    targets differ below the key's rounding (1e-12), first by an earlier
+    row after a jump and also by a later row at the step start.
+
+    ``y`` is updated in place.  Returns the exponents Psi(u) of the kernels
+    held over the step, (n, m), and each row's number of jumps.
+    """
+    entries, index = family.solve_rows(y, targets)
+    psi = np.array([entry[1] for entry in entries]).reshape(len(entries), len(family.u))[index]
+    lam = np.array([entry[0].total_intensity for entry in entries])[index]
+    counts = replay.poisson_counts(np.where(lam > 0, lam * dt, 0.0))
+    jumps = np.zeros(len(y), dtype=np.int64)
+    rows = np.flatnonzero(counts)
+    kernels = [entry[0] for entry in entries]
+    index = index[rows]
+    while len(rows):
+        u = replay.next_doubles(rows)
+        for k in np.unique(index).tolist():
+            kernel, mine = kernels[k], index == k
+            # Generator.choice's own cumulative probabilities
+            cdf = (kernel.weights / kernel.total_intensity).cumsum()
+            cdf /= cdf[-1]
+            y[rows[mine]] += kernel.atoms[cdf.searchsorted(u[mine], side="right")]
+        jumps[rows] += 1
+        entries, index = family.solve_rows(y[rows], targets[rows])
+        kernels = [entry[0] for entry in entries]
+        lam = np.array([kernel.total_intensity for kernel in kernels])[index]
+        more = (jumps[rows] < counts[rows]) & (lam > 0)
+        rows, index = rows[more], index[more]
+    return psi, jumps
 
 
 @dataclass
@@ -364,11 +446,15 @@ def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int
                    seed: int, y0: float = 0.0) -> YperpPaths:
     """Simulate the orthogonal jump factor under state-frozen step intensities.
 
-    Per step: the kernel is solved at (t, y), the jump count is Poisson with
-    the frozen total intensity, and each jump draws its size from the current
-    kernel's atoms (re-solving after every jump so the support floor tracks
-    the post-jump state).  The compensator integral accumulates the frozen
-    exponent Psi(u_i) * dt per step.
+    Each step is one ``kernel_jump_step`` over all paths, with the targets
+    ``family.p_fn(t)`` at the step start: the kernel is solved at (t, y),
+    the jump count is Poisson with the frozen total intensity, and each
+    jump draws its size from the current kernel's atoms (re-solving after
+    every jump so the support floor tracks the post-jump state).  The
+    compensator integral accumulates the frozen exponent Psi(u_i) * dt per
+    step.  Path i draws from its own stream 1, replayed from buffered
+    doubles (``yperp_replay``); the draws are bit for bit those of a
+    generator per path.
     """
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9:
@@ -379,24 +465,13 @@ def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int
     comps = np.zeros((n_paths, m, n_steps + 1))
     counts = np.zeros(n_paths, dtype=np.int64)
 
-    streams = _rng.PathStreams(seed, _rng.YPERP_STREAM)
-    for ipath in range(n_paths):
-        gen = streams.at(ipath)
-        y = float(y0)
-        values[ipath, 0] = y
-        for l in range(n_steps):
-            kernel = family.solve(times[l], y)
-            lam = kernel.total_intensity
-            comps[ipath, :, l + 1] = comps[ipath, :, l] + dt * np.asarray(kernel.exponent(family.u))
-            n_jumps = int(gen.poisson(lam * dt)) if lam > 0 else 0
-            for _ in range(n_jumps):
-                probs = kernel.weights / lam
-                j = int(gen.choice(len(kernel.atoms), p=probs))
-                y += float(kernel.atoms[j])
-                counts[ipath] += 1
-                kernel = family.solve(times[l], y)
-                lam = kernel.total_intensity
-                if lam <= 0:
-                    break
-            values[ipath, l + 1] = y
+    replay = yperp_replay(seed, range(n_paths), n_steps)
+    y = np.full(n_paths, float(y0))
+    values[:, 0] = y
+    for l in range(n_steps):
+        p = family.targets_at(times[l])
+        psi, jumps = kernel_jump_step(family, replay, y, np.broadcast_to(p, (n_paths, len(p))), dt)
+        comps[:, :, l + 1] = comps[:, :, l] + dt * psi
+        counts += jumps
+        values[:, l + 1] = y
     return YperpPaths(times, values, comps, counts, seed, dt)

@@ -6,25 +6,29 @@ stream``.  A path's variates therefore depend only on the seed and its own
 index, never on how paths are batched or ordered, so results are bit-identical
 under any execution decomposition.
 
-Draw layout per path (stream 0, the curve driver): one block of standard
-normals of shape (n_steps, d), then one block of Poisson jump counts of shape
-(n_steps, n_atoms).  Stream 1 is reserved for orthogonal-jump-part event
-sampling, which draws sequentially (counts, then atom choices, per step).
+Draw layout per path.  Stream 0, the curve driver: one block of standard
+normals of shape (n_steps, d), then the jumps: for the HJM engines one block
+of Poisson counts of shape (n_steps, n_atoms), for affine models step by step
+a Poisson count and one atom choice per jump.  Stream 1, the orthogonal jump
+factor: no normals, and step by step a Poisson count and one atom choice per
+jump.
 
-Two ways to reach a path's stream give the same variates.  ``PathStreams``
-re-keys one Philox generator per path by setting its state (counter zero, the
-path's key, an empty buffer); loops that finish one path's draws before the
-next path starts use it: ``driver_increment_block`` (the HJM engines and the
-normal block of jump-free affine models), ``normal_uniform_block`` (affine
-models with jumps, which replay their step-by-step jump draws from the
-buffered uniforms) and ``momentkernel.simulate_yperp``.  ``path_generator``
-builds a fresh generator, which costs several times as much; HJM kernel mode
-holds one per path because its draws interleave across paths step by step,
-and an affine jump path holds one only when its Poisson mean reaches the
-range the buffered replay does not cover.
+``PathStreams`` re-keys one Philox generator per path by setting its state
+(counter zero, the path's key, an empty buffer), which draws what a fresh
+generator would at a fraction of its cost.  Block draws use it path after
+path: ``driver_increment_block`` (the HJM engines and jump-free affine
+models) and ``normal_uniform_block``, which draws a path's normal block and
+a buffer of the ``random()`` doubles that follow it.  ``StreamReplay``
+replays from such buffers the step-by-step draws that a generator per path
+would make, for all paths of a batch at once: affine jumps on stream 0 and
+the kernel-mode jumps of ``momentkernel`` on stream 1.  ``path_generator``
+builds a fresh generator; only the replay's fallback for a Poisson mean of
+10 or more (or a non-finite one) uses it, and the tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -106,20 +110,111 @@ def driver_increment_block(
 
 
 def normal_uniform_block(seed: int, paths, n_steps: int, n_normals: int,
-                         n_uniforms: int) -> tuple[np.ndarray, np.ndarray]:
+                         n_uniforms: int, stream: int) -> tuple[np.ndarray, np.ndarray]:
     """Normal blocks and the uniform doubles that follow them, per path.
 
     Row i of ``uniforms`` holds the next ``n_uniforms`` values that
-    ``Generator.random()`` returns on path ``paths[i]``'s stream after its
-    (n_steps, n_normals) normal block; draws that numpy makes from such
-    doubles one at a time (small-mean Poisson counts, ``choice`` with
-    probabilities) can be replayed from them in order.
+    ``Generator.random()`` returns on path ``paths[i]``'s ``stream`` after
+    its (n_steps, n_normals) normal block; ``StreamReplay`` replays from
+    them the draws that numpy makes from such doubles one at a time.
     """
     normals = np.empty((len(paths), n_steps, n_normals))
     uniforms = np.empty((len(paths), n_uniforms))
-    streams = PathStreams(seed)
+    streams = PathStreams(seed, stream)
     for i, path in enumerate(paths):
         gen = streams.at(int(path))
         gen.standard_normal(out=normals[i])
         gen.random(out=uniforms[i])
     return normals, uniforms
+
+
+class StreamReplay:
+    """Step-by-step draws of many paths' streams, replayed for all at once.
+
+    numpy's ``Generator.poisson`` draws a count with mean below 10 by
+    multiplying ``random()`` doubles until the product falls to exp(-mean)
+    or below (a zero mean draws nothing), and ``choice`` with probabilities
+    searches one such double in the normalized cumulative probabilities.
+    Each path's doubles are therefore drawn up front, after its
+    (n_steps, n_normals) normal block (``normals``), and read through a
+    per-path cursor: ``poisson_counts`` gives every row's count and
+    ``next_doubles`` the next double of the given rows, in the order a
+    generator per path would draw them, so the same draws come out bit for
+    bit.  A row that reads
+    past its buffer is redrawn from its stream at at least twice the
+    length (``refilled``); a row whose mean reaches 10, or is not finite,
+    takes a generator positioned at its cursor and draws with it from then
+    on (``live``).
+    """
+
+    def __init__(self, seed: int, paths, n_steps: int, n_normals: int, width: int,
+                 stream: int):
+        self.seed, self.stream = int(seed), int(stream)
+        self.paths = np.asarray(paths, dtype=np.int64)
+        self.n_steps, self.n_normals = n_steps, n_normals
+        self.normals, self.uniforms = normal_uniform_block(
+            seed, self.paths, n_steps, n_normals, width, stream)
+        self.filled = np.full(len(self.paths), width)
+        self.cursor = np.zeros(len(self.paths), dtype=np.int64)
+        self.refilled = np.zeros(len(self.paths), dtype=bool)
+        self.live: dict[int, np.random.Generator] = {}
+
+    def _ensure(self, rows: np.ndarray) -> None:
+        """Redraw the rows whose buffer ends at their cursor."""
+        short = self.cursor[rows] >= self.filled[rows]
+        if not short.any():
+            return
+        rows = rows[short]
+        length = max(2 * int(self.filled[rows].max()), 16)
+        if length > self.uniforms.shape[1]:
+            wider = np.empty((len(self.uniforms), length))
+            wider[:, : self.uniforms.shape[1]] = self.uniforms
+            self.uniforms = wider
+        _, self.uniforms[rows, :length] = normal_uniform_block(
+            self.seed, self.paths[rows], self.n_steps, self.n_normals, length, self.stream)
+        self.filled[rows] = length
+        self.refilled[rows] = True
+
+    def _next(self, rows: np.ndarray) -> np.ndarray:
+        """The next buffered double of each of the (distinct) rows."""
+        self._ensure(rows)
+        out = self.uniforms[rows, self.cursor[rows]]
+        self.cursor[rows] += 1
+        return out
+
+    def poisson_counts(self, means: np.ndarray) -> np.ndarray:
+        """One Poisson count per row, with the given means."""
+        for row in np.flatnonzero(~(means < 10.0)).tolist():
+            if row not in self.live:
+                gen = path_generator(self.seed, int(self.paths[row]), self.stream)
+                gen.standard_normal((self.n_steps, self.n_normals))
+                gen.random(int(self.cursor[row]))
+                self.live[row] = gen
+        counts = np.zeros(len(means), dtype=np.int64)
+        positive = means > 0.0
+        positive[list(self.live)] = False
+        rows = np.flatnonzero(positive)
+        # multiplication, one round per double drawn; exp by math.exp on the
+        # unique means, as numpy's C code calls libm
+        unique, inverse = np.unique(means[rows], return_inverse=True)
+        floor = np.array([math.exp(-mean) for mean in unique.tolist()])[inverse]
+        product = np.ones(len(rows))
+        active = np.arange(len(rows))
+        while len(active):
+            product[active] *= self._next(rows[active])
+            active = active[product[active] > floor[active]]
+            counts[rows[active]] += 1
+        for row, gen in self.live.items():
+            counts[row] = gen.poisson(means[row])
+        return counts
+
+    def next_doubles(self, rows: np.ndarray) -> np.ndarray:
+        """The next ``random()`` double of each of the (distinct) rows."""
+        if not self.live:
+            return self._next(rows)
+        live = np.isin(rows, list(self.live))
+        out = np.empty(len(rows))
+        out[~live] = self._next(rows[~live])
+        for i in np.flatnonzero(live).tolist():
+            out[i] = self.live[int(rows[i])].random()
+        return out

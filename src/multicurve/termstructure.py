@@ -98,14 +98,24 @@ class Tenor:
 
     @staticmethod
     def parse(text: str) -> "Tenor":
-        """Parse '0.25', '1/4', '3M', '6m', '1Y', '2W', or '90D'."""
+        """Parse '0.25', '1/4', '3M', '6m', '1Y', '2W', or '90D'.
+
+        Anything else, a non-string or a zero denominator included, raises
+        ``ValueError``.
+        """
+        if not isinstance(text, str):
+            raise ValueError(f"tenor must be a string such as '6M', got {text!r}")
         text = text.strip()
         suffix = text[-1:].upper()
-        if suffix in ("M", "Y", "W", "D") and text[:-1].strip():
-            qty = Fraction(text[:-1].strip())
-            per = {"Y": Fraction(1), "M": Fraction(1, 12), "W": Fraction(7, 365), "D": Fraction(1, 365)}
-            return Tenor(qty * per[suffix])
-        return Tenor(Fraction(text))
+        try:
+            if suffix in ("M", "Y", "W", "D") and text[:-1].strip():
+                qty = Fraction(text[:-1].strip())
+                per = {"Y": Fraction(1), "M": Fraction(1, 12), "W": Fraction(7, 365),
+                       "D": Fraction(1, 365)}
+                return Tenor(qty * per[suffix])
+            return Tenor(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"tenor {text!r} has a zero denominator") from None
 
 
 def _as_float(delta) -> float:

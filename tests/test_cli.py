@@ -443,6 +443,24 @@ class TestErrorHandling:
         assert run_cli("price", "--config", cfg, "--out", tmp_path / "out") == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
 
+    @pytest.mark.parametrize("change", [
+        {"jumps": {"atoms_x": [[0.01], [-0.01]], "probabilities": [0.5, 0.4]}},
+        {"jumps": {"atoms_x": [[0.01], [-0.01]], "probabilities": [1.0]}},
+        {"tenors": ["abc"]}, {"tenors": [6]}, {"tenors": ["1/0"]}])
+    def test_malformed_affine_model_is_a_schema_error(self, cli_files, tmp_path, capsys,
+                                                      change):
+        doc = json.loads((cli_files / "affine.json").read_text(encoding="utf-8"))
+        if "tenors" in change:
+            doc["spreads"]["tenors"] = change["tenors"]
+        else:
+            doc["jumps"] = change["jumps"]
+        (tmp_path / "bad_model.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg = write_json_config(tmp_path / "sim_bad_model.json", {
+            "model": "bad_model.json", "n_paths": 20, "dt": 0.05, "horizon": 0.5,
+            "maturities": [1.0]})
+        assert run_cli("simulate", "--config", cfg, "--seed", 1, "--out", tmp_path / "out") == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
+
     def test_loading_spread_curves_leaves_options_unchanged(self, cli_files, tmp_path):
         def run_with(paths):
             return RunConfig(command="price", options={"spread_curves": paths},

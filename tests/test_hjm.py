@@ -1,6 +1,8 @@
 """Tests for the Levy-driven forward-curve engine."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +298,21 @@ def kernel_model():
                       tenors=[T3M, T6M], spreads=(0.01, 0.0202), cov_extra=(0.0,),
                       mode="kernel")
 
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+def test_batches_are_logged(kernel, caplog):
+    model = kernel_model() if kernel else jump_driver_model()
+    with caplog.at_level(logging.DEBUG, logger="multicurve.hjm"):
+        simulate_hjm(model, horizon=0.5, dt=1 / 8, n_paths=5, seed=3, maturities=[1.0],
+                     batch_size=2)
+    batches = [r.getMessage() for r in caplog.records
+               if r.name == "multicurve.hjm" and "batch" in r.getMessage()]
+    assert len(batches) == 3
+    for message in batches:
+        assert re.fullmatch(r"hjm batch: paths=\d+ steps=\d+ kernel_jumps=\d+ "
+                            r"refilled_paths=\d+ live_paths=\d+ lp_solves=\d+ aborted=\d+",
+                            message)
 
 _GAUSSIAN = make_model(ois_scale=0.01, spread_scales=(0.004,), u=[[1.0]], tenors=[T6M],
                        spreads=(0.005,), cov_extra=(0.04,), mode="integrated-drift")

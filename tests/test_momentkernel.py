@@ -199,6 +199,27 @@ class TestKernelFamily:
         k2 = fam.solve_for(0.0, p)
         assert k1 is k2
 
+    def test_counts_lookups_and_solves(self):
+        fam = KernelFamily([0.5, 1.0], mass_cap=10.0)
+        assert (fam.lookups, fam.lp_solves) == (0, 0)
+        p = np.array([0.004, 0.012])
+        fam.solve_for(0.0, p)
+        fam.solve_for(0.0, p)
+        fam.solve_for(0.5, p)
+        assert (fam.lookups, fam.lp_solves) == (3, 2)
+
+    def test_rows_solved_once_per_key(self):
+        # rows 0 and 2 share a floor bucket and rounded targets; row 1 sits in
+        # the next bucket
+        fam = KernelFamily([0.5, 1.0], mass_cap=10.0, floor_bucket=1 / 64)
+        y = np.array([0.001, 0.02, 0.002])
+        p = np.array([[0.004, 0.012], [0.004, 0.012], [0.004 + 1e-14, 0.012]])
+        entries, index = fam.solve_rows(y, p)
+        assert (fam.lookups, fam.lp_solves) == (2, 2)
+        assert index.tolist() == [0, 1, 0]
+        assert entries[0] is fam.solve_with_exponent(0.001, p[0])
+        assert entries[0][0].targets.p.tolist() == p[0].tolist()
+
     def test_floor_bucketing_is_conservative(self):
         fam = KernelFamily([0.5], mass_cap=10.0, floor_bucket=1 / 64)
         y = 0.03

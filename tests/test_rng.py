@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicurve import affine, rng
+from multicurve import affine, hjm, momentkernel, rng
 from multicurve.affine import AffineJumps, AffineModelSpec, simulate_affine
-from multicurve.momentkernel import KernelFamily, simulate_yperp
+from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet, simulate_hjm
+from multicurve.momentkernel import JumpKernel, KernelFamily, simulate_yperp
 from multicurve.termstructure import Tenor
 
 T3M = Tenor.parse("3M")
@@ -94,6 +95,18 @@ def rising_spec():
 
 
 SPECS = {"gauss": gaussian_spec(), "cir": cir_spec(), "jump": jump_spec()}
+
+
+def kernel_hjm_model(spread_scale=0.0):
+    """HJM kernel mode with spread levels near a 1:2 ratio, so that a few
+    jumps land in a short run; a positive ``spread_scale`` moves the spread
+    short ends, and with them the kernel targets, path by path."""
+    return LevyHjmModel(
+        driver=LevyTriplet(drift=[0.0, 0.0], covariance=np.diag([1.0, 0.0])),
+        n_curve_factors=1, ois_vol=ExponentialVolatility.flat(0.01),
+        spread_vols=[ExponentialVolatility.flat(spread_scale) for _ in range(2)],
+        u_vectors=[[0.5], [1.0]], tenors=[T3M, T6M], forward_curve=0.02,
+        forward_spread_curves=[0.01, 0.0202], spread_factor_mode="kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +231,21 @@ class ScalarJumps:
 
 
 class _Records(logging.Handler):
-    def __init__(self):
+    def __init__(self, prefix):
         super().__init__(logging.DEBUG)
-        self.batches = []
+        self.prefix, self.batches = prefix, []
 
     def emit(self, record):
         message = record.getMessage()
-        if message.startswith("affine batch:"):
+        if message.startswith(self.prefix):
             self.batches.append({k: int(v) for k, v in re.findall(r"(\w+)=(\d+)", message)})
 
 
 @contextmanager
-def batch_counters():
-    """Collect the per-batch counters ``simulate_affine`` logs at DEBUG."""
-    logger, handler = logging.getLogger("multicurve.affine"), _Records()
+def batch_counters(module="affine"):
+    """Collect the per-batch counters ``simulate_affine`` (or, for module
+    "hjm", ``simulate_hjm``) logs at DEBUG."""
+    logger, handler = logging.getLogger(f"multicurve.{module}"), _Records(f"{module} batch:")
     level = logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
@@ -278,6 +292,219 @@ def test_jump_replay_fallbacks_run_and_match(name, branch):
     horizon, dt = JUMP_GRIDS[name]
     counters = replayed_and_scalar(JUMP_SPECS[name], horizon, dt, 60, 2024, 25)
     assert counters[branch] > 0
+
+
+# ---------------------------------------------------------------------------
+# kernel-mode jump steps replayed from buffered uniforms against a generator
+# per path
+
+
+class FakeKernels:
+    """Stand-in for ``solve_jump_kernel`` that solves no LP: three atoms, one
+    of them reaching below the support floor; the intensity grows with the
+    targets and the floor, and is zero from ``drop_floor`` on."""
+
+    def __init__(self, intensity, drop_floor=np.inf):
+        self.intensity, self.drop_floor = intensity, drop_floor
+
+    def __call__(self, targets, objective, grid_size=None):
+        lam = self.intensity * (1.0 + abs(float(targets.p.sum()))) * (1.0 + targets.floor)
+        if targets.floor >= self.drop_floor:
+            lam = 0.0
+        atoms = np.array([0.02, 0.07 + 0.01 * targets.floor, -0.5 * targets.floor])
+        weights = lam * np.array([0.5, 0.3, 0.2])
+        return JumpKernel(atoms, weights, targets, np.zeros(targets.m + 1), objective, 0.0)
+
+
+class ScalarKernelSteps:
+    """Reference kernel-mode steps: the loop over paths with one generator per
+    path, a scalar Poisson draw and one ``choice`` per jump, in
+    ``hjm._kernel_step``'s interface.  ``stopped`` counts the jumps left
+    undrawn because a re-solved intensity was not positive."""
+
+    def __init__(self):
+        self.replay, self.gens, self.stopped = None, [], 0
+
+    def __call__(self, family, replay, targets, y, dt, psi_hat):
+        if replay is not self.replay:  # a new batch
+            self.replay = replay
+            self.gens = [rng.path_generator(replay.seed, int(p), rng.YPERP_STREAM)
+                         for p in replay.paths]
+        held = np.empty_like(targets)
+        jumps = np.zeros(len(y), dtype=np.int64)
+        for p in range(targets.shape[0]):
+            kernel, psi = family.solve_with_exponent(float(y[p, 0]), targets[p])
+            lam = kernel.total_intensity
+            held[p] = psi + psi_hat
+            n_jumps = int(self.gens[p].poisson(lam * dt)) if lam > 0 else 0
+            for k in range(n_jumps):
+                j = int(self.gens[p].choice(len(kernel.atoms), p=kernel.weights / lam))
+                y[p, 0] += float(kernel.atoms[j])
+                jumps[p] += 1
+                kernel, _ = family.solve_with_exponent(float(y[p, 0]), targets[p])
+                lam = kernel.total_intensity
+                if lam <= 0:
+                    self.stopped += n_jumps - k - 1
+                    break
+        return held, jumps
+
+
+def scalar_yperp(family, horizon, dt, n_paths, seed, y0=0.0):
+    """Reference ``simulate_yperp``: the loop over paths on a re-keyed stream 1,
+    with ``p_fn`` called at every solve."""
+    n_steps = int(round(horizon / dt))
+    m = len(family.u)
+    times = dt * np.arange(n_steps + 1)
+    values = np.empty((n_paths, n_steps + 1))
+    comps = np.zeros((n_paths, m, n_steps + 1))
+    counts = np.zeros(n_paths, dtype=np.int64)
+    streams = rng.PathStreams(seed, rng.YPERP_STREAM)
+    for ipath in range(n_paths):
+        gen = streams.at(ipath)
+        y = float(y0)
+        values[ipath, 0] = y
+        for l in range(n_steps):
+            kernel = family.solve(times[l], y)
+            lam = kernel.total_intensity
+            comps[ipath, :, l + 1] = comps[ipath, :, l] + dt * np.asarray(kernel.exponent(family.u))
+            n_jumps = int(gen.poisson(lam * dt)) if lam > 0 else 0
+            for _ in range(n_jumps):
+                probs = kernel.weights / lam
+                j = int(gen.choice(len(kernel.atoms), p=probs))
+                y += float(kernel.atoms[j])
+                counts[ipath] += 1
+                kernel = family.solve(times[l], y)
+                lam = kernel.total_intensity
+                if lam <= 0:
+                    break
+            values[ipath, l + 1] = y
+    return values, comps, counts
+
+
+def recording(step):
+    """``step`` with each call's held exponents, factor levels and jump counts kept."""
+    calls = []
+
+    def wrapper(family, replay, targets, y, dt, psi_hat):
+        held, jumps = step(family, replay, targets, y, dt, psi_hat)
+        calls.append((held.copy(), y.copy(), jumps.copy()))
+        return held, jumps
+
+    return wrapper, calls
+
+
+# (HJM spread scale, FakeKernels arguments or None for the LP, horizon, dt)
+KERNEL_HJM = {
+    "lp": (0.0, None, 0.5, 1 / 8),
+    "moving": (1e-3, (1.5,), 0.5, 1 / 8),
+    "drop": (1e-3, (4.0, 1 / 64), 0.5, 1 / 8),
+    "refill": (1e-3, (14.0,), 1.0, 1 / 8),
+    "live": (1e-3, (60.0,), 0.5, 1 / 8),
+}
+
+
+@contextmanager
+def kernels(fake):
+    if fake is None:
+        yield
+    else:
+        with mock.patch.object(momentkernel, "solve_jump_kernel", FakeKernels(*fake)):
+            yield
+
+
+def kernel_hjm_and_scalar(name, n_paths, seed, batch_size):
+    """Kernel-mode HJM with the step replayed and with the scalar reference;
+    asserts bit identity of every step and snapshot, returns the summed
+    batch counters and the reference."""
+    scale, fake, horizon, dt = KERNEL_HJM[name]
+    args = (kernel_hjm_model(scale), horizon, dt, n_paths, seed, [horizon, horizon + 0.5])
+    scalar = ScalarKernelSteps()
+    step, got = recording(hjm._kernel_step)
+    with kernels(fake):
+        with mock.patch.object(hjm, "_kernel_step", step), batch_counters("hjm") as batches:
+            res = simulate_hjm(*args, batch_size=batch_size)
+        step, want = recording(scalar)
+        with mock.patch.object(hjm, "_kernel_step", step):
+            ref = simulate_hjm(*args, batch_size=batch_size)
+    assert len(got) == len(want) == round(horizon / dt) * -(-n_paths // batch_size)
+    for a, b in zip(got, want):
+        for x, z in zip(a, b):
+            assert np.array_equal(x, z)
+    paths, ref_paths = res.pathset(horizon), ref.pathset(horizon)
+    assert np.array_equal(paths.numeraire, ref_paths.numeraire)
+    assert np.array_equal(paths.bonds, ref_paths.bonds)
+    for tenor in (T3M, T6M):
+        assert np.array_equal(paths.spreads[tenor], ref_paths.spreads[tenor])
+    counters = {k: sum(b[k] for b in batches) for k in batches[0]}
+    assert counters["kernel_jumps"] == sum(int(jumps.sum()) for _, _, jumps in got)
+    return counters, scalar
+
+
+@settings(max_examples=25)
+@given(name=st.sampled_from(sorted(KERNEL_HJM)), n_paths=st.integers(1, 10),
+       batch_size=st.integers(1, 10), seed=st.integers(0, 2 ** 64 - 1))
+def test_kernel_step_matches_generator_per_path(name, n_paths, batch_size, seed):
+    kernel_hjm_and_scalar(name, n_paths, seed, batch_size)
+
+
+@pytest.mark.parametrize("name, branch", [("refill", "refilled_paths"), ("live", "live_paths")])
+def test_kernel_step_fallbacks_run_and_match(name, branch):
+    counters, _ = kernel_hjm_and_scalar(name, 30, 2024, 12)
+    assert counters[branch] > 0
+
+
+def test_kernel_step_stops_when_intensity_vanishes():
+    _, scalar = kernel_hjm_and_scalar("drop", 30, 2024, 12)
+    assert scalar.stopped > 0
+
+
+# (targets at time t, FakeKernels arguments or None for the LP, mass cap, horizon, dt)
+KERNEL_YPERP = {
+    "lp": (lambda t: np.array([4.0, 12.0]), None, 50.0, 0.5, 1 / 26),
+    "moving": (lambda t: np.array([0.5 + t, 1.5 + 2.0 * t]), (0.4,), 50.0, 1.0, 1 / 8),
+    "drop": (lambda t: np.array([0.5, 1.5]), (1.0, 1 / 64), 50.0, 1.0, 1 / 8),
+    "refill": (lambda t: np.array([0.5, 1.5]), (4.0,), 50.0, 1.0, 1 / 8),
+    "live": (lambda t: np.array([0.5, 1.5]), (20.0,), 50.0, 1.0, 1 / 4),
+}
+
+
+def yperp_and_scalar(name, n_paths, seed):
+    p_fn, fake, cap, horizon, dt = KERNEL_YPERP[name]
+    with kernels(fake):
+        got = simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=cap, p_fn=p_fn),
+                             horizon, dt, n_paths, seed)
+        values, comps, counts = scalar_yperp(KernelFamily([0.5, 1.0], mass_cap=cap, p_fn=p_fn),
+                                             horizon, dt, n_paths, seed)
+    assert np.array_equal(got.values, values)
+    assert np.array_equal(got.compensators, comps)
+    assert np.array_equal(got.jump_counts, counts)
+
+
+@settings(max_examples=20)
+@given(name=st.sampled_from(sorted(KERNEL_YPERP)), n_paths=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_simulate_yperp_matches_generator_per_path(name, n_paths, seed):
+    yperp_and_scalar(name, n_paths, seed)
+
+
+@pytest.mark.parametrize("name, redraws, generators", [
+    ("lp", 0, 0), ("moving", 0, 0), ("refill", 1, 0), ("live", 0, 1)])
+def test_simulate_yperp_draw_branches(name, redraws, generators):
+    # the buffer is drawn once unless a path outgrows it, and a generator is
+    # built only for a Poisson mean of 10 or more
+    with mock.patch.object(rng, "normal_uniform_block", wraps=rng.normal_uniform_block) as blocks, \
+            mock.patch.object(rng, "path_generator", wraps=rng.path_generator) as made:
+        yperp_and_scalar(name, 20, 7)
+    assert (blocks.call_count > 1) == bool(redraws)
+    assert (made.call_count > 0) == bool(generators)
+
+
+def test_kernel_mode_builds_no_generator():
+    with mock.patch.object(rng, "path_generator", wraps=rng.path_generator) as made:
+        simulate_hjm(kernel_hjm_model(), 0.5, 1 / 8, 30, 95, [0.5, 1.0], batch_size=12)
+        simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=50.0, p_fn=lambda t: np.array([4.0, 12.0])),
+                       0.5, 1 / 26, 30, 9)
+    assert made.call_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +560,17 @@ def test_pinned_simulate_yperp():
         5.436672737818551, 0.0, 4.044116608944087]
     assert paths.jump_counts.tolist() == [1, 1, 1, 4, 0, 3]
     assert paths.compensators[3, 1, -1] == 6.0000000000000036
+
+
+def test_pinned_simulate_hjm_kernel_mode():
+    # two batches (4 + 2 paths); paths 1, 3 and 5 jump, path 1 twice
+    res = simulate_hjm(kernel_hjm_model(), horizon=0.5, dt=1 / 8, n_paths=6, seed=95,
+                       maturities=[0.5, 1.0], batch_size=4)
+    paths = res.pathset(0.5)
+    assert paths.numeraire.tolist() == [
+        1.00785522425748, 1.0081531402551818, 1.0094261215674607,
+        1.0092695285784605, 1.007845156473616, 1.0109766095272996]
+    assert paths.spreads[T6M][:, 1].tolist() == [
+        1.0101511771512957, 1.0905404032825192, 1.0101511771512957,
+        1.0496609232531355, 1.0101511771512957, 1.0496609232531355]
+    assert res.diagnostics["consistency_max"] == 2.3245294578089215e-16

@@ -48,6 +48,11 @@ class TestTenor:
         assert Tenor.parse("0.25") == Tenor(1, 4)
         assert Tenor.parse("1/4") == Tenor(1, 4)
 
+    @pytest.mark.parametrize("text", ["abc", "", "1/0", "1/0M", 6, 0.5, None])
+    def test_parse_rejects_with_value_error(self, text):
+        with pytest.raises(ValueError):
+            Tenor.parse(text)
+
     def test_ordering_and_hash(self):
         assert Tenor(1, 4) < Tenor(1, 2) < Tenor(1)
         d = {Tenor(1, 4): "3M"}

@@ -1,24 +1,25 @@
 """Black-76 utilities and caplet implied-volatility calibration.
 
 Caplets quote through the Black formula on the forward Libor rate, so the
-module provides the pricing/inversion pair plus a Nelder-Mead fit of free
-affine-model parameters to an implied-vol surface.  The objective reprices
-every quote with the damped-contour transform, converts to implied vol, and
-sums squared vol residuals.  Parameters move through an unconstrained
-transform built from optional per-parameter bounds; trial points where the
-spec is inadmissible, the transform explodes, or the price leaves the
-invertible range are penalized rather than aborting the search, and any
-other error propagates.
+module provides the pricing/inversion pair plus a least-squares fit of free
+affine-model parameters to an implied-vol surface.  The residuals reprice
+every quote with the damped-contour transform and convert to implied vol; a
+bounded trust-region reflective solver (scipy's ``least_squares`` with
+``method="trf"``) drives their sum of squares down under optional
+per-parameter bounds.  Trial points where the spec is inadmissible, the
+transform explodes, or the price leaves the invertible range score a
+penalty rather than aborting the search, and any other error propagates.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 from scipy.stats import norm
 
 from .affine import (
@@ -38,6 +39,10 @@ from .termstructure import Tenor, fra_rate_from_curves
 # far below the 1e-4 vol-residual scale of the fit
 _PRICER_TOL = 1e-8
 _PENALTY = 1e8
+# restart starts scatter by this share of each |initial| parameter
+_RESTART_WIDTH = 0.2
+
+log = logging.getLogger(__name__)
 
 
 class BlackDomainError(ValueError):
@@ -186,43 +191,6 @@ class CalibrationResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter transforms
-
-
-def _to_unconstrained(x, bounds):
-    if bounds is None:
-        return np.asarray(x, dtype=float).copy()
-    z = np.empty(len(x))
-    for i, (value, (lo, hi)) in enumerate(zip(x, bounds)):
-        if lo is None and hi is None:
-            z[i] = value
-        elif hi is None:
-            z[i] = math.log(max(value - lo, 1e-300))
-        elif lo is None:
-            z[i] = -math.log(max(hi - value, 1e-300))
-        else:
-            frac = min(max((value - lo) / (hi - lo), 1e-15), 1.0 - 1e-15)
-            z[i] = math.log(frac / (1.0 - frac))
-    return z
-
-
-def _from_unconstrained(z, bounds):
-    if bounds is None:
-        return np.asarray(z, dtype=float).copy()
-    x = np.empty(len(z))
-    for i, (value, (lo, hi)) in enumerate(zip(z, bounds)):
-        if lo is None and hi is None:
-            x[i] = value
-        elif hi is None:
-            x[i] = lo + math.exp(value)
-        elif lo is None:
-            x[i] = hi - math.exp(-value)
-        else:
-            x[i] = lo + (hi - lo) / (1.0 + math.exp(-value))
-    return x
-
-
-# ---------------------------------------------------------------------------
 # calibration
 
 
@@ -293,24 +261,28 @@ def _evaluate_fit(build_spec, params, surface, env, target_vols):
     return objective, residuals
 
 
+
+
 def calibrate(build_spec: Callable[[np.ndarray], AffineModelSpec],
               initial: Sequence[float], surface: VolQuoteSurface,
               market_disc=None, market_spreads=None, *,
               bounds: Sequence[tuple] | None = None, restarts: int = 3,
-              seed: int = 0, max_iterations: int = 4000,
-              jitter: float = 0.2, xatol: float = 1e-9,
-              fatol: float = 1e-14) -> CalibrationResult:
+              seed: int = 0, max_iterations: int = 4000) -> CalibrationResult:
     """Fit free model parameters to a caplet implied-vol surface.
 
     build_spec maps a parameter vector to a full model spec; initial is the
     starting vector.  When market curves are supplied the Black forward and
     annuity per quote come from them, otherwise from each trial spec's own
-    time-0 curves.  Nelder-Mead runs over unconstrained transforms of the
-    parameters (per-parameter (lower, upper) bounds, either side optional),
-    once from the initial point and ``restarts`` more times from
-    deterministically jittered starts, keeping the best.  Trial points that
-    raise ObjectiveNaN score a fixed penalty.  Raises MaxIterations when no
-    start converges within ``max_iterations`` evaluations.
+    time-0 curves.  A trust-region reflective least-squares solve of the vol
+    residuals, under per-parameter (lower, upper) bounds with either side
+    optional, runs once from the initial point and ``restarts`` more times
+    from starts scattered deterministically by ``seed``, every start
+    clipped into the bounds; the best fit is kept.  Trial points that raise
+    ObjectiveNaN score a constant residual vector that grows with the
+    parameter norm.
+    Raises MaxIterations when no start converges within ``max_iterations``
+    residual evaluations (scipy's ``max_nfev``, which leaves out the
+    finite-difference Jacobian's evaluations).
     """
     initial = np.asarray(initial, dtype=float)
     if bounds is not None and len(bounds) != len(initial):
@@ -336,45 +308,48 @@ def calibrate(build_spec: Callable[[np.ndarray], AffineModelSpec],
             trace=np.array([objective]), n_evaluations=1, converged=True,
         )
 
+    pairs = bounds if bounds is not None else [(None, None)] * len(initial)
+    lower = np.array([-np.inf if lo is None else lo for lo, _ in pairs], dtype=float)
+    upper = np.array([np.inf if hi is None else hi for _, hi in pairs], dtype=float)
+    n_quotes = len(surface)
     state = {"best": math.inf, "trace": [], "n_eval": 0}
 
-    def objective_fn(z):
+    def residual_fn(x):
         state["n_eval"] += 1
-        params = _from_unconstrained(z, bounds)
         try:
-            value, _ = _evaluate_fit(build_spec, params, surface, env, target_vols)
+            value, residuals = _evaluate_fit(build_spec, x, surface, env, target_vols)
         except ObjectiveNaN:
-            value = _PENALTY * (1.0 + float(np.linalg.norm(z)))
+            # constant across quotes but sloped in x, so a solve started at
+            # an inadmissible point still sees a nonzero Jacobian
+            level = math.sqrt(_PENALTY / n_quotes) * (1.0 + float(np.linalg.norm(x)))
+            residuals = np.full(n_quotes, level)
+            value = float(residuals @ residuals)
         if value < state["best"]:
             state["best"] = value
             state["trace"].append(value)
-        return value
+        return residuals
 
-    z0 = _to_unconstrained(initial, bounds)
     rng = np.random.default_rng(seed)
-    starts = [z0] + [
-        z0 + jitter * (np.abs(z0) + 0.1) * rng.standard_normal(len(z0))
+    starts = [initial] + [
+        initial + _RESTART_WIDTH * np.abs(initial) * rng.standard_normal(len(initial))
         for _ in range(restarts)
     ]
-    best_z, best_value, any_converged = None, math.inf, False
-    for start in starts:
-        res = minimize(
-            objective_fn, start, method="Nelder-Mead",
-            options={"maxiter": max_iterations, "maxfev": max_iterations,
-                     "xatol": xatol, "fatol": fatol},
-        )
-        any_converged = any_converged or bool(res.success)
-        if res.fun < best_value:
-            best_value, best_z = float(res.fun), res.x
-    if not any_converged:
+    fits = []
+    for index, start in enumerate(starts):
+        fit = least_squares(residual_fn, np.clip(start, lower, upper),
+                            bounds=(lower, upper), method="trf", max_nfev=max_iterations)
+        log.debug("calibration start: index=%d nfev=%d status=%d cost=%.6g",
+                  index, fit.nfev, fit.status, fit.cost)
+        fits.append(fit)
+    if not any(fit.success for fit in fits):
         raise MaxIterations(
-            f"no Nelder-Mead start converged within {max_iterations} evaluations"
+            f"no least-squares start converged within {max_iterations} evaluations"
         )
-    parameters = _from_unconstrained(best_z, bounds)
+    best = min(fits, key=lambda fit: fit.cost)
     objective, residuals = _evaluate_fit(
-        build_spec, parameters, surface, env, target_vols)
+        build_spec, best.x, surface, env, target_vols)
     return CalibrationResult(
-        parameters=parameters, objective=objective, residuals=residuals,
+        parameters=best.x, objective=objective, residuals=residuals,
         trace=np.asarray(state["trace"]), n_evaluations=state["n_eval"],
         converged=True,
     )

@@ -147,6 +147,19 @@ class RunConfig:
             raise ConfigError(f"config key {key!r} must be positive")
         return value
 
+    def integer(self, key: str, default: int, minimum: int) -> int:
+        """Optional integer option, at least ``minimum``."""
+        value = self.options.get(key, default)
+        try:
+            number = int(value)
+            valid = not isinstance(value, bool) and number == float(value) >= minimum
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, "
+                              f"got {value!r}")
+        return number
+
     def require_seed(self) -> int:
         if self.seed is None:
             raise ConfigError(
@@ -448,6 +461,8 @@ def cmd_calibrate(run: RunConfig) -> int:
     disc = load_curve_json(run.path("discount_curve"))
     spreads = _load_spread_curves(run)
     seed = run.require_seed()
+    restarts = run.integer("restarts", 3, minimum=0)
+    max_iterations = run.integer("max_iterations", 4000, minimum=1)
     params_cfg = run.require("parameters")
     if not params_cfg:
         raise ConfigError("parameters must list at least one free coefficient")
@@ -473,11 +488,7 @@ def cmd_calibrate(run: RunConfig) -> int:
     result = calibrate(
         build_spec, initials, surface, disc, spreads,
         bounds=bounds,
-        restarts=int(run.options.get("restarts", 3)),
-        seed=seed,
-        max_iterations=int(run.options.get("max_iterations", 4000)),
-        xatol=float(run.options.get("xatol", 1e-9)),
-        fatol=float(run.options.get("fatol", 1e-14)),
+        restarts=restarts, seed=seed, max_iterations=max_iterations,
     )
     doc = calibration_result_to_dict(result, parameter_names=fields)
     doc["provenance"] = {"seed": seed, "n_quotes": len(surface)}

@@ -90,10 +90,22 @@ def _nested(values) -> list:
     return arr.tolist()
 
 
-def _get(payload: dict, key: str, where: str):
+def _get(payload: dict, key: str, where: str, kind: type | None = None):
+    """``payload[key]``, optionally checked to be of JSON type ``kind``.
+
+    A container that is not an object, a missing field, and a value of the
+    wrong type all raise SchemaError.
+    """
+    if not isinstance(payload, dict):
+        raise SchemaError(
+            f"{where}: expected an object holding {key!r}, got {type(payload).__name__}")
     if key not in payload:
         raise SchemaError(f"{where}: missing field {key!r}")
-    return payload[key]
+    value = payload[key]
+    if kind is not None and not isinstance(value, kind):
+        raise SchemaError(f"{where}: field {key!r} must be a {kind.__name__}, "
+                          f"got {type(value).__name__}")
+    return value
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -295,7 +307,7 @@ def affine_spec_from_dict(payload: dict, where: str = "affine spec") -> AffineMo
                 intensity_linear=j.get("intensity_linear"),
                 atoms_y=j.get("atoms_y"),
             )
-        tenors = [Tenor.parse(t) for t in _get(spreads, "tenors", where)]
+        tenors = [Tenor.parse(t) for t in _get(spreads, "tenors", where, list)]
         return AffineModelSpec(
             pos_dims=int(_get(state, "pos_dims", where)),
             real_dims=int(_get(state, "real_dims", where)),
@@ -317,6 +329,8 @@ def affine_spec_from_dict(payload: dict, where: str = "affine spec") -> AffineMo
             x0=state.get("x0"),
             y0=spreads.get("y0"),
         )
+    except SchemaError:
+        raise
     except InadmissibleSpec as exc:
         raise InadmissibleSchema(f"{where}: {exc}") from exc
     except ValueError as exc:
@@ -388,28 +402,32 @@ def hjm_model_from_dict(payload: dict, where: str = "hjm spec") -> LevyHjmModel:
     driver = _get(payload, "driver", where)
     vols = _get(payload, "vols", where)
     curves = _get(payload, "initial_curves", where)
-    factor = payload.get("spread_factor", {})
-    triplet = LevyTriplet(
-        drift=_get(driver, "drift", where),
-        covariance=_get(driver, "covariance", where),
-        jump_sizes=np.asarray(driver.get("jump_sizes", np.zeros((0, 1)))),
-        jump_intensities=np.asarray(driver.get("jump_intensities", np.zeros(0))),
-    )
+    factor = (_get(payload, "spread_factor", where, dict)
+              if "spread_factor" in payload else {})
     try:
+        triplet = LevyTriplet(
+            drift=_get(driver, "drift", where),
+            covariance=_get(driver, "covariance", where),
+            jump_sizes=np.asarray(driver.get("jump_sizes", np.zeros((0, 1)))),
+            jump_intensities=np.asarray(driver.get("jump_intensities", np.zeros(0))),
+        )
         return LevyHjmModel(
             driver=triplet,
             n_curve_factors=int(_get(payload, "n_curve_factors", where)),
             ois_vol=_vol_from_dict(_get(vols, "ois", where), where),
-            spread_vols=[_vol_from_dict(v, where) for v in _get(vols, "spreads", where)],
+            spread_vols=[_vol_from_dict(v, where)
+                         for v in _get(vols, "spreads", where, list)],
             u_vectors=_get(payload, "u_vectors", where),
-            tenors=[Tenor.parse(t) for t in _get(payload, "tenors", where)],
+            tenors=[Tenor.parse(t) for t in _get(payload, "tenors", where, list)],
             forward_curve=float(_get(curves, "forward", where)),
-            forward_spread_curves=[float(c) for c in _get(curves, "spreads", where)],
+            forward_spread_curves=[float(c) for c in _get(curves, "spreads", where, list)],
             spread_factor_mode=factor.get("mode", "none"),
             kernel_mass_cap=float(factor.get("mass_cap", 50.0)),
             kernel_objective=factor.get("objective", "min-total-mass"),
             y0=factor.get("y0"),
         )
+    except SchemaError:
+        raise
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -469,6 +487,8 @@ def product_spec_from_dict(payload: dict, where: str = "product spec") -> Produc
             schedule_b=tuple(payload.get("schedule_b", ())),
             schedule_fixed=tuple(payload.get("schedule_fixed", ())),
         )
+    except SchemaError:
+        raise
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

@@ -217,11 +217,11 @@ def solve_jump_kernel(targets: MomentTargets, objective: str = "min-total-mass",
                       grid_size: int = DEFAULT_GRID_SIZE) -> JumpKernel:
     """Solve for a kernel matching the targets on a finite atom grid.
 
-    objective "min-g-extra-mass": minimize the g_{m+1} mass subject to the m
+    objective "min-g-extra-mass": the least g_{m+1} mass subject to the m
     exponent equalities.  objective "min-total-mass": additionally pin the
     g_{m+1} mass to targets.p_extra (default: 1.05x its minimum, capped) and
-    minimize total jump intensity.  Residuals above 1e-8 trigger one retry on
-    a doubled grid.
+    seek the least total jump intensity.  Residuals above 1e-8 trigger one
+    retry on a doubled grid.
     """
     if objective not in ("min-total-mass", "min-g-extra-mass"):
         raise ValueError(f"unknown objective {objective!r}")

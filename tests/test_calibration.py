@@ -1,7 +1,13 @@
+import logging
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 from scipy.stats import norm
 
 from multicurve.affine import (
@@ -20,8 +26,6 @@ from multicurve.calibration import (
     VolQuote,
     VolQuoteSurface,
     _evaluate_fit,
-    _from_unconstrained,
-    _to_unconstrained,
     black_caplet,
     black_implied_vol,
     calibrate,
@@ -126,24 +130,73 @@ class TestQuoteSurface:
             VolQuoteSurface([], convention="spread")
 
 
-class TestParameterTransform:
-    @pytest.mark.parametrize("bounds", [
-        None,
-        [(None, None), (None, None), (None, None)],
-        [(0.0, None), (1e-6, None), (None, None)],
-        [(0.0, 1.0), (None, 2.0), (-5.0, None)],
-    ])
-    def test_round_trip(self, bounds):
-        x = np.array([0.3, 0.8, -1.7])
-        z = _to_unconstrained(x, bounds)
-        np.testing.assert_allclose(_from_unconstrained(z, bounds), x, atol=1e-12)
+# (lower, upper) pairs: none, one-sided either way, or two-sided
+BOUND_PAIRS = st.one_of(
+    st.just((None, None)),
+    st.tuples(st.floats(-2.0, 2.0), st.none()),
+    st.tuples(st.none(), st.floats(-2.0, 2.0)),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 2.0)).map(lambda p: (p[0], p[0] + p[1])),
+)
 
-    def test_bounds_always_respected(self):
-        bounds = [(0.0, None), (0.1, 0.9)]
-        for z in ([-40.0, -40.0], [40.0, 40.0], [0.0, 0.0]):
-            x = _from_unconstrained(np.array(z), bounds)
-            assert x[0] >= 0.0
-            assert 0.1 <= x[1] <= 0.9
+
+@st.composite
+def quadratic_fits(draw):
+    n = draw(st.integers(1, 3))
+    coords = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    return (draw(st.lists(BOUND_PAIRS, min_size=n, max_size=n)), draw(coords),
+            np.array(draw(coords)), draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def quadratic_evaluator(target, trials):
+    """Stand-in for ``_evaluate_fit``: a cheap monotone residual in x - target
+    that records every trial vector."""
+    def evaluate(build_spec, params, surface, env, target_vols):
+        trials.append(np.array(params))
+        gap = np.asarray(params) - target
+        residuals = gap + 0.3 * gap ** 3
+        return float(residuals @ residuals), residuals
+    return evaluate
+
+
+def flat_surface(n):
+    return VolQuoteSurface([VolQuote(1.0, T6M, 0.01 * (k + 1), 0.2) for k in range(n)])
+
+
+class TestLeastSquaresLoop:
+    @given(quadratic_fits())
+    def test_starts_and_trials_stay_in_bounds_and_repeat(self, problem):
+        bounds, initial, target, restarts, seed = problem
+        lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
+        upper = np.array([np.inf if hi is None else hi for _, hi in bounds])
+        runs = []
+        for _ in range(2):
+            trials = []
+            with mock.patch("multicurve.calibration._evaluate_fit",
+                            quadratic_evaluator(target, trials)), \
+                    mock.patch("multicurve.calibration.least_squares",
+                               wraps=least_squares) as solver:
+                result = calibrate(build_toy, initial, flat_surface(len(initial)),
+                                   bounds=bounds, restarts=restarts, seed=seed)
+            starts = [call.args[1] for call in solver.call_args_list]
+            assert len(starts) == restarts + 1
+            for x in starts + trials:
+                assert np.all(lower <= x) and np.all(x <= upper)
+            assert np.all(np.diff(result.trace) <= 0.0)
+            runs.append(result)
+        np.testing.assert_array_equal(runs[0].parameters, runs[1].parameters)
+        assert runs[0].n_evaluations == runs[1].n_evaluations
+
+    def test_each_start_is_logged(self, caplog):
+        with mock.patch("multicurve.calibration._evaluate_fit",
+                        quadratic_evaluator(np.array([0.3]), [])), \
+                caplog.at_level(logging.DEBUG, logger="multicurve.calibration"):
+            calibrate(build_toy, [0.5], flat_surface(1), restarts=2, seed=1)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "multicurve.calibration"]
+        assert len(messages) == 3
+        for message in messages:
+            assert re.fullmatch(r"calibration start: index=\d+ nfev=\d+ status=-?\d+ "
+                                r"cost=\S+", message)
 
 
 class TestCalibrate:
@@ -152,7 +205,7 @@ class TestCalibrate:
         result = calibrate(
             build_toy, [0.013, 0.019, 0.13], surface, disc, spreads,
             bounds=[(1e-4, None), (1e-4, None), (None, None)],
-            restarts=0, seed=7, xatol=1e-5, fatol=1e-10,
+            restarts=0, seed=7,
         )
         assert np.max(np.abs(result.residuals)) <= 1e-4
         assert result.objective == pytest.approx(
@@ -172,7 +225,6 @@ class TestCalibrate:
         result = calibrate(
             build_one, [0.03], single, disc, spreads,
             bounds=[(1e-5, None)], restarts=0, seed=3,
-            xatol=1e-10, fatol=1e-18,
         )
         assert abs(result.residuals[0]) <= 1e-8
         assert result.parameters[0] == pytest.approx(TRUE_PARAMS[1], rel=1e-4)
@@ -275,7 +327,7 @@ class TestCalibrate:
             _evaluate_fit(build_variance, np.array([-1e-5]), single, env, np.array([0.2]))
         assert isinstance(err.value.__cause__, InadmissibleSpec)
         result = calibrate(build_variance, [-2e-5], single, disc, spreads,
-                           restarts=0, seed=3, xatol=1e-10, fatol=1e-18)
+                           restarts=0, seed=3)
         assert sum(t < 0 for t in trials) > 1
         assert result.parameters[0] == pytest.approx(TRUE_PARAMS[1] ** 2, rel=1e-4)
 
@@ -287,8 +339,7 @@ class TestCalibrate:
         def build_one(params):
             return build_toy([TRUE_PARAMS[0], params[0], TRUE_PARAMS[2]])
 
-        kwargs = dict(bounds=[(1e-5, None)], restarts=1, seed=11,
-                      xatol=1e-4, fatol=1e-10)
+        kwargs = dict(bounds=[(1e-5, None)], restarts=1, seed=11)
         a = calibrate(build_one, [0.03], single, disc, spreads, **kwargs)
         b = calibrate(build_one, [0.03], single, disc, spreads, **kwargs)
         np.testing.assert_array_equal(a.parameters, b.parameters)

@@ -47,6 +47,15 @@ def write_json_config(path, mapping):
     return path
 
 
+def simulate_model_doc(tmp_path, doc):
+    """Exit code of ``simulate`` on a model file holding ``doc``."""
+    (tmp_path / "bad_model.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg = write_json_config(tmp_path / "sim_bad_model.json", {
+        "model": "bad_model.json", "n_paths": 20, "dt": 0.05, "horizon": 0.5,
+        "maturities": [1.0]})
+    return run_cli("simulate", "--config", cfg, "--seed", 1, "--out", tmp_path / "out")
+
+
 def toy_affine_model():
     """One-factor Vasicek short rate plus a diffusive log-spread factor."""
     return AffineModelSpec(
@@ -319,7 +328,7 @@ class TestCalibrate:
             "spread_curves": ["calib_spread.json"],
             "parameters": [{"field": "spreads/diff_const/0/0",
                             "initial": 3.0e-4, "lower": 1.0e-8}],
-            "restarts": 0, "xatol": 1e-8, "fatol": 1e-16})
+            "restarts": 0})
         out = tmp_path / "out"
         assert run_cli("calibrate", "--config", cfg, "--seed", 5, "--out", out) == 0
         result = load_report_json(out / "calibration_result.json")
@@ -345,6 +354,24 @@ class TestCalibrate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "config"
         assert "not found" in err["error"]["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("restarts", "abc"), ("restarts", -1), ("restarts", 1.5), ("restarts", True),
+        ("max_iterations", 0), ("max_iterations", "many")])
+    def test_bad_iteration_option_is_a_config_error(self, calibration_inputs, tmp_path,
+                                                    capsys, key, value):
+        cfg = write_json_config(calibration_inputs / "calib_bad_int.json", {
+            "model": "affine.json", "surface": "calib_vols.csv",
+            "discount_curve": "calib_disc.json",
+            "spread_curves": ["calib_spread.json"],
+            "parameters": [{"field": "spreads/diff_const/0/0",
+                            "initial": 3.0e-4, "lower": 1.0e-8}],
+            "restarts": 0, key: value})
+        assert run_cli("calibrate", "--config", cfg, "--seed", 5,
+                       "--out", tmp_path / "out") == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert key in err["message"]
 
     def test_empty_parameter_list_is_rejected(self, calibration_inputs, tmp_path):
         cfg = write_json_config(calibration_inputs / "calib_empty.json", {
@@ -446,7 +473,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize("change", [
         {"jumps": {"atoms_x": [[0.01], [-0.01]], "probabilities": [0.5, 0.4]}},
         {"jumps": {"atoms_x": [[0.01], [-0.01]], "probabilities": [1.0]}},
-        {"tenors": ["abc"]}, {"tenors": [6]}, {"tenors": ["1/0"]}])
+        {"tenors": ["abc"]}, {"tenors": [6]}, {"tenors": ["1/0"]},
+        {"jumps": 5}, {"tenors": 6}])
     def test_malformed_affine_model_is_a_schema_error(self, cli_files, tmp_path, capsys,
                                                       change):
         doc = json.loads((cli_files / "affine.json").read_text(encoding="utf-8"))
@@ -454,12 +482,37 @@ class TestErrorHandling:
             doc["spreads"]["tenors"] = change["tenors"]
         else:
             doc["jumps"] = change["jumps"]
-        (tmp_path / "bad_model.json").write_text(json.dumps(doc), encoding="utf-8")
-        cfg = write_json_config(tmp_path / "sim_bad_model.json", {
-            "model": "bad_model.json", "n_paths": 20, "dt": 0.05, "horizon": 0.5,
-            "maturities": [1.0]})
-        assert run_cli("simulate", "--config", cfg, "--seed", 1, "--out", tmp_path / "out") == 2
+        assert simulate_model_doc(tmp_path, doc) == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
+
+    @pytest.mark.parametrize("block, value", [
+        ("driver", 5), ("spread_factor", 3), ("covariance", [[1.0]]),
+        ("tenors", 6), ("vols", {"ois": 4, "spreads": []})])
+    def test_malformed_hjm_model_is_a_schema_error(self, cli_files, tmp_path, capsys,
+                                                   block, value):
+        doc = json.loads((cli_files / "hjm.json").read_text(encoding="utf-8"))
+        if block == "covariance":
+            doc["driver"]["covariance"] = value
+        else:
+            doc[block] = value
+        assert simulate_model_doc(tmp_path, doc) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
+
+    @pytest.mark.parametrize("model, field", [
+        ("affine.json", ("spreads", "u_vectors")),
+        ("hjm.json", ("vols", "ois", "family"))])
+    def test_nested_schema_error_names_the_file_once(self, cli_files, tmp_path, capsys,
+                                                     model, field):
+        doc = json.loads((cli_files / model).read_text(encoding="utf-8"))
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        del node[field[-1]]
+        assert simulate_model_doc(tmp_path, doc) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "schema"
+        assert err["message"].count("bad_model.json") == 1
+        assert f"missing field {field[-1]!r}" in err["message"]
 
     def test_loading_spread_curves_leaves_options_unchanged(self, cli_files, tmp_path):
         def run_with(paths):

@@ -360,6 +360,16 @@ class TestProductJson:
         with pytest.raises(SchemaError, match="CMS"):
             load_product_json(path)
 
+    def test_missing_field_names_the_file_once(self, tmp_path):
+        path = tmp_path / "p.json"
+        save_product_json(ProductSpec("FRA", (1.0,), 0.024, 1e6, T6M), path)
+        payload = json.loads(path.read_text())
+        del payload["fixed_rate"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="missing field 'fixed_rate'") as err:
+            load_product_json(path)
+        assert str(err.value).count("p.json") == 1
+
 
 class TestKernelJson:
     def make_kernel(self):

@@ -599,32 +599,58 @@ def shifted_curves(spec: AffineModelSpec, market_disc, market_spreads,
 # simulation
 
 
-def _ou_step_factors(spec: AffineModelSpec, dt: float):
-    """Exact one-step law of a constant-coefficient OU driver.
+def _linear_sde_factors(drift_linear: np.ndarray, drift_const: np.ndarray,
+                        diffusion: np.ndarray, dt: float):
+    """Exact law over dt of the linear SDE dS = (drift_linear @ S + drift_const) dt
+    + dW with d<W> = diffusion dt.
 
-    Returns (transition, mean_shift, noise_factor): X_{t+dt} = transition @ X_t
-    + mean_shift + noise_factor @ xi.  Uses the augmented-matrix exponential
-    for the mean and the block trick for the covariance integral.
+    Returns (transition, mean_shift, noise_factor): S_{t+dt} = transition @ S_t
+    + mean_shift + noise_factor @ xi for standard normal xi.  The mean comes
+    from the exponential of the drift matrix augmented by its constant, the
+    covariance integral from Van Loan's block exponential (Van Loan 1978,
+    "Computing integrals involving the matrix exponential", IEEE TAC 23(3)).
     """
     from scipy.linalg import expm
 
-    d = spec.dim
-    bmat = spec.drift_linear
+    d = len(drift_const)
     aug = np.zeros((d + 1, d + 1))
-    aug[:d, :d] = bmat * dt
-    aug[:d, d] = spec.drift_const * dt
+    aug[:d, :d] = drift_linear * dt
+    aug[:d, d] = drift_const * dt
     e_aug = expm(aug)
     transition, mean_shift = e_aug[:d, :d], e_aug[:d, d]
     block = np.zeros((2 * d, 2 * d))
-    block[:d, :d] = -bmat * dt
-    block[:d, d:] = spec.diffusion_const * dt
-    block[d:, d:] = bmat.T * dt
+    block[:d, :d] = -drift_linear * dt
+    block[:d, d:] = diffusion * dt
+    block[d:, d:] = drift_linear.T * dt
     e_block = expm(block)
     cov = e_block[d:, d:].T @ e_block[:d, d:]
     cov = 0.5 * (cov + cov.T)
     w, vecs = np.linalg.eigh(cov)
     noise_factor = vecs * np.sqrt(np.clip(w, 0.0, None))
     return transition, mean_shift, noise_factor
+
+
+def _gaussian_terminal_law(spec: AffineModelSpec, horizon: float):
+    """Mean and noise factor of the state (X, Y, Z) at the horizon of a
+    jump-free model without positive factors.
+
+    X is then Ornstein-Uhlenbeck, Y's drift is affine in X with constant
+    diffusion (none in integrated mode) and Z = -integral of r is linear in
+    X, so the whole state solves one linear SDE and is jointly Gaussian:
+    (X, Y, Z)_T = mean + noise_factor @ xi with d + n + 1 standard normals.
+    """
+    d, n = spec.dim, spec.n_spread
+    size = d + n + 1
+    drift = np.zeros((size, size))
+    drift[:d, :d] = spec.drift_linear
+    drift[d:d + n, :d] = spec.y_drift_linear
+    drift[-1, :d] = -spec.rate_linear
+    const = np.concatenate([spec.drift_const, spec.y_drift_const, [-spec.rate_const]])
+    diffusion = np.zeros((size, size))
+    diffusion[:d, :d] = spec.diffusion_const
+    diffusion[d:d + n, d:d + n] = spec.y_diff_const
+    transition, shift, factor = _linear_sde_factors(drift, const, diffusion, horizon)
+    return transition @ np.concatenate([spec.x0, spec.y0, [0.0]]) + shift, factor
 
 
 def _state_diffusion_factor(spec, x_block):
@@ -691,27 +717,33 @@ class _JumpDraws:
 
 def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                     n_paths: int, seed: int, maturities: Sequence[float],
-                    batch_size: int = 65536) -> PathSet:
+                    batch_size: int = 4096) -> PathSet:
     """Simulate the state to the horizon and assemble a PathSet there.
 
-    Pure-diffusion drivers without positive components step with the exact
+    A jump-free model without positive factors is jointly Gaussian: its
+    state (X, Y, Z) is drawn exactly at the horizon, in one step, from d + n
+    + 1 normals per path (``_gaussian_terminal_law``), so ``dt`` does not
+    affect it (it must still not exceed the horizon).  Every other model
+    steps on the dt grid.  A Gaussian driver with jumps steps with the exact
     one-step OU law; anything with positive components steps with Euler,
-    clipping negatives inside the diffusion argument only.  Z accrues the
-    short rate by trapezoid and the spread factors accrue their affine drift
-    the same way in both modes; diffusive factors add noise with the
-    coefficient frozen at the step start.  Jump events use the intensity
-    frozen at the step start.  Each path owns a counter-based stream keyed
-    by (seed, path index): one normal block for the whole path, then
-    per-step jump draws.  One Philox is re-keyed to each path in turn to
-    draw its normal block (``rng.driver_increment_block``) and, for jump
-    models, a buffer of the uniforms that follow it, from which every
-    path's Poisson counts and atoms are replayed at each step for all paths
-    at once (``rng.StreamReplay``, through ``_JumpDraws``); the draws are
-    bit for bit those of a generator per path, and only a path whose step
-    mean reaches 10 holds a generator.
-    Without positive factors the spread diffusion factor does not depend on
-    the state and is factored once per call rather than at every step.  One
-    DEBUG record per batch on ``multicurve.affine`` gives its paths, steps,
+    clipping negatives inside the diffusion argument only.  On the grid Z
+    accrues the short rate by trapezoid and the spread factors accrue their
+    affine drift the same way in both modes; diffusive factors add noise
+    with the coefficient frozen at the step start, and jump events use the
+    intensity frozen at the step start.  Without positive factors the spread
+    diffusion factor does not depend on the state and is factored once per
+    call rather than at every step.
+
+    Each path owns a counter-based stream keyed by (seed, path index): one
+    normal block for the whole path, then per-step jump draws.  One Philox
+    is re-keyed to each path in turn to draw its normal block
+    (``rng.driver_increment_block``) and, for jump models, a buffer of the
+    uniforms that follow it, from which every path's Poisson counts and
+    atoms are replayed at each step for all paths at once
+    (``rng.StreamReplay``, through ``_JumpDraws``); the draws are bit for bit
+    those of a generator per path, and only a path whose step mean reaches
+    10 holds a generator.  One DEBUG record per batch on
+    ``multicurve.affine`` gives its paths, steps (1 for an exact draw),
     jumps, and the paths whose buffer was redrawn or that held a generator.
     """
     if dt <= 0 or horizon <= 0:
@@ -721,24 +753,28 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     maturities = np.asarray(sorted(float(m) for m in maturities), dtype=float)
     if len(maturities) == 0 or maturities[0] < horizon - 1e-12:
         raise ValueError("maturities must lie at or beyond the horizon")
-    n_steps = math.ceil(horizon / dt - 1e-12)
-    step_sizes = np.full(n_steps, dt)
-    step_sizes[-1] = horizon - dt * (n_steps - 1)
 
     d, n = spec.dim, spec.n_spread
-    diffusive_y = spec.y_mode == "diffusive"
-    n_noise = d + (n if diffusive_y else 0)
-    exact_ou = spec.pos_dims == 0 and not np.any(spec.diffusion_linear)
-    ou_factors = None
-    if exact_ou:
-        ou_factors = {
-            float(h): _ou_step_factors(spec, float(h)) for h in np.unique(step_sizes)
-        }
-
-    # without positive factors the Y diffusion does not depend on the state
-    fixed_y_factor = None
-    if diffusive_y and spec.pos_dims == 0:
-        fixed_y_factor = _y_diffusion_factor(spec, np.zeros((1, d)))[0]
+    gaussian = spec.pos_dims == 0
+    law = None
+    if gaussian and spec.jumps is None:
+        law = _gaussian_terminal_law(spec, horizon)
+        n_steps = 1
+    else:
+        n_steps = math.ceil(horizon / dt - 1e-12)
+        step_sizes = np.full(n_steps, dt)
+        step_sizes[-1] = horizon - dt * (n_steps - 1)
+        diffusive_y = spec.y_mode == "diffusive"
+        n_noise = d + (n if diffusive_y else 0)
+        if gaussian:
+            ou_factors = {
+                float(h): _linear_sde_factors(spec.drift_linear, spec.drift_const,
+                                              spec.diffusion_const, float(h))
+                for h in np.unique(step_sizes)
+            }
+            # without positive factors the Y diffusion does not depend on the state
+            if diffusive_y:
+                fixed_y_factor = _y_diffusion_factor(spec, np.zeros((1, d)))[0]
 
     x_out = np.empty((n_paths, d))
     y_out = np.empty((n_paths, n))
@@ -748,44 +784,50 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
         hi = min(lo + batch_size, n_paths)
         m = hi - lo
         draws = None
-        if spec.jumps is None:
-            normals, _ = _rng.driver_increment_block(seed, lo, hi, n_steps, n_noise)
+        if law is not None:
+            mean, noise = law
+            normals, _ = _rng.driver_increment_block(seed, lo, hi, 1, len(mean))
+            state = mean + np.einsum("bj,ij->bi", normals[:, 0], noise)
+            x, y, z = state[:, :d], state[:, d:d + n], state[:, -1]
         else:
-            draws = _JumpDraws(spec, seed, lo, hi, n_steps, n_noise, horizon)
-            normals = draws.normals
-        x = np.tile(spec.x0, (m, 1))
-        y = np.tile(spec.y0, (m, 1))
-        z = np.zeros(m)
-        rate = spec.rate_const + x @ spec.rate_linear
-        qx = spec.y_drift_const + x @ spec.y_drift_linear.T
-        for step, h in enumerate(step_sizes):
-            xi = normals[:, step, :d]
-            if exact_ou:
-                trans, mean_shift, chol = ou_factors[float(h)]
-                x_new = x @ trans.T + mean_shift + xi @ chol.T
+            if spec.jumps is None:
+                normals, _ = _rng.driver_increment_block(seed, lo, hi, n_steps, n_noise)
             else:
-                factor = _state_diffusion_factor(spec, x)
-                x_new = (
-                    x + (spec.drift_const + x @ spec.drift_linear.T) * h
-                    + math.sqrt(h) * np.einsum("bij,bj->bi", factor, xi)
-                )
-            if diffusive_y:
-                eta = normals[:, step, d:]
-                y_factor = (_y_diffusion_factor(spec, x) if fixed_y_factor is None
-                            else np.broadcast_to(fixed_y_factor, (m, n, n)))
-                y = y + math.sqrt(h) * np.einsum("bij,bj->bi", y_factor, eta)
-            if draws is not None:
-                lam = np.clip(
-                    spec.jumps.intensity_const + x @ spec.jumps.intensity_linear, 0.0, None
-                )
-                draws.add_jumps(lam * h, x_new, y)
-            x = x_new
-            rate_new = spec.rate_const + x @ spec.rate_linear
-            z -= 0.5 * h * (rate + rate_new)
-            rate = rate_new
-            qx_new = spec.y_drift_const + x @ spec.y_drift_linear.T
-            y = y + 0.5 * h * (qx + qx_new)
-            qx = qx_new
+                draws = _JumpDraws(spec, seed, lo, hi, n_steps, n_noise, horizon)
+                normals = draws.normals
+            x = np.tile(spec.x0, (m, 1))
+            y = np.tile(spec.y0, (m, 1))
+            z = np.zeros(m)
+            rate = spec.rate_const + x @ spec.rate_linear
+            qx = spec.y_drift_const + x @ spec.y_drift_linear.T
+            for step, h in enumerate(step_sizes):
+                xi = normals[:, step, :d]
+                if gaussian:
+                    trans, mean_shift, chol = ou_factors[float(h)]
+                    x_new = x @ trans.T + mean_shift + xi @ chol.T
+                else:
+                    factor = _state_diffusion_factor(spec, x)
+                    x_new = (
+                        x + (spec.drift_const + x @ spec.drift_linear.T) * h
+                        + math.sqrt(h) * np.einsum("bij,bj->bi", factor, xi)
+                    )
+                if diffusive_y:
+                    eta = normals[:, step, d:]
+                    y_factor = (np.broadcast_to(fixed_y_factor, (m, n, n)) if gaussian
+                                else _y_diffusion_factor(spec, x))
+                    y = y + math.sqrt(h) * np.einsum("bij,bj->bi", y_factor, eta)
+                if draws is not None:
+                    lam = np.clip(
+                        spec.jumps.intensity_const + x @ spec.jumps.intensity_linear, 0.0, None
+                    )
+                    draws.add_jumps(lam * h, x_new, y)
+                x = x_new
+                rate_new = spec.rate_const + x @ spec.rate_linear
+                z -= 0.5 * h * (rate + rate_new)
+                rate = rate_new
+                qx_new = spec.y_drift_const + x @ spec.y_drift_linear.T
+                y = y + 0.5 * h * (qx + qx_new)
+                qx = qx_new
         x_out[lo:hi], y_out[lo:hi], z_out[lo:hi] = x, y, z
         jumps, refilled, live = ((0, 0, 0) if draws is None else
                                  (draws.jumps, int(draws.refilled.sum()), len(draws.live)))

@@ -404,6 +404,7 @@ def _dump_paths_csv(path, pathsets, tenors, n_dump: int) -> None:
 
 
 def cmd_simulate(run: RunConfig) -> int:
+    n_dump = run.integer("dump_paths", 100, minimum=0)
     model = load_model_json(run.path("model"))
     seed = run.require_seed()
     n_paths = run.positive("n_paths", int)
@@ -430,7 +431,6 @@ def cmd_simulate(run: RunConfig) -> int:
     bond0, spread0, tenors = _initial_model_curves(model, maturities)
     report["martingale"] = _martingale_rows(pathsets, bond0, spread0, tenors)
     save_report_json(report, run.out_dir / "simulation_report.json")
-    n_dump = int(run.options.get("dump_paths", 100))
     if n_dump > 0:
         _dump_paths_csv(run.out_dir / "paths.csv", pathsets, tenors, n_dump)
     return 0
@@ -505,6 +505,7 @@ def cmd_calibrate(run: RunConfig) -> int:
 
 
 def cmd_construct_kernel(run: RunConfig) -> int:
+    grid_size = run.integer("grid_size", 400, minimum=1)
     payload = json.loads(run.path("targets").read_text(encoding="utf-8"))
     try:
         targets = MomentTargets(
@@ -516,7 +517,6 @@ def cmd_construct_kernel(run: RunConfig) -> int:
         )
     except KeyError as exc:
         raise ConfigError(f"targets file is missing {exc}") from exc
-    grid_size = int(run.options.get("grid_size", 400))
     feas = feasibility_check(targets, grid_size=grid_size)
     feas_doc = {"kind": "feasibility_report", "feasible": feas.feasible}
     if feas.dual_ray is not None:

@@ -108,6 +108,17 @@ def _get(payload: dict, key: str, where: str, kind: type | None = None):
     return value
 
 
+def _number(value, key: str, where: str, integer: bool = False):
+    """Field ``key``'s value as a float, or an int when ``integer``; any other
+    JSON type (a string, a list, a bool) raises SchemaError."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise SchemaError(f"{where}: field {key!r} must be "
+                          f"{'an integer' if integer else 'a number'}, "
+                          f"got {type(value).__name__}")
+    return int(value) if integer else float(value)
+
+
 def write_csv(path, header: Sequence[str], rows) -> None:
     """Write rows (iterable of tuples) under a fixed header, LF line endings.
 
@@ -303,19 +314,19 @@ def affine_spec_from_dict(payload: dict, where: str = "affine spec") -> AffineMo
             jumps = AffineJumps(
                 atoms_x=_get(j, "atoms_x", where),
                 probabilities=_get(j, "probabilities", where),
-                intensity_const=float(j.get("intensity_const", 0.0)),
+                intensity_const=_number(j.get("intensity_const", 0.0), "intensity_const", where),
                 intensity_linear=j.get("intensity_linear"),
                 atoms_y=j.get("atoms_y"),
             )
         tenors = [Tenor.parse(t) for t in _get(spreads, "tenors", where, list)]
         return AffineModelSpec(
-            pos_dims=int(_get(state, "pos_dims", where)),
-            real_dims=int(_get(state, "real_dims", where)),
+            pos_dims=_number(_get(state, "pos_dims", where), "pos_dims", where, integer=True),
+            real_dims=_number(_get(state, "real_dims", where), "real_dims", where, integer=True),
             drift_const=_get(drift, "const", where),
             drift_linear=_get(drift, "linear", where),
             diffusion_const=_get(diffusion, "const", where),
             diffusion_linear=diffusion.get("linear"),
-            rate_const=float(_get(rate, "const", where)),
+            rate_const=_number(_get(rate, "const", where), "const", where),
             rate_linear=_get(rate, "linear", where),
             n_spread=len(tenors),
             u_vectors=_get(spreads, "u_vectors", where) if tenors else None,
@@ -413,16 +424,18 @@ def hjm_model_from_dict(payload: dict, where: str = "hjm spec") -> LevyHjmModel:
         )
         return LevyHjmModel(
             driver=triplet,
-            n_curve_factors=int(_get(payload, "n_curve_factors", where)),
+            n_curve_factors=_number(_get(payload, "n_curve_factors", where), "n_curve_factors",
+                                    where, integer=True),
             ois_vol=_vol_from_dict(_get(vols, "ois", where), where),
             spread_vols=[_vol_from_dict(v, where)
                          for v in _get(vols, "spreads", where, list)],
             u_vectors=_get(payload, "u_vectors", where),
             tenors=[Tenor.parse(t) for t in _get(payload, "tenors", where, list)],
-            forward_curve=float(_get(curves, "forward", where)),
-            forward_spread_curves=[float(c) for c in _get(curves, "spreads", where, list)],
+            forward_curve=_number(_get(curves, "forward", where), "forward", where),
+            forward_spread_curves=[_number(c, f"spreads[{k}]", where) for k, c in
+                                   enumerate(_get(curves, "spreads", where, list))],
             spread_factor_mode=factor.get("mode", "none"),
-            kernel_mass_cap=float(factor.get("mass_cap", 50.0)),
+            kernel_mass_cap=_number(factor.get("mass_cap", 50.0), "mass_cap", where),
             kernel_objective=factor.get("objective", "min-total-mass"),
             y0=factor.get("y0"),
         )
@@ -480,8 +493,8 @@ def product_spec_from_dict(payload: dict, where: str = "product spec") -> Produc
         return ProductSpec(
             kind=_get(payload, "product", where),
             schedule=tuple(_get(payload, "schedule", where)),
-            fixed_rate=float(_get(payload, "fixed_rate", where)),
-            notional=float(_get(payload, "notional", where)),
+            fixed_rate=_number(_get(payload, "fixed_rate", where), "fixed_rate", where),
+            notional=_number(_get(payload, "notional", where), "notional", where),
             tenor=Tenor.parse(_get(payload, "tenor", where)),
             tenor_b=Tenor.parse(payload["tenor_b"]) if "tenor_b" in payload else None,
             schedule_b=tuple(payload.get("schedule_b", ())),
@@ -532,8 +545,8 @@ def kernel_from_dict(payload: dict, where: str = "kernel") -> JumpKernel:
     targets = MomentTargets(
         u=np.asarray(_get(t, "u", where), dtype=float),
         p=np.asarray(_get(t, "p", where), dtype=float),
-        mass_cap=float(_get(t, "mass_cap", where)),
-        floor=float(t.get("floor", 0.0)),
+        mass_cap=_number(_get(t, "mass_cap", where), "mass_cap", where),
+        floor=_number(t.get("floor", 0.0), "floor", where),
         p_extra=t.get("p_extra"),
     )
     return JumpKernel(
@@ -542,7 +555,7 @@ def kernel_from_dict(payload: dict, where: str = "kernel") -> JumpKernel:
         targets=targets,
         residuals=np.asarray(_get(payload, "residuals", where), dtype=float),
         objective=_get(payload, "objective", where),
-        extra_mass=float(_get(payload, "extra_mass", where)),
+        extra_mass=_number(_get(payload, "extra_mass", where), "extra_mass", where),
     )
 
 
@@ -632,10 +645,11 @@ def calibration_result_from_dict(payload: dict,
                                  where: str = "calibration result") -> CalibrationResult:
     return CalibrationResult(
         parameters=np.asarray(_get(payload, "parameters", where), dtype=float),
-        objective=float(_get(payload, "objective", where)),
+        objective=_number(_get(payload, "objective", where), "objective", where),
         residuals=np.asarray(_get(payload, "residuals", where), dtype=float),
         trace=np.asarray(_get(payload, "trace", where), dtype=float),
-        n_evaluations=int(_get(payload, "n_evaluations", where)),
+        n_evaluations=_number(_get(payload, "n_evaluations", where), "n_evaluations", where,
+                              integer=True),
         converged=bool(_get(payload, "converged", where)),
     )
 

@@ -367,10 +367,18 @@ class KernelFamily:
         """
         buckets = np.where(y <= 0, 0.0, np.floor(y / self.floor_bucket) * self.floor_bucket)
         keys = np.column_stack([buckets, np.round(p, 12)]).view(np.uint64)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        # a stable sort on the key columns, first column first, keeps each
+        # group's rows in row order, so a group's first row starts its run
+        by_key = np.lexsort(keys.T[::-1])
+        ordered = keys[by_key]
+        starts = np.ones(len(by_key), dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        first = by_key[starts]
         order = np.argsort(first)
         entries = [self.solve_with_exponent(float(y[i]), p[i]) for i in first[order].tolist()]
-        return entries, np.argsort(order)[inverse.ravel()]
+        index = np.empty(len(by_key), dtype=np.intp)
+        index[by_key] = np.argsort(order)[np.cumsum(starts) - 1]
+        return entries, index
 
 
 def yperp_replay(seed: int, paths, n_steps: int) -> _rng.StreamReplay:

@@ -7,23 +7,26 @@ index, never on how paths are batched or ordered, so results are bit-identical
 under any execution decomposition.
 
 Draw layout per path.  Stream 0, the curve driver: one block of standard
-normals of shape (n_steps, d), then the jumps: for the HJM engines one block
-of Poisson counts of shape (n_steps, n_atoms), for affine models step by step
-a Poisson count and one atom choice per jump.  Stream 1, the orthogonal jump
-factor: no normals, and step by step a Poisson count and one atom choice per
-jump.
+normals of shape (n_steps, d) (one row of d + n + 1 normals for the exact
+terminal draw of a jump-free Gaussian affine model), then the jumps: for the
+HJM engines one block of Poisson counts of shape (n_steps, n_atoms), for
+affine models step by step a Poisson count and one atom choice per jump.
+Stream 1, the orthogonal jump factor: no normals, and step by step a Poisson
+count and one atom choice per jump.
 
 ``PathStreams`` re-keys one Philox generator per path by setting its state
 (counter zero, the path's key, an empty buffer), which draws what a fresh
-generator would at a fraction of its cost.  Block draws use it path after
-path: ``driver_increment_block`` (the HJM engines and jump-free affine
-models) and ``normal_uniform_block``, which draws a path's normal block and
-a buffer of the ``random()`` doubles that follow it.  ``StreamReplay``
-replays from such buffers the step-by-step draws that a generator per path
-would make, for all paths of a batch at once: affine jumps on stream 0 and
-the kernel-mode jumps of ``momentkernel`` on stream 1.  ``path_generator``
-builds a fresh generator; only the replay's fallback for a Poisson mean of
-10 or more (or a non-finite one) uses it, and the tests.
+generator would at a fraction of its cost.  It builds that state once and
+re-keys by replacing only the key; the seed and stream are validated once,
+on construction, and each re-key checks only the path range.  Block draws
+use it path after path: ``driver_increment_block`` (the HJM engines and
+jump-free affine models) and ``normal_uniform_block``, which draws a path's
+normal block and a buffer of the ``random()`` doubles that follow it.
+``StreamReplay`` replays from such buffers the step-by-step draws that a
+generator per path would make, for all paths of a batch at once: affine
+jumps on stream 0 and the kernel-mode jumps of ``momentkernel`` on stream 1.
+``path_generator`` builds a fresh generator; only the replay's fallback for
+a Poisson mean of 10 or more (or a non-finite one) uses it, and the tests.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ import numpy as np
 
 DRIVER_STREAM = 0
 YPERP_STREAM = 1
-
-_LOW_WORD = (1 << 64) - 1
 
 
 def path_key(seed: int, path_index: int, stream: int = DRIVER_STREAM) -> int:
@@ -67,17 +68,19 @@ class PathStreams:
         self._bitgen = np.random.Philox(key=path_key(seed, 0, stream))
         self._gen = np.random.Generator(self._bitgen)
         self.seed, self.stream = int(seed), int(stream)
+        # the state of a fresh generator; ``at`` swaps in each path's key
+        self._key = {"counter": (0, 0, 0, 0), "key": None}
+        self._state = {"bit_generator": "Philox", "state": self._key,
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
 
     def at(self, path_index: int) -> np.random.Generator:
-        key = path_key(self.seed, path_index, self.stream)
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (key & _LOW_WORD, key >> 64)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        path_index = int(path_index)
+        if not 0 <= path_index < 1 << 63:
+            raise ValueError(f"path_index must lie in [0, 2**63), got {path_index}")
+        # low and high words of path_key(seed, path_index, stream)
+        self._key["key"] = (path_index << 1 | self.stream, self.seed)
+        self._bitgen.state = self._state
         return self._gen
 
 

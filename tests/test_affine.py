@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -15,6 +15,7 @@ from multicurve.affine import (
     DampingOutOfDomain,
     QuadratureNonConvergence,
     RiccatiExplosion,
+    _gaussian_terminal_law,
     _terminal_exponents,
     affine_bond,
     affine_spread,
@@ -312,6 +313,113 @@ def test_row_exponents_independent_of_their_batch(name, kinds, data):
         phi_k, psi_k = _terminal_exponents(spec, V[k:k + 1], U[k:k + 1], 1.0, T[k])
         assert np.array_equal(phi[k:k + 1], phi_k)
         assert np.array_equal(psi[k:k + 1], psi_k)
+
+
+# ---------------------------------------------------------------------------
+# the exact terminal law of jump-free Gaussian models
+
+
+def ou_triangle(kappa, theta, sigma, x0, T):
+    """Means, variances and covariance of X_T and A_T = integral of X for an
+    OU driver dX = kappa (theta - X) dt + sigma dW, as gaussian_caplet_closed_form
+    uses them: (m_x, m_a, v_x, v_a, c_xa)."""
+    C = (1 - math.exp(-kappa * T)) / kappa
+    C2 = (1 - math.exp(-2 * kappa * T)) / (2 * kappa)
+    return (theta + (x0 - theta) * math.exp(-kappa * T), theta * T + (x0 - theta) * C,
+            sigma ** 2 * C2, sigma ** 2 / kappa ** 2 * (T - 2 * C + C2),
+            sigma ** 2 / kappa * (C - C2))
+
+
+def small(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def gaussian_specs(draw):
+    """Admissible jump-free specs without positive factors: d 1-2 OU factors
+    (stable, upper-triangular drift), n 0-2 spread factors in either mode."""
+    d, n = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    mode = draw(st.sampled_from(["integrated", "diffusive"]))
+
+    def vec(k, lo, hi):
+        return [draw(small(lo, hi)) for _ in range(k)]
+
+    def psd(k, scale):
+        lower = np.tril(np.array(vec(k * k, -scale, scale)).reshape(k, k))
+        lower[np.diag_indices(k)] = vec(k, 0.2 * scale, scale)
+        return lower @ lower.T
+
+    drift_linear = -np.diag(vec(d, 0.1, 1.5))
+    if d == 2:
+        drift_linear[0, 1] = draw(small(-0.3, 0.3))
+    n_tenors = draw(st.integers(1, 2)) if n else 0
+    return AffineModelSpec(
+        pos_dims=0, real_dims=d, drift_const=vec(d, -0.02, 0.05),
+        drift_linear=drift_linear, diffusion_const=psd(d, 0.02),
+        rate_const=draw(small(-0.01, 0.02)), rate_linear=vec(d, 0.3, 1.2), n_spread=n,
+        u_vectors=np.array(vec(n_tenors * n, 0.2, 1.5)).reshape(n_tenors, n),
+        tenors=(T3M, T6M)[:n_tenors], y_mode=mode, y_drift_const=vec(n, -0.002, 0.004),
+        y_drift_linear=np.array(vec(n * d, -0.2, 0.3)).reshape(n, d),
+        y_diff_const=psd(n, 0.02) if mode == "diffusive" and n else None,
+        x0=vec(d, -0.01, 0.04), y0=vec(n, -0.01, 0.01))
+
+
+horizons = st.sampled_from([0.25, 1.0, 3.0])
+
+
+def terminal_moments(spec, T):
+    mean, noise = _gaussian_terminal_law(spec, T)
+    return mean, noise @ noise.T
+
+
+@given(spec=gaussian_specs(), T=horizons, tau=st.sampled_from([0.5, 1.0]), data=st.data())
+def test_exact_law_prices_bonds_and_spreads(spec, T, tau, data):
+    mean, cov = terminal_moments(spec, T)
+    assert math.exp(mean[-1] + cov[-1, -1] / 2) == pytest.approx(
+        affine_bond(spec, spec.x0, T), rel=1e-10)
+    # E[exp(Z_T) P(T, M) S_i(T, M)] is Gaussian in the state: the exponent at
+    # tau = M - T with Y loading u_i is linear in (X, Y, Z)
+    i = data.draw(st.integers(0, spec.n_tenors - 1)) if spec.n_tenors else None
+    u = spec.u_vectors[i] if spec.n_tenors else np.zeros(spec.n_spread)
+    phi, psi = _terminal_exponents(spec, np.zeros((1, spec.dim)), u[None, :], 1.0, tau)
+    w = np.concatenate([psi[0].real, u, [1.0]])
+    gaussian = math.exp(phi[0].real + w @ mean + w @ cov @ w / 2)
+    want = affine_bond(spec, spec.x0, T + tau)
+    if i is not None:
+        want *= affine_spread(spec, spec.x0, spec.y0, T + tau, i)
+    assert gaussian == pytest.approx(want, rel=1e-10)
+
+
+@given(spec=gaussian_specs().filter(lambda spec: spec.dim == 1), T=horizons)
+def test_exact_law_matches_the_ou_triangle(spec, T):
+    # the one-factor law behind gaussian_caplet_closed_form, with Y = y0 + q0 T
+    # + q1 A_T + noise and Z = -(r0 T + r1 A_T)
+    kappa, sigma = -spec.drift_linear[0, 0], math.sqrt(spec.diffusion_const[0, 0])
+    m_x, m_a, v_x, v_a, c_xa = ou_triangle(kappa, spec.drift_const[0] / kappa, sigma,
+                                          spec.x0[0], T)
+    q0, q1, r1 = spec.y_drift_const, spec.y_drift_linear[:, 0], spec.rate_linear[0]
+    want_mean = np.concatenate([[m_x], spec.y0 + q0 * T + q1 * m_a,
+                                [-(spec.rate_const * T + r1 * m_a)]])
+    loadings = np.concatenate([[0.0], q1, [-r1]])     # on A_T
+    want_cov = np.outer(loadings, loadings) * v_a
+    want_cov[0, 0] = v_x
+    want_cov[0, 1:] = want_cov[1:, 0] = loadings[1:] * c_xa
+    want_cov[1:-1, 1:-1] += spec.y_diff_const * T
+    mean, cov = terminal_moments(spec, T)
+    np.testing.assert_allclose(mean, want_mean, rtol=1e-10, atol=1e-14)
+    np.testing.assert_allclose(cov, want_cov, rtol=1e-8, atol=1e-10 * np.diag(want_cov).max())
+
+
+@settings(max_examples=30)
+@given(spec=gaussian_specs(), T=horizons, n_paths=st.integers(1, 10),
+       batch_size=st.integers(1, 10), seed=st.integers(0, 2 ** 64 - 1))
+def test_exact_draw_independent_of_batch_size_and_dt(spec, T, n_paths, batch_size, seed):
+    whole = simulate_affine(spec, T, T / 4, n_paths, seed, [T, T + 0.5])
+    split = simulate_affine(spec, T, T, n_paths, seed, [T, T + 0.5], batch_size=batch_size)
+    assert np.array_equal(whole.numeraire, split.numeraire)
+    assert np.array_equal(whole.bonds, split.bonds)
+    for tenor in spec.tenors:
+        assert np.array_equal(whole.spreads[tenor], split.spreads[tenor])
 
 
 class TestTransform:

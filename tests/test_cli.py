@@ -514,6 +514,67 @@ class TestErrorHandling:
         assert err["message"].count("bad_model.json") == 1
         assert f"missing field {field[-1]!r}" in err["message"]
 
+    @pytest.mark.parametrize("model, field, value", [
+        ("affine.json", ("rate", "const"), [0.01]),
+        ("affine.json", ("rate", "const"), "0.01"),
+        ("affine.json", ("state", "pos_dims"), [0]),
+        ("affine.json", ("state", "real_dims"), 1.5),
+        ("affine.json", ("state", "real_dims"), True),
+        ("affine.json", ("jumps", "intensity_const"), [3.0]),
+        ("hjm.json", ("initial_curves", "forward"), [0.02]),
+        ("hjm.json", ("initial_curves", "spreads"), [[0.005]]),
+        ("hjm.json", ("n_curve_factors",), True),
+        ("hjm.json", ("spread_factor", "mass_cap"), [50.0])])
+    def test_scalar_field_of_wrong_type_is_a_schema_error(self, cli_files, tmp_path, capsys,
+                                                          model, field, value):
+        doc = json.loads((cli_files / model).read_text(encoding="utf-8"))
+        if field[0] == "jumps":
+            doc["jumps"] = {"atoms_x": [[0.01], [-0.01]], "probabilities": [0.5, 0.5]}
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        assert simulate_model_doc(tmp_path, doc) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "schema"
+        assert field[-1] in err["message"]
+
+    @pytest.mark.parametrize("value", [[0.024], "0.024", None])
+    def test_product_scalar_of_wrong_type_is_a_schema_error(self, cli_files, tmp_path,
+                                                            capsys, value):
+        doc = json.loads((cli_files / "fra.json").read_text(encoding="utf-8"))
+        doc["fixed_rate"] = value
+        (cli_files / "fra_bad_rate.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg = write_json_config(cli_files / "price_fra_bad.json", {
+            "product": "fra_bad_rate.json", "discount_curve": "disc.json",
+            "spread_curves": ["spread.json"]})
+        assert run_cli("price", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "schema"
+        assert "'fixed_rate'" in err["message"]
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "dump_paths", "abc"), ("simulate", "dump_paths", 1.5),
+        ("simulate", "dump_paths", True), ("simulate", "dump_paths", -1),
+        ("construct-kernel", "grid_size", "abc"), ("construct-kernel", "grid_size", 1.5),
+        ("construct-kernel", "grid_size", True), ("construct-kernel", "grid_size", 0)])
+    def test_bad_integer_option_is_a_config_error(self, cli_files, tmp_path, capsys,
+                                                  command, key, value):
+        if command == "simulate":
+            options = {"model": "affine.json", "n_paths": 20, "dt": 0.05,
+                       "horizon": 0.5, "maturities": [1.0], "seed": 1}
+        else:
+            (cli_files / "targets_int.json").write_text(
+                json.dumps({"u": [0.5], "p": [0.3], "mass_cap": 50.0}), encoding="utf-8")
+            options = {"targets": "targets_int.json"}
+        cfg = write_json_config(cli_files / "cfg_bad_int.json", {**options, key: value})
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", cfg, "--out", out) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert key in err["message"]
+        assert not out.exists() or not any(out.iterdir())
+
     def test_loading_spread_curves_leaves_options_unchanged(self, cli_files, tmp_path):
         def run_with(paths):
             return RunConfig(command="price", options={"spread_curves": paths},

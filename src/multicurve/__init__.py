@@ -115,6 +115,7 @@ from .marketio import (  # noqa: F401
     load_product_json,
     load_quotes_csv,
     load_report_json,
+    load_targets_json,
     load_vol_surface_csv,
     pricing_report,
     save_curve_json,

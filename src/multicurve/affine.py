@@ -42,6 +42,11 @@ log = logging.getLogger(__name__)
 
 EXPLOSION_THRESHOLD = 1e12
 _RICCATI_TOL = 1e-10
+# the caplet contour: z = 1 + damping + i v, Gauss-Legendre panels of
+# _QUAD_NODES nodes, at most _MAX_PANELS of them
+_DAMPING = 0.75
+_QUAD_NODES = 64
+_MAX_PANELS = 64
 
 
 class RiccatiExplosion(RuntimeError):
@@ -61,7 +66,7 @@ class InadmissibleSpec(ValueError):
 
 
 class DampingOutOfDomain(ValueError):
-    """The damped payoff transform is not finite for the requested damping."""
+    """The damped payoff transform is not finite at the contour's damping."""
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -653,25 +658,12 @@ def _gaussian_terminal_law(spec: AffineModelSpec, horizon: float):
     return transition @ np.concatenate([spec.x0, spec.y0, [0.0]]) + shift, factor
 
 
-def _state_diffusion_factor(spec, x_block):
-    """Batched matrix square roots of a(x) = a0 + sum_k x_k^+ alpha_k."""
-    clipped = np.clip(x_block[:, : spec.pos_dims], 0.0, None)
-    mats = np.broadcast_to(
-        spec.diffusion_const, (len(x_block), spec.dim, spec.dim)
-    ).copy()
-    for k in range(spec.pos_dims):
-        mats += clipped[:, k, None, None] * spec.diffusion_linear[k]
-    w, vecs = np.linalg.eigh(mats)
-    return vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-
-
-def _y_diffusion_factor(spec, x_block):
-    clipped = np.clip(x_block[:, : spec.pos_dims], 0.0, None)
-    mats = np.broadcast_to(
-        spec.y_diff_const, (len(x_block), spec.n_spread, spec.n_spread)
-    ).copy()
-    for k in range(spec.pos_dims):
-        mats += clipped[:, k, None, None] * spec.y_diff_linear[k]
+def _diffusion_factor(const, linear, pos_dims, x_block):
+    """Batched matrix square roots of const + sum_k x_k^+ linear[k]."""
+    clipped = np.clip(x_block[:, :pos_dims], 0.0, None)
+    mats = np.broadcast_to(const, (len(x_block), *const.shape)).copy()
+    for k in range(pos_dims):
+        mats += clipped[:, k, None, None] * linear[k]
     w, vecs = np.linalg.eigh(mats)
     return vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
 
@@ -774,7 +766,8 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
             }
             # without positive factors the Y diffusion does not depend on the state
             if diffusive_y:
-                fixed_y_factor = _y_diffusion_factor(spec, np.zeros((1, d)))[0]
+                fixed_y_factor = _diffusion_factor(spec.y_diff_const, spec.y_diff_linear,
+                                                   0, np.zeros((1, d)))[0]
 
     x_out = np.empty((n_paths, d))
     y_out = np.empty((n_paths, n))
@@ -806,7 +799,8 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                     trans, mean_shift, chol = ou_factors[float(h)]
                     x_new = x @ trans.T + mean_shift + xi @ chol.T
                 else:
-                    factor = _state_diffusion_factor(spec, x)
+                    factor = _diffusion_factor(spec.diffusion_const, spec.diffusion_linear,
+                                               spec.pos_dims, x)
                     x_new = (
                         x + (spec.drift_const + x @ spec.drift_linear.T) * h
                         + math.sqrt(h) * np.einsum("bij,bj->bi", factor, xi)
@@ -814,7 +808,8 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                 if diffusive_y:
                     eta = normals[:, step, d:]
                     y_factor = (np.broadcast_to(fixed_y_factor, (m, n, n)) if gaussian
-                                else _y_diffusion_factor(spec, x))
+                                else _diffusion_factor(spec.y_diff_const, spec.y_diff_linear,
+                                                       spec.pos_dims, x))
                     y = y + math.sqrt(h) * np.einsum("bij,bj->bi", y_factor, eta)
                 if draws is not None:
                     lam = np.clip(
@@ -865,16 +860,14 @@ def _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z, tol=None):
     )
 
 
-def _caplet_contour_prices(spec, T, i, kappas, damping=0.75, quad_nodes=64,
-                           panel_width=None, tail_tol=1e-12, max_panels=64,
-                           tol=None):
+def _caplet_contour_prices(spec, T, i, kappas, tail_tol=1e-12, tol=None):
     """Unit-notional caplet prices for several cap factors on one contour.
 
     The damped transform values are strike independent, so one batch of
     Riccati solves per quadrature panel prices every ``kappa =
     1 + delta K > 0`` at once.  Raises DampingOutOfDomain when the damped
     moment explodes before T and QuadratureNonConvergence when the tail
-    stays above ``tail_tol`` after ``max_panels`` panels.
+    stays above ``tail_tol`` after ``_MAX_PANELS`` panels.
     """
     kappas = np.asarray(kappas, dtype=float)
     if np.any(kappas <= 0.0):
@@ -886,45 +879,36 @@ def _caplet_contour_prices(spec, T, i, kappas, damping=0.75, quad_nodes=64,
     def transform(z):
         return _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z, tol)
 
-    if damping <= 0.0:
-        raise DampingOutOfDomain("damping must be positive")
-    step = 0.5 * min(damping, 1.0)
+    step = 0.5 * _DAMPING
     try:
         probe = transform(
-            np.array([1.0 + damping, 1.0 - step, 1.0, 1.0 + step])
+            np.array([1.0 + _DAMPING, 1.0 - step, 1.0, 1.0 + step])
         ).real
     except RiccatiExplosion as exc:
         raise DampingOutOfDomain(
-            f"damped moment 1 + {damping} explodes before T (at {exc.blow_up_time:.4g})"
+            f"damped moment 1 + {_DAMPING} explodes before T (at {exc.blow_up_time:.4g})"
         ) from exc
-    auto_width = panel_width is None
-    if auto_width:
-        # curvature of log E[W e^{z l}] in z is the variance of l under the
-        # tilted measure; the contour integrand decays on the scale 1/sigma
-        log_probe = np.log(probe[1:])
-        variance = (log_probe[2] - 2.0 * log_probe[1] + log_probe[0]) / step**2
-        sigma = math.sqrt(max(float(variance), 1e-10))
-        panel_width = float(np.clip(2.5 / sigma, 8.0, 4000.0))
+    # curvature of log E[W e^{z l}] in z is the variance of l under the
+    # tilted measure; the contour integrand decays on the scale 1/sigma
+    log_probe = np.log(probe[1:])
+    variance = (log_probe[2] - 2.0 * log_probe[1] + log_probe[0]) / step**2
+    sigma = math.sqrt(max(float(variance), 1e-10))
+    panel_width = float(np.clip(2.5 / sigma, 8.0, 4000.0))
 
     log_strikes = np.log(kappas)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
-    # the contour factor 1/(zs (zs+1)) has poles a distance ``damping`` off
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    # the contour factor 1/(zs (zs+1)) has poles a distance ``_DAMPING`` off
     # the axis, so panels near v = 0 are refined geometrically before
     # marching outward on the variance scale
     edges = [0.0]
-    e = 2.0 * damping
+    e = 2.0 * _DAMPING
     while e < panel_width:
         edges.append(e)
         e *= 4.0
-    # the auto width targets roughly three marching panels to push a
+    # the width targets roughly three marching panels to push a
     # Gaussian-type tail below tail_tol, so those solve as one batch
-    n_march = 3 if auto_width else 1
-    while len(edges) - 1 + n_march > max_panels and n_march > 1:
-        n_march -= 1
-    plan = list(edges)
-    for k in range(n_march):
-        plan.append(edges[-1] + (k + 1) * panel_width)
-    plan = plan[:max_panels + 1]
+    plan = edges + [edges[-1] + k * panel_width for k in (1, 2, 3)]
+    plan = plan[:_MAX_PANELS + 1]
 
     def panel_sum(width, zs, vals):
         integrand = (np.exp(-np.outer(log_strikes, zs)) * vals).real
@@ -934,21 +918,21 @@ def _caplet_contour_prices(spec, T, i, kappas, damping=0.75, quad_nodes=64,
     v_all = np.concatenate([
         plan[j] + halves[j] * (nodes + 1.0) for j in range(len(halves))
     ])
-    zs_all = damping + 1j * v_all
+    zs_all = _DAMPING + 1j * v_all
     vals_all = transform(1.0 + zs_all) / (zs_all * (zs_all + 1.0))
     totals = np.zeros(len(kappas))
     tail_max = math.inf
     for j in range(len(halves)):
-        sl = slice(j * quad_nodes, (j + 1) * quad_nodes)
+        sl = slice(j * _QUAD_NODES, (j + 1) * _QUAD_NODES)
         contrib, tail_max = panel_sum(
             plan[j + 1] - plan[j], zs_all[sl], vals_all[sl])
         totals += contrib
     converged = tail_max < tail_tol
     panels_used = len(halves)
-    while not converged and panels_used < max_panels:
+    while not converged and panels_used < _MAX_PANELS:
         a = plan[-1] + (panels_used - len(halves)) * panel_width
         v = a + 0.5 * panel_width * (nodes + 1.0)
-        zs = damping + 1j * v
+        zs = _DAMPING + 1j * v
         vals = transform(1.0 + zs) / (zs * (zs + 1.0))
         contrib, tail_max = panel_sum(panel_width, zs, vals)
         totals += contrib
@@ -956,26 +940,22 @@ def _caplet_contour_prices(spec, T, i, kappas, damping=0.75, quad_nodes=64,
         panels_used += 1
     if not converged:
         raise QuadratureNonConvergence(
-            f"integrand tail above {tail_tol:g} after {max_panels} panels"
+            f"integrand tail above {tail_tol:g} after {_MAX_PANELS} panels"
         )
     return totals / math.pi
 
 
 def caplet_price_fourier(spec: AffineModelSpec, T: float, tenor: Tenor | int,
-                         fixed_rate: float, notional: float = 1.0,
-                         damping: float = 0.75, quad_nodes: int = 64,
-                         panel_width: float | None = None,
-                         tail_tol: float = 1e-12,
-                         max_panels: int = 64) -> float:
+                         fixed_rate: float, notional: float = 1.0) -> float:
     """Caplet on the Libor fixing at T via damped Fourier inversion.
 
     The discounted payoff is a bond-weighted call on the exponential of
     l_T = u.Y_T - phi_b - <psi_b, X_T> struck at 1 + delta K, so the price
-    is recovered from the weighted transform along the damped contour
-    z = 1 + damping + i v.  Gauss-Legendre panels are added until the
-    integrand tail falls below ``tail_tol``.  When ``panel_width`` is left
-    unset it is scaled to the payoff-log variance, which a second difference
-    of the log transform at real arguments estimates cheaply.  A spec
+    is recovered from the weighted transform along the contour
+    z = 1 + 0.75 + i v (damping 0.75).  Gauss-Legendre panels of 64 nodes,
+    their width scaled to the payoff-log variance (which a second difference
+    of the log transform at real arguments estimates cheaply), are added
+    until the integrand tail falls below 1e-12, at most 64 panels.  A spec
     without any noise is priced by the exact positive-part formula instead.
     """
     i = spec.tenor_index(tenor)
@@ -991,8 +971,5 @@ def caplet_price_fourier(spec: AffineModelSpec, T: float, tenor: Tenor | int,
             return notional * float(base[1] - kappa * base[0])
         return notional * max(float(base[1] - kappa * base[0]), 0.0)
 
-    totals = _caplet_contour_prices(
-        spec, T, i, [kappa], damping=damping, quad_nodes=quad_nodes,
-        panel_width=panel_width, tail_tol=tail_tol, max_panels=max_panels,
-    )
+    totals = _caplet_contour_prices(spec, T, i, [kappa])
     return notional * float(totals[0])

@@ -38,6 +38,9 @@ from .termstructure import Tenor, fra_rate_from_curves
 # default) for repeated objective evaluations; the induced price error sits
 # far below the 1e-4 vol-residual scale of the fit
 _PRICER_TOL = 1e-8
+# Black inversion: bracket width on the vol, and Newton/bisection steps
+_BLACK_TOL = 1e-10
+_BLACK_MAX_ITER = 100
 _PENALTY = 1e8
 # restart starts scatter by this share of each |initial| parameter
 _RESTART_WIDTH = 0.2
@@ -86,15 +89,14 @@ def black_caplet(forward: float, strike: float, expiry: float, vol: float,
 
 
 def black_implied_vol(price: float, forward: float, strike: float,
-                      expiry: float, annuity: float, tol: float = 1e-10,
-                      max_iter: int = 100) -> float:
+                      expiry: float, annuity: float) -> float:
     """Invert the Black-76 caplet formula for the lognormal volatility.
 
     Newton iteration on the vol with a bisection fallback whenever a step
-    leaves the current bracket or the vega degenerates; converges to ``tol``
-    on the vol.  Prices at or below intrinsic value, or at or above the
-    forward bound annuity * F, have no finite implied vol and raise
-    PriceOutOfBounds.
+    leaves the current bracket or the vega degenerates; converges to 1e-10
+    on the vol within 100 steps.  Prices at or below intrinsic value, or at
+    or above the forward bound annuity * F, have no finite implied vol and
+    raise PriceOutOfBounds.
     """
     if forward <= 0.0 or strike <= 0.0:
         raise BlackDomainError("Black-76 requires positive forward and strike")
@@ -111,20 +113,20 @@ def black_implied_vol(price: float, forward: float, strike: float,
             raise PriceOutOfBounds("implied vol above 1e4")
     sqrt_t = math.sqrt(expiry)
     vol = max(min(math.sqrt(2.0 * math.pi / expiry) * price / upper_bound, hi), lo)
-    for _ in range(max_iter):
+    for _ in range(_BLACK_MAX_ITER):
         val = black_caplet(forward, strike, expiry, vol, annuity) - price
         if val > 0.0:
             hi = vol
         else:
             lo = vol
-        if abs(hi - lo) < tol:
+        if abs(hi - lo) < _BLACK_TOL:
             return 0.5 * (lo + hi)
         d1 = (math.log(forward / strike) + 0.5 * vol ** 2 * expiry) / (vol * sqrt_t)
         vega = annuity * forward * norm.pdf(d1) * sqrt_t
         if vega > 1e-14:
             candidate = vol - val / vega
             if lo < candidate < hi:
-                if abs(candidate - vol) < tol:
+                if abs(candidate - vol) < _BLACK_TOL:
                     return candidate
                 vol = candidate
                 continue

@@ -57,6 +57,7 @@ from .marketio import (
     load_model_json,
     load_product_json,
     load_quotes_csv,
+    load_targets_json,
     load_vol_surface_csv,
     pricing_report,
     save_curve_json,
@@ -68,6 +69,7 @@ from .marketio import (
     write_csv,
 )
 from .momentkernel import (
+    OBJECTIVES,
     KernelInfeasible,
     MomentTargets,
     feasibility_check,
@@ -506,17 +508,11 @@ def cmd_calibrate(run: RunConfig) -> int:
 
 def cmd_construct_kernel(run: RunConfig) -> int:
     grid_size = run.integer("grid_size", 400, minimum=1)
-    payload = json.loads(run.path("targets").read_text(encoding="utf-8"))
-    try:
-        targets = MomentTargets(
-            u=np.asarray(payload["u"], dtype=float),
-            p=np.asarray(payload["p"], dtype=float),
-            mass_cap=float(payload["mass_cap"]),
-            floor=float(payload.get("floor", 0.0)),
-            p_extra=payload.get("p_extra"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"targets file is missing {exc}") from exc
+    objective = run.options.get("objective", "min-total-mass")
+    if objective not in OBJECTIVES:
+        raise ConfigError(f"config key 'objective' must be one of {list(OBJECTIVES)}, "
+                          f"got {objective!r}")
+    targets = load_targets_json(run.path("targets"))
     feas = feasibility_check(targets, grid_size=grid_size)
     feas_doc = {"kind": "feasibility_report", "feasible": feas.feasible}
     if feas.dual_ray is not None:
@@ -525,9 +521,7 @@ def cmd_construct_kernel(run: RunConfig) -> int:
     if not feas.feasible:
         raise KernelInfeasible(
             "targets certified infeasible; see feasibility_report.json for the dual ray")
-    kernel = solve_jump_kernel(
-        targets, objective=run.options.get("objective", "min-total-mass"),
-        grid_size=grid_size)
+    kernel = solve_jump_kernel(targets, objective=objective, grid_size=grid_size)
     save_kernel_json(kernel, run.out_dir / "kernel.json")
     print(json.dumps({"atoms": len(kernel.atoms),
                       "max_residual": float(np.max(np.abs(kernel.residuals)))}))

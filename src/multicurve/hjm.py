@@ -12,10 +12,9 @@ Two simulation engines share one stepping scheme (explicit Euler in the
 rolling time-to-maturity parametrization, increments applied at the left
 endpoint of each step):
 
-* ``grid``: the literal scheme; curves stored on a fixed grid and shifted by
-  whole cells each step, which requires the step to be a multiple of the cell
-  width.  Works with state-dependent volatilities.  Memory per path is the
-  whole curve.
+* ``grid``: the literal scheme; curves stored on a grid whose cell is the
+  step and shifted by one cell each step.  Works with state-dependent
+  volatilities.  Memory per path is the whole curve.
 * ``factor``: for exponential volatilities s * exp(-a * (T - t)) the noise
   term of every curve node is g(tau) times a scalar recursion per (curve,
   driver component) pair, and drift terms are deterministic lookups, so each
@@ -38,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .momentkernel import KernelFamily, kernel_jump_step, yperp_replay
+from .momentkernel import OBJECTIVES, KernelFamily, kernel_jump_step, yperp_replay
 from .products import PathSet
 from .termstructure import Tenor
 
@@ -64,7 +63,7 @@ log = logging.getLogger(__name__)
 
 
 class GridMismatch(ValueError):
-    """Step size, grid cell, or observation times are not commensurate."""
+    """The horizon or an observation time is not a whole number of steps."""
 
 
 class SimulationAborted(RuntimeError):
@@ -203,22 +202,18 @@ class ExponentialVolatility:
 
 @dataclass(frozen=True)
 class StateDependentVolatility:
-    """Volatility loadings that read the current curve, with declared bounds.
+    """Volatility loadings that read the current curve, with a growth bound.
 
     ``func(theta, tau)`` receives one path's curve values on the grid and the
     time-to-maturity grid, and returns loadings of shape (n_components,
-    len(tau)).  ``growth_bound`` C, ``lipschitz_bound`` L and
-    ``derivative_bound`` M declare |sigma| <= C * (1 + max|theta|), a
-    Lipschitz modulus in theta, and a bound on the tau-derivative; the grid
-    engine spot checks the growth bound every step and raises on violation.
-    Only the grid engine accepts these.
+    len(tau)).  ``growth_bound`` C declares |sigma| <= C * (1 + max|theta|);
+    the grid engine checks it on every path at every step and raises on
+    violation.  Only the grid engine accepts these volatilities.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     n_components: int
     growth_bound: float
-    lipschitz_bound: float
-    derivative_bound: float
 
     def values_for_path(self, theta_row: np.ndarray, tau: np.ndarray) -> np.ndarray:
         out = np.asarray(self.func(theta_row, tau), dtype=float)
@@ -296,6 +291,8 @@ class LevyHjmModel:
             raise ValueError(f"unknown spread_factor_mode {self.spread_factor_mode!r}")
         if self.spread_factor_mode == "kernel" and n != 1:
             raise ValueError("kernel mode requires exactly one spread-factor dimension")
+        if self.kernel_objective not in OBJECTIVES:
+            raise ValueError(f"unknown kernel_objective {self.kernel_objective!r}")
         if self.y0 is None:
             self.y0 = np.zeros(n)
         else:
@@ -391,7 +388,7 @@ class MusielaState:
     """Curve block of the grid engine in rolling time-to-maturity coordinates."""
 
     theta: np.ndarray    # (n_paths, n_curves, n_nodes)
-    cell: float          # grid spacing
+    cell: float          # grid spacing, the step dt
     valid_nodes: int     # leading nodes still inside the shrinking horizon
     step_index: int
 
@@ -440,12 +437,10 @@ class _FactorEngine:
     (curve, component) pair per path replaces the whole stored curve.
     """
 
-    def __init__(self, model: LevyHjmModel, n_paths: int, dx_grid: float, n_nodes: int,
+    def __init__(self, model: LevyHjmModel, n_paths: int, n_nodes: int,
                  alpha_rows: np.ndarray, dt: float):
         self.model = model
-        self.dx = dx_grid
         self.dt = dt
-        self.k = round(dt / dx_grid)
         self.n_nodes = n_nodes
         self.alpha_rows = alpha_rows  # (n_curves, extended nodes)
         vols = model.curve_vols()
@@ -455,7 +450,7 @@ class _FactorEngine:
         self.u_factors = np.zeros((n_paths, len(vols), model.n_curve_factors))
         self.step_index = 0
         self.init_curves = model.initial_curves()
-        nodes = dx_grid * np.arange(n_nodes + 1)
+        nodes = dt * np.arange(n_nodes + 1)
         # g_ic on the grid, used both for bond integrals and drift cross-checks
         self.g_rows = self.scales[:, :, None] * np.exp(
             -self.decays[:, :, None] * nodes[None, None, :]
@@ -472,7 +467,7 @@ class _FactorEngine:
     def apply_step(self, dx_step: np.ndarray) -> None:
         self.step_index += 1
         self._det_drift_short = self._det_drift_short + self.dt * self.alpha_rows[
-            :, self.step_index * self.k
+            :, self.step_index
         ]
         self.u_factors = self.decay_steps[None, :, :] * (
             self.u_factors + dx_step[:, None, : self.model.n_curve_factors]
@@ -485,13 +480,13 @@ class _FactorEngine:
         if hit is not None:
             return hit
         t = self.step_index * self.dt
-        j_max = self.n_nodes - self.step_index * self.k
-        nodes = self.dx * np.arange(j_max + 1)
+        j_max = self.n_nodes - self.step_index
+        nodes = self.dt * np.arange(j_max + 1)
         det = self.init_curves[curve](t + nodes)
         if self.step_index > 0:
             acc = np.zeros(j_max + 1)
             row = self.alpha_rows[curve]
-            for r in self.k * np.arange(1, self.step_index + 1):
+            for r in range(1, self.step_index + 1):
                 acc += row[r : r + j_max + 1]
             det = det + self.dt * acc
         self._det_cache[key] = det
@@ -499,9 +494,9 @@ class _FactorEngine:
 
     def curve_integrals(self, tau: float, curve: int) -> np.ndarray:
         """int_0^tau of curve values at the current time, per path."""
-        det_part = _integrate_rows(self._det_row(curve), self.dx, tau)
+        det_part = _integrate_rows(self._det_row(curve), self.dt, tau)
         g_int = np.array(
-            [_integrate_rows(self.g_rows[curve, c], self.dx, tau)
+            [_integrate_rows(self.g_rows[curve, c], self.dt, tau)
              for c in range(self.model.n_curve_factors)]
         )
         return det_part + self.u_factors[:, curve, :] @ g_int
@@ -513,20 +508,18 @@ class _FactorEngine:
 class _GridEngine:
     """Literal curve-on-a-grid engine; reference scheme, any volatility type."""
 
-    def __init__(self, model: LevyHjmModel, n_paths: int, dx_grid: float, n_nodes: int,
+    def __init__(self, model: LevyHjmModel, n_paths: int, n_nodes: int,
                  alpha_rows: np.ndarray | None, dt: float):
         self.model = model
-        self.dx = dx_grid
         self.dt = dt
-        self.k = round(dt / dx_grid)
         self.alpha_rows = alpha_rows
-        self.nodes = dx_grid * np.arange(n_nodes + 1)
+        self.nodes = dt * np.arange(n_nodes + 1)
         curves = model.initial_curves()
         theta = np.stack(
             [np.broadcast_to(fn(self.nodes), (n_paths, n_nodes + 1)).copy() for fn in curves],
             axis=1,
         )
-        self.state = MusielaState(theta, dx_grid, n_nodes + 1, 0)
+        self.state = MusielaState(theta, dt, n_nodes + 1, 0)
         self.vols = model.curve_vols()
         self._static_g = None
         if not model.requires_grid_engine():
@@ -542,12 +535,12 @@ class _GridEngine:
 
     def apply_step(self, dx_step: np.ndarray) -> None:
         st = self.state
-        k, new_valid = self.k, st.valid_nodes - self.k
+        new_valid = st.valid_nodes - 1
         dx_curve = dx_step[:, : self.model.n_curve_factors]
         if self._static_g is not None:
-            shifted = st.theta[:, :, k : k + new_valid]
-            drift = self.dt * self.alpha_rows[:, k : k + new_valid]
-            noise = np.einsum("pc,icj->pij", dx_curve, self._static_g[:, :, k : k + new_valid])
+            shifted = st.theta[:, :, 1 : 1 + new_valid]
+            drift = self.dt * self.alpha_rows[:, 1 : 1 + new_valid]
+            noise = np.einsum("pc,icj->pij", dx_curve, self._static_g[:, :, 1 : 1 + new_valid])
             st.theta[:, :, :new_valid] = shifted + drift[None, :, :] + noise
         else:
             self._apply_step_state_dependent(dx_curve, new_valid)
@@ -569,14 +562,13 @@ class _GridEngine:
         the deterministic precomputation uses.
         """
         st = self.state
-        k = self.k
         n_paths = st.theta.shape[0]
         tau = self.nodes[: st.valid_nodes]
         model = self.model
         new_theta = np.empty((n_paths, len(self.vols), new_valid))
         for p in range(n_paths):
             sig0 = self._path_loadings(p, 0, tau)
-            big0 = _cumtrapz_loadings(sig0, self.dx)  # (valid, d)
+            big0 = _cumtrapz_loadings(sig0, self.dt)  # (valid, d)
             grad0 = model.driver.exponent_gradient(_pad_curve_block(model, -big0))
             alpha0 = -np.sum(sig0.T * grad0[:, : model.n_curve_factors], axis=1)
             for i, vol in enumerate(self.vols):
@@ -584,7 +576,7 @@ class _GridEngine:
                     g, alpha = sig0, alpha0
                 else:
                     g = self._path_loadings(p, i, tau)
-                    big_i = _cumtrapz_loadings(g, self.dx)
+                    big_i = _cumtrapz_loadings(g, self.dt)
                     u_block = np.broadcast_to(
                         model.u_vectors[i - 1], (st.valid_nodes, model.n_spread_factors)
                     )
@@ -592,15 +584,15 @@ class _GridEngine:
                     grad = model.driver.exponent_gradient(beta)[:, : model.n_curve_factors]
                     alpha = -np.sum((g - sig0).T * grad, axis=1) + alpha0
                 new_theta[p, i] = (
-                    st.theta[p, i, k : k + new_valid]
-                    + self.dt * alpha[k : k + new_valid]
-                    + g[:, k : k + new_valid].T @ dx_curve[p]
+                    st.theta[p, i, 1 : 1 + new_valid]
+                    + self.dt * alpha[1 : 1 + new_valid]
+                    + g[:, 1 : 1 + new_valid].T @ dx_curve[p]
                 )
         st.theta[:, :, :new_valid] = new_theta
 
     def curve_integrals(self, tau: float, curve: int) -> np.ndarray:
         st = self.state
-        return _integrate_rows(st.theta[:, curve, : st.valid_nodes], self.dx, tau)
+        return _integrate_rows(st.theta[:, curve, : st.valid_nodes], self.dt, tau)
 
     def finite_mask(self) -> np.ndarray:
         st = self.state
@@ -639,13 +631,13 @@ def _precompute_alpha_rows(model: LevyHjmModel, nodes: np.ndarray) -> np.ndarray
 
 def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, seed: int,
                  maturities: Sequence[float], observation_times: Sequence[float] | None = None,
-                 method: str = "auto", dx_grid: float | None = None,
-                 batch_size: int = 4096, zero_drift: bool = False) -> HjmSimulationResult:
+                 method: str = "auto", batch_size: int = 4096,
+                 zero_drift: bool = False) -> HjmSimulationResult:
     """Simulate the joint curve dynamics and snapshot bonds and spreads.
 
     ``observation_times`` default to the horizon alone; each must be a whole
-    number of steps, the largest equal to the horizon.  ``dx_grid`` (default
-    dt) is the curve grid cell; dt must be a whole multiple of it.  ``method``
+    number of steps, the largest equal to the horizon.  The curve grid cell
+    is the step dt, so each step shifts the curves by one cell.  ``method``
     is "auto" (factor when all volatilities are exponential, else grid),
     "factor", or "grid".  Snapshots hold bonds and spreads at the requested
     maturities (those not before the observation time) under the bank-account
@@ -673,10 +665,6 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     if len(maturities) == 0 or maturities[-1] < horizon - 1e-12:
         raise ValueError("need at least one maturity at or beyond the horizon")
 
-    dx = dt if dx_grid is None else float(dx_grid)
-    k = round(dt / dx)
-    if k < 1 or abs(k * dx - dt) > 1e-12:
-        raise GridMismatch(f"dt={dt} is not a whole multiple of the grid cell {dx}")
     n_steps = round(horizon / dt)
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-12:
         raise GridMismatch(f"horizon={horizon} is not a whole number of steps of {dt}")
@@ -695,11 +683,11 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         raise ValueError(f"unknown method {method!r}")
 
     # grid long enough for the longest maturity plus a partial-cell neighbor;
-    # drift lookups shift by up to n_steps * k extra cells
-    n_nodes = int(np.ceil(maturities[-1] / dx - 1e-9)) + 2
+    # drift lookups shift by up to n_steps extra cells
+    n_nodes = int(np.ceil(maturities[-1] / dt - 1e-9)) + 2
     alpha_rows = None
     if not model.requires_grid_engine():
-        ext_nodes = dx * np.arange(n_nodes + 1 + n_steps * k)
+        ext_nodes = dt * np.arange(n_nodes + 1 + n_steps)
         alpha_rows = _precompute_alpha_rows(model, ext_nodes)
         if zero_drift:
             alpha_rows = np.zeros_like(alpha_rows)
@@ -729,9 +717,9 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         nb = hi - lo
         dx_block = _increments(model, seed, lo, hi, n_steps, dt)
         if method == "factor":
-            engine = _FactorEngine(model, nb, dx, n_nodes, alpha_rows, dt)
+            engine = _FactorEngine(model, nb, n_nodes, alpha_rows, dt)
         else:
-            engine = _GridEngine(model, nb, dx, n_nodes, alpha_rows, dt)
+            engine = _GridEngine(model, nb, n_nodes, alpha_rows, dt)
         log_bank = np.zeros(nb)
         y = np.broadcast_to(model.y0, (nb, model.n_spread_factors)).copy()
         held_psi = None  # factor exponent at each u_i selected over the previous step

@@ -62,11 +62,15 @@ def _dump_json(payload: dict, path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _load_json(path, expected_kind: str | None = None) -> dict:
+def _read_json(path):
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _load_json(path, expected_kind: str | None = None) -> dict:
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: expected a JSON object at top level")
     version = payload.get("schema_version")
@@ -539,16 +543,34 @@ def kernel_to_dict(kernel: JumpKernel) -> dict:
     }
 
 
+def moment_targets_from_dict(payload: dict, where: str = "moment targets") -> MomentTargets:
+    """Targets from an object of ``u``, ``p``, ``mass_cap`` and optional
+    ``floor`` and ``p_extra``; any malformed or invalid field raises SchemaError."""
+    u, p = _get(payload, "u", where), _get(payload, "p", where)
+    p_extra = payload.get("p_extra")
+    try:
+        return MomentTargets(
+            u=np.asarray(u, dtype=float),
+            p=np.asarray(p, dtype=float),
+            mass_cap=_number(_get(payload, "mass_cap", where), "mass_cap", where),
+            floor=_number(payload.get("floor", 0.0), "floor", where),
+            p_extra=None if p_extra is None else _number(p_extra, "p_extra", where),
+        )
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def load_targets_json(path) -> MomentTargets:
+    """Read a kernel targets file: one ``moment_targets_from_dict`` object,
+    without the ``schema_version`` of the other JSON documents."""
+    return moment_targets_from_dict(_read_json(path), str(path))
+
+
 def kernel_from_dict(payload: dict, where: str = "kernel") -> JumpKernel:
     atoms = _get(payload, "atoms", where)
-    t = _get(payload, "targets", where)
-    targets = MomentTargets(
-        u=np.asarray(_get(t, "u", where), dtype=float),
-        p=np.asarray(_get(t, "p", where), dtype=float),
-        mass_cap=_number(_get(t, "mass_cap", where), "mass_cap", where),
-        floor=_number(t.get("floor", 0.0), "floor", where),
-        p_extra=t.get("p_extra"),
-    )
+    targets = moment_targets_from_dict(_get(payload, "targets", where), where)
     return JumpKernel(
         atoms=np.array([_get(a, "xi", where) for a in atoms], dtype=float),
         weights=np.array([_get(a, "w", where) for a in atoms], dtype=float),

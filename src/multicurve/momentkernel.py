@@ -46,6 +46,7 @@ __all__ = [
     "solve_jump_kernel",
     "kernel_moment_residual",
     "KernelFamily",
+    "OBJECTIVES",
     "YperpPaths",
     "simulate_yperp",
 ]
@@ -55,6 +56,9 @@ RESIDUAL_TOL = 1e-8
 WEIGHT_PRUNE_TOL = 1e-14
 DEFAULT_GRID_SIZE = 400
 EXTRA_MASS_MARGIN = 1.05
+# KernelFamily rounds a level down to a multiple of this before solving
+FLOOR_BUCKET = 1.0 / 64.0
+OBJECTIVES = ("min-total-mass", "min-g-extra-mass")
 
 
 class KernelInfeasible(RuntimeError):
@@ -98,7 +102,7 @@ class MomentTargets:
         object.__setattr__(self, "p", p)
         if len(u) == 0 or len(u) != len(p):
             raise ValueError("u and p must be nonempty and equally long")
-        if np.any(u <= 0) or np.any(np.diff(u) <= 0):
+        if not np.all(u > 0) or np.any(np.diff(u) <= 0):
             raise ValueError("u must be strictly increasing and positive")
         if self.mass_cap <= 0:
             raise ValueError("mass_cap must be positive")
@@ -114,15 +118,13 @@ def _g_extra(xi: np.ndarray, u_max: float) -> np.ndarray:
     return np.maximum(np.abs(xi), 1.0) * np.exp(max(u_max, 1.0) * np.abs(xi))
 
 
-def default_atom_grid(targets: MomentTargets, size: int = DEFAULT_GRID_SIZE,
-                      xi_max: float | None = None) -> np.ndarray:
-    """Log-spaced candidate atoms on [-floor, 0) and (0, xi_max], excluding 0.
+def default_atom_grid(targets: MomentTargets, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """Log-spaced candidate atoms on [-floor, 0) and (0, 5 / u_1], excluding 0.
 
-    xi_max defaults to 5 / u_1.  A quarter of the budget goes to the negative
-    side when the floor is positive.
+    A quarter of the budget goes to the negative side when the floor is
+    positive.
     """
-    if xi_max is None:
-        xi_max = 5.0 / targets.u[0]
+    xi_max = 5.0 / targets.u[0]
     xi_lo = 1e-4 * xi_max
     n_neg = size // 4 if targets.floor > 0 else 0
     n_pos = size - n_neg
@@ -186,15 +188,15 @@ def _farkas_ray(G_eq: np.ndarray, p_eq: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def feasibility_check(targets: MomentTargets, atoms: np.ndarray | None = None,
+def feasibility_check(targets: MomentTargets,
                       grid_size: int = DEFAULT_GRID_SIZE) -> FeasibilityReport:
-    """Phase-1 LP: does any nonnegative kernel on the grid match the targets?
+    """Phase-1 LP: does any nonnegative kernel on the default grid of
+    ``grid_size`` atoms match the targets?
 
     The m exponent rows are equalities; the g_{m+1} mass is capped.  Returns a
     feasible weight vector or a Farkas dual ray over the exponent rows.
     """
-    if atoms is None:
-        atoms = default_atom_grid(targets, grid_size)
+    atoms = default_atom_grid(targets, grid_size)
     G = moment_columns(targets, atoms)
     G_eq, g_extra = G[:-1], G[-1]
     res = linprog(
@@ -213,27 +215,21 @@ def feasibility_check(targets: MomentTargets, atoms: np.ndarray | None = None,
 
 
 def solve_jump_kernel(targets: MomentTargets, objective: str = "min-total-mass",
-                      atoms: np.ndarray | None = None,
                       grid_size: int = DEFAULT_GRID_SIZE) -> JumpKernel:
-    """Solve for a kernel matching the targets on a finite atom grid.
+    """Solve for a kernel matching the targets on the default atom grid.
 
     objective "min-g-extra-mass": the least g_{m+1} mass subject to the m
     exponent equalities.  objective "min-total-mass": additionally pin the
     g_{m+1} mass to targets.p_extra (default: 1.05x its minimum, capped) and
     seek the least total jump intensity.  Residuals above 1e-8 trigger one
-    retry on a doubled grid.
+    retry on a grid of twice ``grid_size`` atoms.
     """
-    if objective not in ("min-total-mass", "min-g-extra-mass"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    own_grid = atoms is None
-    if own_grid:
-        atoms = default_atom_grid(targets, grid_size)
-
-    kernel = _solve_on_grid(targets, objective, atoms)
+    kernel = _solve_on_grid(targets, objective, default_atom_grid(targets, grid_size))
     scale = max(1.0, float(np.max(np.abs(targets.p))))
     if np.max(np.abs(kernel.residuals)) > RESIDUAL_TOL * scale:
-        if own_grid:
-            kernel = _solve_on_grid(targets, objective, default_atom_grid(targets, 2 * grid_size))
+        kernel = _solve_on_grid(targets, objective, default_atom_grid(targets, 2 * grid_size))
         if np.max(np.abs(kernel.residuals)) > RESIDUAL_TOL * scale:
             raise KernelResidualError(
                 f"kernel residuals {np.max(np.abs(kernel.residuals)):.3e} above tolerance"
@@ -303,9 +299,11 @@ class KernelFamily:
     """State-indexed kernel solver with memoization.
 
     Kernels are cached by (floor bucket, rounded targets): the floor is
-    rounded *down* to a bucket boundary, so a cached kernel's support
-    [-bucket, inf) is always inside the true [-y, inf) constraint, and static
-    targets resolve to a single LP solve for a whole simulation.  ``p_fn(t)``
+    rounded *down* to a multiple of the bucket width ``FLOOR_BUCKET`` (1/64),
+    so a cached kernel's support [-bucket, inf) is always inside the true
+    [-y, inf) constraint, and static targets resolve to a single LP solve
+    for a whole simulation.  Each kernel is solved on the default grid of
+    ``DEFAULT_GRID_SIZE`` (400) atoms.  ``p_fn(t)``
     optionally supplies deterministic time-varying targets for ``solve``;
     callers with their own target rows use ``solve_for`` directly.
     ``lookups`` counts the calls of ``solve_with_exponent`` and ``lp_solves``
@@ -313,14 +311,11 @@ class KernelFamily:
     """
 
     def __init__(self, u: np.ndarray, mass_cap: float, p_fn: Callable[[float], np.ndarray] | None = None,
-                 objective: str = "min-total-mass", grid_size: int = DEFAULT_GRID_SIZE,
-                 floor_bucket: float = 1.0 / 64.0):
+                 objective: str = "min-total-mass"):
         self.u = np.atleast_1d(np.asarray(u, dtype=float))
         self.p_fn = p_fn
         self.mass_cap = float(mass_cap)
         self.objective = objective
-        self.grid_size = grid_size
-        self.floor_bucket = float(floor_bucket)
         self._cache: dict[tuple, tuple[JumpKernel, np.ndarray]] = {}
         self.lookups = 0
         self.lp_solves = 0
@@ -328,7 +323,7 @@ class KernelFamily:
     def _bucket(self, y: float) -> float:
         if y <= 0:
             return 0.0
-        return math.floor(y / self.floor_bucket) * self.floor_bucket
+        return math.floor(y / FLOOR_BUCKET) * FLOOR_BUCKET
 
     def solve_for(self, y: float, p: np.ndarray) -> JumpKernel:
         return self.solve_with_exponent(y, p)[0]
@@ -343,7 +338,7 @@ class KernelFamily:
             return hit
         self.lp_solves += 1
         targets = MomentTargets(self.u, p, self.mass_cap, floor=self._bucket(y))
-        kernel = solve_jump_kernel(targets, self.objective, grid_size=self.grid_size)
+        kernel = solve_jump_kernel(targets, self.objective)
         entry = (kernel, np.asarray(kernel.exponent(self.u)))
         self._cache[key] = entry
         return entry
@@ -365,7 +360,7 @@ class KernelFamily:
         the rows would solve it for.  Returns the ``solve_with_exponent``
         entries and each row's index into them.
         """
-        buckets = np.where(y <= 0, 0.0, np.floor(y / self.floor_bucket) * self.floor_bucket)
+        buckets = np.where(y <= 0, 0.0, np.floor(y / FLOOR_BUCKET) * FLOOR_BUCKET)
         keys = np.column_stack([buckets, np.round(p, 12)]).view(np.uint64)
         # a stable sort on the key columns, first column first, keeps each
         # group's rows in row order, so a group's first row starts its run
@@ -451,8 +446,8 @@ class YperpPaths:
 
 
 def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int,
-                   seed: int, y0: float = 0.0) -> YperpPaths:
-    """Simulate the orthogonal jump factor under state-frozen step intensities.
+                   seed: int) -> YperpPaths:
+    """Simulate the orthogonal jump factor from zero under state-frozen step intensities.
 
     Each step is one ``kernel_jump_step`` over all paths, with the targets
     ``family.p_fn(t)`` at the step start: the kernel is solved at (t, y),
@@ -474,7 +469,7 @@ def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int
     counts = np.zeros(n_paths, dtype=np.int64)
 
     replay = yperp_replay(seed, range(n_paths), n_steps)
-    y = np.full(n_paths, float(y0))
+    y = np.zeros(n_paths)
     values[:, 0] = y
     for l in range(n_steps):
         p = family.targets_at(times[l])

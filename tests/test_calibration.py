@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 from scipy.stats import norm
@@ -105,6 +105,22 @@ class TestBlackFormula:
             black_implied_vol(intrinsic, 0.04, 0.03, 2.0, 0.9)
         with pytest.raises(PriceOutOfBounds):
             black_implied_vol(0.9 * 0.04, 0.04, 0.03, 2.0, 0.9)
+
+    @given(st.floats(0.002, 0.2), st.floats(0.5, 2.0), st.floats(0.1, 10.0),
+           st.floats(0.02, 2.0), st.floats(0.05, 5.0))
+    def test_inversion_round_trip_property(self, forward, ratio, expiry, vol, annuity):
+        # away from the price bounds and with a vega that resolves the vol,
+        # inversion recovers the vol to the solver's 1e-10 bracket
+        strike = ratio * forward
+        price = black_caplet(forward, strike, expiry, vol, annuity)
+        scale = annuity * forward
+        assume(price - annuity * max(forward - strike, 0.0) > 1e-6 * scale)
+        assume(scale - price > 1e-6 * scale)
+        stddev = vol * math.sqrt(expiry)
+        d1 = (math.log(forward / strike) + 0.5 * stddev ** 2) / stddev
+        assume(scale * norm.pdf(d1) * math.sqrt(expiry) > 1e-3 * scale)
+        implied = black_implied_vol(price, forward, strike, expiry, annuity)
+        assert implied == pytest.approx(vol, abs=1e-10)
 
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError, match="positive forward"):

@@ -422,6 +422,52 @@ class TestConstructKernel:
         cfg = write_json_config(tmp_path / "kern.json", {"targets": "partial.json"})
         assert run_cli("construct-kernel", "--config", cfg, "--out", tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("text", [
+        json.dumps({"u": [0.5], "p": [0.3], "mass_cap": [50.0]}),
+        json.dumps([{"u": [0.5], "p": [0.3], "mass_cap": 50.0}]),
+        json.dumps({"u": "abc", "p": [0.3], "mass_cap": 50.0}),
+        json.dumps({"u": None, "p": [0.3], "mass_cap": 50.0}),
+        json.dumps({"u": [0.5], "p": [0.3], "mass_cap": 50.0, "floor": "x"}),
+        json.dumps({"u": [0.5], "p": [0.3], "mass_cap": 50.0, "p_extra": "x"}),
+        json.dumps({"u": [1.0, 0.5], "p": [0.3, 0.4], "mass_cap": 50.0}),
+        json.dumps({"u": [0.5], "p": [0.3], "mass_cap": -1.0}),
+        "{ not json"])
+    def test_malformed_targets_are_a_schema_error(self, tmp_path, capsys, text):
+        (tmp_path / "targets.json").write_text(text, encoding="utf-8")
+        cfg = write_json_config(tmp_path / "kern.json", {"targets": "targets.json"})
+        out = tmp_path / "out"
+        assert run_cli("construct-kernel", "--config", cfg, "--out", out) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "schema"
+        assert "targets.json" in err["message"]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("objective", ["max-fun", ["min-total-mass"], None])
+    def test_unknown_objective_is_a_config_error_before_any_work(
+            self, feasible_targets, tmp_path, capsys, monkeypatch, objective):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP ran before the objective was checked")
+
+        monkeypatch.setattr("multicurve.cli.feasibility_check", no_lp)
+        monkeypatch.setattr("multicurve.cli.solve_jump_kernel", no_lp)
+        cfg = write_json_config(tmp_path / "kern.json",
+                                {"targets": "targets.json", "objective": objective})
+        out = tmp_path / "out"
+        assert run_cli("construct-kernel", "--config", cfg, "--out", out) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert "objective" in err["message"]
+        assert not any(out.iterdir())
+
+    def test_model_with_unknown_kernel_objective_is_a_schema_error(
+            self, cli_files, tmp_path, capsys):
+        doc = json.loads((cli_files / "hjm.json").read_text(encoding="utf-8"))
+        doc["spread_factor"]["objective"] = "max-fun"
+        assert simulate_model_doc(tmp_path, doc) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "schema"
+        assert "kernel_objective" in err["message"]
+
 
 class TestVerify:
     def test_battery_passes_and_reports_every_check(self, tmp_path, capsys):

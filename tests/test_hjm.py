@@ -508,8 +508,7 @@ class TestStateDependentVolatility:
     def _proportional():
         return StateDependentVolatility(
             func=lambda theta, tau: (0.05 * np.abs(theta))[None, :],
-            n_components=1, growth_bound=0.05, lipschitz_bound=0.05,
-            derivative_bound=1.0,
+            n_components=1, growth_bound=0.05,
         )
 
     def test_grid_simulation_runs(self):
@@ -531,8 +530,7 @@ class TestStateDependentVolatility:
     def test_growth_bound_enforced(self):
         bad = StateDependentVolatility(
             func=lambda theta, tau: np.full((1, len(tau)), 10.0),
-            n_components=1, growth_bound=1e-4, lipschitz_bound=1.0,
-            derivative_bound=1.0,
+            n_components=1, growth_bound=1e-4,
         )
         model = make_model(ois_scale=0.01)
         model.ois_vol = bad
@@ -542,12 +540,6 @@ class TestStateDependentVolatility:
 
 
 class TestGuards:
-    def test_dt_not_multiple_of_cell(self):
-        model = make_model()
-        with pytest.raises(GridMismatch):
-            simulate_hjm(model, horizon=1.0, dt=1 / 10, n_paths=2, seed=1,
-                         maturities=[1.0], dx_grid=1 / 12)
-
     def test_observation_off_step_grid(self):
         model = make_model()
         with pytest.raises(GridMismatch):
@@ -590,3 +582,13 @@ class TestGuards:
                          u_vectors=[[1.0, 0.0]], tenors=[T6M],
                          forward_curve=0.02, forward_spread_curves=[0.005],
                          spread_factor_mode="kernel")
+
+    def test_unknown_kernel_objective_rejected(self):
+        with pytest.raises(ValueError, match="kernel_objective"):
+            LevyHjmModel(driver=LevyTriplet(drift=np.zeros(2), covariance=np.eye(2)),
+                         n_curve_factors=1,
+                         ois_vol=ExponentialVolatility.flat(0.01),
+                         spread_vols=[ExponentialVolatility.flat(0.01)],
+                         u_vectors=[[1.0]], tenors=[T6M],
+                         forward_curve=0.02, forward_spread_curves=[0.005],
+                         spread_factor_mode="kernel", kernel_objective="max-fun")

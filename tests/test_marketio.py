@@ -310,8 +310,7 @@ class TestHjmModelJson:
         model = self.make_model()
         model.ois_vol = StateDependentVolatility(
             func=lambda theta, tau: 0.01 + 0.0 * tau[None, :],
-            n_components=1, growth_bound=1.0, lipschitz_bound=1.0,
-            derivative_bound=1.0)
+            n_components=1, growth_bound=1.0)
         with pytest.raises(SchemaError, match="no file form"):
             hjm_model_to_dict(model)
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from multicurve.momentkernel import (
+    OBJECTIVES,
     FeasibilityReport,
     JumpKernel,
     KernelFamily,
@@ -191,6 +194,55 @@ class TestFeasibility:
         assert exc.value.certificate is not None
 
 
+@st.composite
+def random_kernel_targets(draw):
+    """Targets of a random kernel of m to 3 atoms, m = 1..3 exponents, possibly negated.
+
+    At least as many atoms as exponents keeps the targets off the faces of
+    the moment cone, which the grid reaches only in a limit (see the module
+    docstring).  Exponents in [0.5, 1.5] keep the grid's largest moment,
+    exp(u_m * 5 / u_1), below e^15.  A positive floor admits negative atoms.
+    """
+    m = draw(st.integers(1, 3))
+    u = draw(st.floats(0.5, 1.1)) + np.cumsum([0.0] + draw(
+        st.lists(st.floats(0.1, 0.2), min_size=m - 1, max_size=m - 1)))
+    floor = draw(st.sampled_from([0.0, 0.3, 0.5]))
+    n = draw(st.integers(m, 3))
+    negative = [floor > 0 and draw(st.booleans()) for _ in range(n)]
+    atoms = np.array([-draw(st.floats(0.05, floor)) if neg else draw(st.floats(0.05, 2.0))
+                      for neg in negative])
+    assume(n == 1 or np.min(np.diff(np.sort(atoms))) >= 0.05)
+    weights = np.array(draw(st.lists(st.floats(0.01, 0.5), min_size=n, max_size=n)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    p = sign * exponent_moments(atoms, weights, u)
+    return MomentTargets(u=u, p=p, mass_cap=1e4, floor=floor), draw(st.sampled_from(OBJECTIVES))
+
+
+class TestRecoveryOrCertificate:
+    @given(random_kernel_targets())
+    def test_kernel_recovered_or_infeasibility_certified(self, problem):
+        tg, objective = problem
+        report = feasibility_check(tg)
+        if report.feasible:
+            kernel = solve_jump_kernel(tg, objective)
+            scale = max(1.0, float(np.max(np.abs(tg.p))))
+            assert np.max(np.abs(kernel_moment_residual(kernel))) <= 1e-8 * scale
+            np.testing.assert_allclose(exponent_moments(kernel.atoms, kernel.weights, tg.u),
+                                       tg.p, rtol=0, atol=1e-8 * scale)
+            assert np.min(kernel.atoms) >= -tg.floor
+        else:
+            z = report.dual_ray
+            assert z is not None
+            # Farkas: z.G <= eps on every atom column of the grid, and every
+            # column has g_{m+1} >= 1, so weights under the mass cap give
+            # z.p <= eps * mass_cap; eps is the LP's own feasibility slack
+            slack = max(float(np.max(z @ moment_columns(tg, report.atoms)[:-1])), 0.0)
+            assert slack <= 1e-7
+            assert float(z @ tg.p) > slack * tg.mass_cap
+            with pytest.raises(KernelInfeasible):
+                solve_jump_kernel(tg, objective)
+
+
 class TestKernelFamily:
     def test_cache_returns_same_object(self):
         fam = KernelFamily([0.5, 1.0], mass_cap=10.0)
@@ -211,7 +263,7 @@ class TestKernelFamily:
     def test_rows_solved_once_per_key(self):
         # rows 0 and 2 share a floor bucket and rounded targets; row 1 sits in
         # the next bucket
-        fam = KernelFamily([0.5, 1.0], mass_cap=10.0, floor_bucket=1 / 64)
+        fam = KernelFamily([0.5, 1.0], mass_cap=10.0)
         y = np.array([0.001, 0.02, 0.002])
         p = np.array([[0.004, 0.012], [0.004, 0.012], [0.004 + 1e-14, 0.012]])
         entries, index = fam.solve_rows(y, p)
@@ -221,7 +273,7 @@ class TestKernelFamily:
         assert entries[0][0].targets.p.tolist() == p[0].tolist()
 
     def test_floor_bucketing_is_conservative(self):
-        fam = KernelFamily([0.5], mass_cap=10.0, floor_bucket=1 / 64)
+        fam = KernelFamily([0.5], mass_cap=10.0)
         y = 0.03
         kernel = fam.solve_for(y, np.array([-0.005]))
         assert kernel.targets.floor <= y

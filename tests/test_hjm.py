@@ -346,6 +346,44 @@ def test_simulate_hjm_independent_of_batch_size(name, n_paths, batch_size, seed)
             assert np.array_equal(a.spreads[tenor], b.spreads[tenor])
 
 
+def test_pinned_simulate_hjm_factor():
+    # two batches (3 + 2 paths) observed at two times; one curve factor with an
+    # integrated spread drift, then two curve factors with driver jumps
+    kw = dict(horizon=0.5, dt=1 / 8, n_paths=5, seed=41, maturities=[0.5, 1.0],
+              observation_times=[0.25, 0.5], method="factor", batch_size=3)
+    res = simulate_hjm(_GAUSSIAN, **kw)
+    early, late = res.pathset(0.25), res.pathset(0.5)
+    assert early.numeraire.tolist() == [
+        1.0050871133695396, 1.004216803981928, 1.0047644220712721,
+        1.0045079546462996, 1.0051648197449556]
+    assert early.spreads[T6M][:, 1].tolist() == [
+        0.9897132282282454, 0.9953869546990762, 1.0700309700736041,
+        1.0547523202242035, 1.0816924421093432]
+    assert late.numeraire.tolist() == [
+        1.0097557037762876, 1.0085609260092918, 1.0097964387794989,
+        1.00972746287084, 1.0117548479645784]
+    assert late.spreads[T6M][:, 1].tolist() == [
+        0.9964338431046847, 1.0065800436478376, 0.9388336837390392,
+        0.9363048059121118, 1.0698851545620351]
+    assert res.diagnostics["consistency_max"] == 0.002642868225481914
+
+    res = simulate_hjm(_JUMPS, **kw)
+    early, late = res.pathset(0.25), res.pathset(0.5)
+    assert early.numeraire.tolist() == [
+        1.0053395844297985, 1.004188730641406, 1.0050020506934498,
+        1.004660209481246, 1.004972421635811]
+    assert early.spreads[T6M][:, 1].tolist() == [
+        0.9746698590639435, 1.1041546142275405, 0.9523167311235496,
+        1.0530502916634272, 1.1271536247309981]
+    assert late.numeraire.tolist() == [
+        1.009158290809634, 1.0080228091078, 1.010407836808435,
+        1.0093646054865848, 1.0112171240038834]
+    assert late.spreads[T6M][:, 1].tolist() == [
+        0.9542526645568168, 1.0981392120206004, 0.8738429491282178,
+        0.9645934008739487, 1.1933364234631125]
+    assert res.diagnostics["consistency_max"] == 0.008308241176214669
+
+
 def discrete_gaussian_bond_mean(sigma, f0, t, tau, dt):
     """Exact mean of the scheme's discounted bond for flat vol and flat forwards.
 

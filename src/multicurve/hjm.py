@@ -18,19 +18,30 @@ endpoint of each step):
 * ``factor``: for exponential volatilities s * exp(-a * (T - t)) the noise
   term of every curve node is g(tau) times a scalar recursion per (curve,
   driver component) pair, and drift terms are deterministic lookups, so each
-  path carries only a handful of scalars.  Produces the same values as
-  ``grid`` up to float roundoff.
+  path carries one scalar per (curve, component) pair, stored path-last as
+  an (n_curves, d, n_paths) block.  The deterministic part of the short ends
+  (initial curve plus the running dt * drift sum) is one table per call.
+  Produces the same values as ``grid`` up to float roundoff.
 
 Both integrate bonds from curves by the trapezoid rule on the grid (with a
 linearly interpolated partial cell at off-grid maturities) and accumulate the
 bank account with left-endpoint rectangles, so the two engines agree node for
 node.
+
+One step loop drives both engines, a batch of paths at a time.  A batch's
+driver increments are one step-major block (n_steps, dim, n_paths), and the
+loop state keeps the path axis last: short ends (n_curves, n_paths), spread
+factor (n, n_paths), log bank account (n_paths,).  Every per-step operation
+therefore runs over contiguous rows of paths; the grid engine and the
+kernel-mode jump step take transposed views at their boundary.  Sums keep
+the order of a path-major loop, so the values do not depend on the layout.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -416,16 +427,24 @@ def _cumtrapz_loadings(g: np.ndarray, dx: float) -> np.ndarray:
 
 def _increments(model: LevyHjmModel, seed: int, lo: int, hi: int, n_steps: int,
                 dt: float) -> np.ndarray:
-    """Driver increments (n_paths, n_steps, dim) for a contiguous path block."""
-    dim = model.driver.dim
+    """Driver increments (n_steps, dim, n_paths), step-major, for a contiguous path block.
+
+    The diffusion factor times the normals, times sqrt(dt), plus drift * dt,
+    plus the jump sizes times the counts: per element the products and sums
+    of the path-major block in the same order, so the values are the same.
+    Each product reads the path-major draws through a transposed view, and
+    the normals are freed once they are used.
+    """
     lam = model.driver.jump_intensities
     normals, counts = _rng.driver_increment_block(
-        seed, lo, hi, n_steps, dim, lam * dt if len(lam) else None
+        seed, lo, hi, n_steps, model.driver.dim, lam * dt if len(lam) else None
     )
-    chol = model.driver.diffusion_factor()
-    dx = model.driver.drift * dt + math.sqrt(dt) * (normals @ chol.T)
+    dx = np.matmul(model.driver.diffusion_factor(), normals.transpose(1, 2, 0))
+    del normals
+    dx *= math.sqrt(dt)
+    dx += (model.driver.drift * dt)[:, None]
     if counts is not None:
-        dx = dx + counts @ model.driver.jump_sizes
+        dx += np.matmul(model.driver.jump_sizes.T, counts.transpose(1, 2, 0))
     return dx
 
 
@@ -434,20 +453,24 @@ class _FactorEngine:
 
     Every curve node's noise term is sum_c g_ic(tau) * U_ic(t) with
     U_ic(t) = sum_{l < t} e^{-a_ic (t - t_l)} dX^c_l, so one scalar per
-    (curve, component) pair per path replaces the whole stored curve.
+    (curve, component) pair per path replaces the whole stored curve.  The
+    scalars are stored path-last, (n_curves, d, n_paths), so each step
+    updates contiguous rows; the deterministic part of the short ends comes
+    from the per-call table ``short_det`` (``_short_end_table``).
     """
 
     def __init__(self, model: LevyHjmModel, n_paths: int, n_nodes: int,
-                 alpha_rows: np.ndarray, dt: float):
+                 alpha_rows: np.ndarray, dt: float, short_det: np.ndarray):
         self.model = model
         self.dt = dt
         self.n_nodes = n_nodes
         self.alpha_rows = alpha_rows  # (n_curves, extended nodes)
+        self.short_det = short_det    # (n_steps + 1, n_curves)
         vols = model.curve_vols()
         self.scales = np.stack([v.scales for v in vols])  # (n_curves, d)
         self.decays = np.stack([v.decays for v in vols])
-        self.decay_steps = np.exp(-self.decays * dt)
-        self.u_factors = np.zeros((n_paths, len(vols), model.n_curve_factors))
+        self.decay_steps = np.exp(-self.decays * dt)[:, :, None]
+        self.u_factors = np.zeros((len(vols), model.n_curve_factors, n_paths))
         self.step_index = 0
         self.init_curves = model.initial_curves()
         nodes = dt * np.arange(n_nodes + 1)
@@ -455,23 +478,20 @@ class _FactorEngine:
         self.g_rows = self.scales[:, :, None] * np.exp(
             -self.decays[:, :, None] * nodes[None, None, :]
         )
-        self._det_drift_short = np.zeros(len(vols))  # dt * sum of alpha at past short ends
         self._det_cache: dict[tuple, np.ndarray] = {}
 
     def short_ends(self) -> np.ndarray:
-        t = self.step_index * self.dt
-        det = np.array([float(fn(np.array([t]))[0]) for fn in self.init_curves])
-        det = det + self._det_drift_short
-        return det + np.einsum("pic,ic->pi", self.u_factors, self.scales)
+        """Short ends (n_curves, n_paths); the components summed left to right."""
+        ends = np.zeros(self.u_factors.shape[::2])
+        for c in range(self.model.n_curve_factors):
+            ends += self.u_factors[:, c] * self.scales[:, c, None]
+        ends += self.short_det[self.step_index][:, None]
+        return ends
 
     def apply_step(self, dx_step: np.ndarray) -> None:
         self.step_index += 1
-        self._det_drift_short = self._det_drift_short + self.dt * self.alpha_rows[
-            :, self.step_index
-        ]
-        self.u_factors = self.decay_steps[None, :, :] * (
-            self.u_factors + dx_step[:, None, : self.model.n_curve_factors]
-        )
+        self.u_factors += dx_step[: self.model.n_curve_factors]
+        self.u_factors *= self.decay_steps
 
     def _det_row(self, curve: int) -> np.ndarray:
         """Deterministic part of the curve on the surviving grid nodes."""
@@ -499,10 +519,10 @@ class _FactorEngine:
             [_integrate_rows(self.g_rows[curve, c], self.dt, tau)
              for c in range(self.model.n_curve_factors)]
         )
-        return det_part + self.u_factors[:, curve, :] @ g_int
+        return det_part + g_int @ self.u_factors[curve]
 
     def finite_mask(self) -> np.ndarray:
-        return np.all(np.isfinite(self.u_factors), axis=(1, 2))
+        return np.all(np.isfinite(self.u_factors), axis=(0, 1))
 
 
 class _GridEngine:
@@ -531,12 +551,12 @@ class _GridEngine:
         return self.state.step_index
 
     def short_ends(self) -> np.ndarray:
-        return self.state.theta[:, :, 0].copy()
+        return self.state.theta[:, :, 0].T.copy()
 
     def apply_step(self, dx_step: np.ndarray) -> None:
         st = self.state
         new_valid = st.valid_nodes - 1
-        dx_curve = dx_step[:, : self.model.n_curve_factors]
+        dx_curve = np.ascontiguousarray(dx_step[: self.model.n_curve_factors].T)
         if self._static_g is not None:
             shifted = st.theta[:, :, 1 : 1 + new_valid]
             drift = self.dt * self.alpha_rows[:, 1 : 1 + new_valid]
@@ -629,6 +649,21 @@ def _precompute_alpha_rows(model: LevyHjmModel, nodes: np.ndarray) -> np.ndarray
     return np.stack(rows)
 
 
+def _short_end_table(model: LevyHjmModel, alpha_rows: np.ndarray, dt: float,
+                     n_steps: int) -> np.ndarray:
+    """Deterministic short ends (n_steps + 1, n_curves) of the factor engine.
+
+    Row l is each initial curve at t_l plus dt * alpha at the short end of
+    every step r = 1..l, summed step after step.
+    """
+    drift = np.zeros((len(alpha_rows), n_steps + 1))
+    drift[:, 1:] = dt * alpha_rows[:, 1 : n_steps + 1]
+    np.cumsum(drift, axis=1, out=drift)
+    times = dt * np.arange(n_steps + 1)
+    curves = np.stack([fn(times) for fn in model.initial_curves()])
+    return (curves + drift).T.copy()
+
+
 def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, seed: int,
                  maturities: Sequence[float], observation_times: Sequence[float] | None = None,
                  method: str = "auto", batch_size: int = 4096,
@@ -701,12 +736,16 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
             mass_cap=model.kernel_mass_cap,
             objective=model.kernel_objective,
         )
+    if method == "factor":
+        short_det = _short_end_table(model, alpha_rows, dt, n_steps)
     psi_hat = np.array([model.factor_exponent(i) for i in range(model.n_tenors)])
+    psi_col = psi_hat[:, None]
     pinv_u = (
         np.linalg.pinv(model.u_vectors)
         if model.spread_factor_mode == "integrated-drift"
         else None
     )
+    d = model.n_curve_factors
 
     consistency = np.zeros(n_steps)
     aborted = 0
@@ -715,59 +754,71 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     for lo in range(0, n_paths, batch_size):
         hi = min(lo + batch_size, n_paths)
         nb = hi - lo
-        dx_block = _increments(model, seed, lo, hi, n_steps, dt)
+        started = time.perf_counter()
+        dx_block = _increments(model, seed, lo, hi, n_steps, dt)  # (n_steps, dim, nb)
+        replay = None
+        if kernel_family is not None:
+            replay = yperp_replay(seed, range(lo, hi), n_steps)
+            lp_solves = kernel_family.lp_solves
+        draw_s = time.perf_counter() - started
         if method == "factor":
-            engine = _FactorEngine(model, nb, n_nodes, alpha_rows, dt)
+            engine = _FactorEngine(model, nb, n_nodes, alpha_rows, dt, short_det)
         else:
             engine = _GridEngine(model, nb, n_nodes, alpha_rows, dt)
         log_bank = np.zeros(nb)
-        y = np.broadcast_to(model.y0, (nb, model.n_spread_factors)).copy()
+        y = np.repeat(model.y0[:, None], nb, axis=1)  # (n, nb)
         held_psi = None  # factor exponent at each u_i selected over the previous step
-        replay = None
         kernel_jumps = 0
-        if model.spread_factor_mode == "kernel":
-            replay = yperp_replay(seed, range(lo, hi), n_steps)
-            lp_solves = kernel_family.lp_solves
+        snapshot_s = 0.0
         local_snaps: dict[float, tuple] = {}
 
+        started = time.perf_counter()
         for l in range(n_steps + 1):
-            ends = engine.short_ends()  # (nb, n_curves)
+            ends = engine.short_ends()  # (n_curves, nb)
             if l in obs_steps:
+                snap_started = time.perf_counter()
                 local_snaps[obs_steps[l]] = _snapshot(
                     engine, model, obs_steps[l], maturities, log_bank, y
                 )
-            if held_psi is not None:
-                with np.errstate(invalid="ignore"):
-                    gap = np.abs(held_psi - ends[:, 1:])
-                resid = float(np.nanmax(gap)) if np.any(np.isfinite(gap)) else np.nan
+                snapshot_s += time.perf_counter() - snap_started
+            if held_psi is not None and model.n_tenors:
+                gap = np.abs(held_psi - ends[1:])
+                resid = gap.max()
+                if not np.isfinite(resid):
+                    with np.errstate(invalid="ignore"):
+                        resid = np.nanmax(gap) if np.any(np.isfinite(gap)) else np.nan
                 if np.isfinite(resid):
                     consistency[l - 1] = max(consistency[l - 1], resid)
             if l == n_steps:
                 break
 
-            log_bank = log_bank + dt * ends[:, 0]
-            targets = ends[:, 1:] - psi_hat  # per-path exponent targets for the factor
+            log_bank += dt * ends[0]
+            targets = ends[1:] - psi_col  # per-path exponent targets for the factor
             if model.spread_factor_mode == "integrated-drift":
-                q = targets @ pinv_u.T
+                q = pinv_u @ targets
                 y += q * dt
-                held_psi = q @ model.u_vectors.T + psi_hat
+                held_psi = model.u_vectors @ q + psi_col
             elif model.spread_factor_mode == "kernel":
-                held_psi, jumps = _kernel_step(kernel_family, replay, targets, y, dt, psi_hat)
+                held_psi, jumps = _kernel_step(kernel_family, replay, targets.T, y.T, dt, psi_hat)
+                held_psi = held_psi.T
                 kernel_jumps += int(jumps.sum())
             else:
-                held_psi = np.broadcast_to(psi_hat, targets.shape)
+                held_psi = psi_col
 
-            engine.apply_step(dx_block[:, l, :])
-            y = y + dx_block[:, l, model.n_curve_factors :]
+            engine.apply_step(dx_block[l])
+            y += dx_block[l, d:]
+        step_s = time.perf_counter() - started - snapshot_s
+        del dx_block
 
-        good = engine.finite_mask() & np.isfinite(log_bank) & np.all(np.isfinite(y), axis=1)
+        good = engine.finite_mask() & np.isfinite(log_bank) & np.all(np.isfinite(y), axis=0)
         dropped = int(np.count_nonzero(~good))
         aborted += dropped
         refilled, live, solves = ((0, 0, 0) if replay is None else (
             int(replay.refilled.sum()), len(replay.live), kernel_family.lp_solves - lp_solves))
         log.debug("hjm batch: paths=%d steps=%d kernel_jumps=%d refilled_paths=%d "
-                  "live_paths=%d lp_solves=%d aborted=%d",
-                  nb, n_steps, kernel_jumps, refilled, live, solves, dropped)
+                  "live_paths=%d lp_solves=%d aborted=%d draw_s=%.6f step_s=%.6f "
+                  "snapshot_s=%.6f", nb, n_steps, kernel_jumps, refilled, live, solves,
+                  dropped, draw_s, step_s, snapshot_s)
         for t_obs, (keep, numeraire, bonds, spreads) in local_snaps.items():
             snap_parts[t_obs].append(
                 (keep, numeraire[good], bonds[good],
@@ -808,8 +859,9 @@ def _kernel_step(family: KernelFamily, replay: _rng.StreamReplay, targets: np.nd
                  y: np.ndarray, dt: float, psi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One kernel-mode step of a batch (``momentkernel.kernel_jump_step``).
 
-    Moves the factor ``y`` (n, 1) in place; returns the exponents held over
-    the step, the kernel's plus ``psi_hat``, and each path's jump count.
+    Takes path-major views, ``targets`` (n, m) and the factor ``y`` (n, 1),
+    which it moves in place; returns the exponents held over the step, the
+    kernel's plus ``psi_hat``, and each path's jump count.
     """
     psi, jumps = kernel_jump_step(family, replay, y[:, 0], targets, dt)
     return psi + psi_hat, jumps
@@ -826,7 +878,7 @@ def _snapshot(engine, model: LevyHjmModel, t_obs: float, maturities: np.ndarray,
         bonds[:, j] = np.exp(-engine.curve_integrals(tau, 0))
         for i, ten in enumerate(model.tenors):
             spreads[ten][:, j] = np.exp(
-                y @ model.u_vectors[i] + engine.curve_integrals(tau, i + 1)
+                model.u_vectors[i] @ y + engine.curve_integrals(tau, i + 1)
             )
     return keep, np.exp(log_bank), bonds, spreads
 

@@ -25,7 +25,9 @@ returns vertex solutions.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -59,6 +61,8 @@ EXTRA_MASS_MARGIN = 1.05
 # KernelFamily rounds a level down to a multiple of this before solving
 FLOOR_BUCKET = 1.0 / 64.0
 OBJECTIVES = ("min-total-mass", "min-g-extra-mass")
+
+log = logging.getLogger(__name__)
 
 
 class KernelInfeasible(RuntimeError):
@@ -173,15 +177,25 @@ class FeasibilityReport:
     atoms: np.ndarray
 
 
+def _linprog(objective: str, grid_size: int, c, **kwargs):
+    """``linprog`` by HiGHS dual simplex, with one DEBUG record per solve."""
+    started = time.perf_counter()
+    res = linprog(c, method="highs-ds", **kwargs)
+    log.debug("kernel lp: objective=%s grid=%d status=%d seconds=%.6f",
+              objective, grid_size, res.status, time.perf_counter() - started)
+    return res
+
+
 def _farkas_ray(G_eq: np.ndarray, p_eq: np.ndarray) -> np.ndarray | None:
     """z with z.G <= 0 componentwise and z.p > 0, certifying infeasibility."""
     n_rows = G_eq.shape[0]
-    res = linprog(
+    res = _linprog(
+        "farkas-ray",
+        G_eq.shape[1],
         -p_eq,
         A_ub=G_eq.T,
         b_ub=np.zeros(G_eq.shape[1]),
         bounds=[(-1.0, 1.0)] * n_rows,
-        method="highs-ds",
     )
     if res.status == 0 and -res.fun > 1e-12:
         return res.x
@@ -199,14 +213,15 @@ def feasibility_check(targets: MomentTargets,
     atoms = default_atom_grid(targets, grid_size)
     G = moment_columns(targets, atoms)
     G_eq, g_extra = G[:-1], G[-1]
-    res = linprog(
+    res = _linprog(
+        "feasibility",
+        len(atoms),
         np.zeros(len(atoms)),
         A_eq=G_eq,
         b_eq=targets.p,
         A_ub=g_extra[None, :],
         b_ub=[targets.mass_cap],
         bounds=(0, None),
-        method="highs-ds",
     )
     if res.status == 0:
         return FeasibilityReport(True, res.x, None, atoms)
@@ -242,7 +257,8 @@ def _solve_on_grid(targets: MomentTargets, objective: str, atoms: np.ndarray) ->
     G_eq, g_extra = G[:-1], G[-1]
 
     # stage 1: minimal integrability mass subject to the exponent equalities
-    res_min = linprog(g_extra, A_eq=G_eq, b_eq=targets.p, bounds=(0, None), method="highs-ds")
+    res_min = _linprog("min-g-extra-mass", len(atoms), g_extra, A_eq=G_eq, b_eq=targets.p,
+                       bounds=(0, None))
     if res_min.status != 0:
         ray = _farkas_ray(G_eq, targets.p)
         raise KernelInfeasible(
@@ -267,12 +283,13 @@ def _solve_on_grid(targets: MomentTargets, objective: str, atoms: np.ndarray) ->
                 f"pinned extra mass {extra_mass:.6g} outside achievable range "
                 f"[{min_mass:.6g}, {targets.mass_cap:.6g}]"
             )
-        res = linprog(
+        res = _linprog(
+            "min-total-mass",
+            len(atoms),
             np.ones(len(atoms)),
             A_eq=np.vstack([G_eq, g_extra[None, :]]),
             b_eq=np.concatenate([targets.p, [extra_mass]]),
             bounds=(0, None),
-            method="highs-ds",
         )
         if res.status != 0:
             raise KernelInfeasible(

@@ -21,7 +21,9 @@ data problem.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +54,8 @@ __all__ = [
 
 BOOTSTRAP_RESIDUAL_TOL = 1e-14
 BOOTSTRAP_MAX_ITER = 200
+
+log = logging.getLogger(__name__)
 
 
 class ExtrapolationDisabled(ValueError):
@@ -345,6 +349,7 @@ def bootstrap_ois_curve(quotes: Iterable[OisSwapQuote]) -> DiscountCurve:
     interpolation against the unknown pillar, so the returned curve reprices
     every input to within ``BOOTSTRAP_RESIDUAL_TOL``.
     """
+    started = time.perf_counter()
     quotes = sorted(quotes, key=lambda q: q.maturity)
     mats = [q.maturity for q in quotes]
     if any(b <= a for a, b in zip(mats, mats[1:])):
@@ -379,6 +384,8 @@ def bootstrap_ois_curve(quotes: Iterable[OisSwapQuote]) -> DiscountCurve:
         times.append(q.maturity)
         logdfs.append(float(log_b))
 
+    log.debug("ois bootstrap: pillars=%d seconds=%.6f", len(quotes),
+              time.perf_counter() - started)
     return DiscountCurve(times[1:], np.exp(logdfs[1:]))
 
 
@@ -403,6 +410,7 @@ def bootstrap_spread_curve(disc: DiscountCurve, quotes: Iterable[SpreadQuote], t
     T_n - delta and is solved to reprice exactly, interpolating (log-linearly,
     flat left of the first pillar) across earlier resets.
     """
+    started = time.perf_counter()
     tenor = tenor if isinstance(tenor, Tenor) else Tenor(tenor)
     delta = float(tenor)
     entries = []
@@ -454,4 +462,6 @@ def bootstrap_spread_curve(disc: DiscountCurve, quotes: Iterable[SpreadQuote], t
     spreads = np.exp(logs)
     if np.any(spreads < 1.0):
         warnings.warn("bootstrapped spread(s) below 1 (negative Libor-OIS basis)", NegativeSpreadWarning)
+    log.debug("spread bootstrap: tenor=%s pillars=%d seconds=%.6f", tenor, len(times),
+              time.perf_counter() - started)
     return SpreadTermStructure(tenor, times, spreads)

@@ -275,6 +275,42 @@ class TestEngineAgreement:
         np.testing.assert_array_equal(long.pathset(0.5).bonds, short.pathset(0.5).bonds)
 
 
+@st.composite
+def exponential_vol_models(draw):
+    """Admissible exponential-volatility models: 1-2 curve factors, 1-2 tenors,
+    nonnegative u vectors, no spread factor or an integrated drift."""
+    d, m, n = (draw(st.integers(1, 2)) for _ in range(3))
+
+    def vol():
+        return ExponentialVolatility(
+            scales=draw(st.lists(st.floats(0.0, 0.02), min_size=d, max_size=d)),
+            decays=draw(st.lists(st.floats(0.0, 1.5), min_size=d, max_size=d)))
+
+    u = draw(st.lists(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    return LevyHjmModel(
+        driver=LevyTriplet(drift=np.zeros(d + n), covariance=np.diag([1.0] * d + [1e-4] * n)),
+        n_curve_factors=d, ois_vol=vol(), spread_vols=[vol() for _ in range(m)],
+        u_vectors=u, tenors=[T3M, T6M][:m], forward_curve=0.02,
+        forward_spread_curves=[0.003 * (i + 1) for i in range(m)],
+        spread_factor_mode=draw(st.sampled_from(["none", "integrated-drift"])))
+
+
+@given(model=exponential_vol_models(), seed=st.integers(0, 2 ** 32))
+def test_factor_engine_matches_grid_engine(model, seed):
+    # the grid engine stores whole curves, so it checks the factor engine's recursion
+    kw = dict(horizon=0.5, dt=1 / 8, n_paths=6, seed=seed, maturities=[0.5, 0.8, 1.25],
+              observation_times=[0.25, 0.5])
+    rg = simulate_hjm(model, method="grid", **kw)
+    rf = simulate_hjm(model, method="factor", **kw)
+    for t in (0.25, 0.5):
+        pg, pf = rg.pathset(t), rf.pathset(t)
+        np.testing.assert_allclose(pg.bonds, pf.bonds, atol=1e-12)
+        np.testing.assert_allclose(pg.numeraire, pf.numeraire, atol=1e-12)
+        for tenor in model.tenors:
+            np.testing.assert_allclose(pg.spreads[tenor], pf.spreads[tenor], atol=1e-12)
+
+
 def jump_driver_model():
     """Two curve factors, a spread factor with integrated drift, driver jumps."""
     trip = LevyTriplet(drift=[0.0, 0.0, 0.0], covariance=np.diag([1.0, 1.0, 0.04]),
@@ -311,7 +347,8 @@ def test_batches_are_logged(kernel, caplog):
     assert len(batches) == 3
     for message in batches:
         assert re.fullmatch(r"hjm batch: paths=\d+ steps=\d+ kernel_jumps=\d+ "
-                            r"refilled_paths=\d+ live_paths=\d+ lp_solves=\d+ aborted=\d+",
+                            r"refilled_paths=\d+ live_paths=\d+ lp_solves=\d+ aborted=\d+ "
+                            r"draw_s=[\d.]+ step_s=[\d.]+ snapshot_s=[\d.]+",
                             message)
 
 _GAUSSIAN = make_model(ois_scale=0.01, spread_scales=(0.004,), u=[[1.0]], tenors=[T6M],

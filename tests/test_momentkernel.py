@@ -1,5 +1,8 @@
 """Tests for the exponential-moment kernel construction and the jump-factor simulator."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -192,6 +195,22 @@ class TestFeasibility:
         with pytest.raises(KernelInfeasible) as exc:
             solve_jump_kernel(tg)
         assert exc.value.certificate is not None
+
+
+def test_lp_solves_are_logged(synthetic_targets, caplog):
+    tg, _, _ = synthetic_targets
+    bad = MomentTargets(u=[0.5], p=[-0.01], mass_cap=10.0)
+    with caplog.at_level(logging.DEBUG, logger="multicurve.momentkernel"):
+        solve_jump_kernel(tg)
+        feasibility_check(bad)
+    messages = [r.getMessage() for r in caplog.records if r.name == "multicurve.momentkernel"]
+    # two stages of the solve, then the phase-1 LP and the Farkas ray
+    assert [m.split()[2] for m in messages] == [
+        "objective=min-g-extra-mass", "objective=min-total-mass",
+        "objective=feasibility", "objective=farkas-ray"]
+    for message in messages:
+        assert re.fullmatch(r"kernel lp: objective=[\w-]+ grid=\d+ status=\d+ seconds=[\d.]+",
+                            message)
 
 
 @st.composite

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -219,6 +221,16 @@ def _irs_par_oracle(disc, spread_curve, maturity, delta):
     )
     annuity = delta * sum(disc.discount(p) for p in pays)
     return floating / annuity
+
+
+def test_bootstraps_are_logged(flat_2pct_curve, caplog):
+    with caplog.at_level(logging.DEBUG, logger="multicurve.termstructure"):
+        bootstrap_ois_curve([OisSwapQuote(1.0, 0.02, Tenor(1)), OisSwapQuote(2.0, 0.021, Tenor(1))])
+        bootstrap_spread_curve(flat_2pct_curve, [SpreadQuote(1.0, 0.03, "FRA")], Tenor(1, 2))
+    messages = [r.getMessage() for r in caplog.records if r.name == "multicurve.termstructure"]
+    assert len(messages) == 2
+    assert re.fullmatch(r"ois bootstrap: pillars=2 seconds=[\d.]+", messages[0])
+    assert re.fullmatch(r"spread bootstrap: tenor=\S+ pillars=1 seconds=[\d.]+", messages[1])
 
 
 class TestSpreadBootstrap:

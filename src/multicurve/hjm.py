@@ -745,7 +745,6 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         if model.spread_factor_mode == "integrated-drift"
         else None
     )
-    d = model.n_curve_factors
 
     consistency = np.zeros(n_steps)
     aborted = 0
@@ -806,7 +805,7 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
                 held_psi = psi_col
 
             engine.apply_step(dx_block[l])
-            y += dx_block[l, d:]
+            y += dx_block[l, model.n_curve_factors :]
         step_s = time.perf_counter() - started - snapshot_s
         del dx_block
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -726,9 +727,13 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     diffusion factor does not depend on the state and is factored once per
     call rather than at every step.
 
-    Each path owns a counter-based stream keyed by (seed, path index): one
-    normal block for the whole path, then per-step jump draws.  One Philox
-    is re-keyed to each path in turn to draw its normal block
+    Every path's numbers depend only on (seed, path index), whatever the
+    batch.  The exact draw reads each path's row of normals at its counter
+    offset in one Philox keyed by the seed, a few bulk calls per batch
+    (``rng.normal_rows``).  A stepped path owns a stream keyed by (seed, path
+    index): one normal block for the whole path, then per-step jump draws.
+    Those blocks are long, so they stay per path: one Philox is re-keyed to
+    each path in turn to draw its normal block
     (``rng.driver_increment_block``) and, for jump models, a buffer of the
     uniforms that follow it, from which every path's Poisson counts and
     atoms are replayed at each step for all paths at once
@@ -736,7 +741,9 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     those of a generator per path, and only a path whose step mean reaches
     10 holds a generator.  One DEBUG record per batch on
     ``multicurve.affine`` gives its paths, steps (1 for an exact draw),
-    jumps, and the paths whose buffer was redrawn or that held a generator.
+    jumps, the paths whose buffer was redrawn or that held a generator, and
+    the seconds spent drawing the normals (``draw_s``) and stepping the
+    state, with the jump replay (``step_s``).
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("horizon and dt must be positive")
@@ -777,10 +784,12 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
         hi = min(lo + batch_size, n_paths)
         m = hi - lo
         draws = None
+        started = time.perf_counter()
         if law is not None:
             mean, noise = law
-            normals, _ = _rng.driver_increment_block(seed, lo, hi, 1, len(mean))
-            state = mean + np.einsum("bj,ij->bi", normals[:, 0], noise)
+            normals = _rng.normal_rows(seed, lo, hi, len(mean))
+            draw_s = time.perf_counter() - started
+            state = mean + np.einsum("bj,ij->bi", normals, noise)
             x, y, z = state[:, :d], state[:, d:d + n], state[:, -1]
         else:
             if spec.jumps is None:
@@ -788,6 +797,7 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
             else:
                 draws = _JumpDraws(spec, seed, lo, hi, n_steps, n_noise, horizon)
                 normals = draws.normals
+            draw_s = time.perf_counter() - started
             x = np.tile(spec.x0, (m, 1))
             y = np.tile(spec.y0, (m, 1))
             z = np.zeros(m)
@@ -824,10 +834,11 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                 y = y + 0.5 * h * (qx + qx_new)
                 qx = qx_new
         x_out[lo:hi], y_out[lo:hi], z_out[lo:hi] = x, y, z
+        step_s = time.perf_counter() - started - draw_s
         jumps, refilled, live = ((0, 0, 0) if draws is None else
                                  (draws.jumps, int(draws.refilled.sum()), len(draws.live)))
-        log.debug("affine batch: paths=%d steps=%d jumps=%d refilled_paths=%d live_paths=%d",
-                  m, n_steps, jumps, refilled, live)
+        log.debug("affine batch: paths=%d steps=%d jumps=%d refilled_paths=%d live_paths=%d "
+                  "draw_s=%.6f step_s=%.6f", m, n_steps, jumps, refilled, live, draw_s, step_s)
 
     bonds, spreads = _model_curves(spec, x_out, y_out, maturities - horizon)
     return PathSet(

@@ -98,7 +98,7 @@ from .termstructure import (
     fra_rate_from_curves,
 )
 
-log = logging.getLogger("multicurve")
+log = logging.getLogger(__name__)
 
 # every library failure derives from ValueError (bad inputs, admissibility,
 # price bounds), RuntimeError (solver explosions, aborted runs, infeasible

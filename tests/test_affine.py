@@ -620,7 +620,8 @@ class TestSimulation:
         assert len(batches) == 3
         for message in batches:
             assert re.fullmatch(r"affine batch: paths=\d+ steps=\d+ jumps=\d+ "
-                                r"refilled_paths=\d+ live_paths=\d+", message)
+                                r"refilled_paths=\d+ live_paths=\d+ "
+                                r"draw_s=[\d.]+ step_s=[\d.]+", message)
 
     def test_seed_reproducibility(self, vasicek_spec):
         a = simulate_affine(vasicek_spec, 0.5, 1 / 50, 64, 11, [0.5])

@@ -6,10 +6,16 @@ under ``--out`` are all exercised exactly as a shell user would see them.
 """
 
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multicurve
 from multicurve.affine import AffineModelSpec, affine_bond, affine_spread, caplet_price_fourier
 from multicurve.calibration import black_implied_vol, VolQuote, VolQuoteSurface
 from multicurve.cli import ConfigError, RunConfig, _load_spread_curves, main
@@ -169,6 +175,21 @@ class TestBootstrap:
         for name in ("discount_curve.json", "spread_curve_1_2.json",
                      "bootstrap_report.json", "curves_plot.csv", "eta_1_2.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_progress_is_logged_under_the_cli_logger(self, bootstrap_config, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="multicurve.cli"):
+            assert run_cli("bootstrap", "--config", bootstrap_config, "--out", tmp_path) == 0
+        records = [r for r in caplog.records if r.getMessage().startswith("bootstrapped")]
+        assert [(r.name, r.levelno) for r in records] == [("multicurve.cli", logging.INFO)]
+
+    def test_log_level_comes_from_the_environment(self, bootstrap_config, tmp_path):
+        src = str(Path(multicurve.__file__).resolve().parents[1])
+        env = {**os.environ, "MULTICURVE_LOG": "info",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "multicurve", "bootstrap", "--config", str(bootstrap_config),
+             "--out", str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+        assert "multicurve.cli INFO bootstrapped 1/2 spread curve" in done.stderr
 
 
 class TestPrice:

@@ -1,8 +1,11 @@
-"""Per-path random streams: key bounds, re-keyed streams, batch invariance, pins.
+"""Random streams: key bounds, re-keyed streams, counter-addressed rows,
+batch invariance, pins.
 
 The pinned values at the end were recorded from the per-path generators that
-predate ``PathStreams``.  Any change to a seeded stream makes them fail, so a
-stream change has to be made, and announced, on purpose.
+predate ``PathStreams``, except the ``gauss`` entry of ``PINNED_AFFINE``: an
+exact Gaussian affine draw reads counter-addressed rows (``normal_rows``),
+and that entry was recorded from them.  Any change to a seeded stream makes
+a pin fail, so a stream change has to be made, and announced, on purpose.
 """
 
 import logging
@@ -189,6 +192,38 @@ def test_driver_block_independent_of_path_split(seed, lo, n_paths, cut, with_jum
     # each row is its path's own stream
     gen = rng.path_generator(seed, lo + n_paths - 1)
     assert np.array_equal(normals[-1], gen.standard_normal((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# counter-addressed normal rows
+
+
+@given(seed=seeds, lo=st.integers(0, 2 ** 63 - 9), n_paths=st.integers(0, 8),
+       cut=st.integers(0, 8), width=st.integers(1, 9))
+def test_normal_rows_independent_of_split_and_width(seed, lo, n_paths, cut, width):
+    cut = min(cut, n_paths)
+    rows = rng.normal_rows(seed, lo, lo + n_paths, width)
+    assert rows.shape == (n_paths, width)
+    assert np.all(np.isfinite(rows))
+    head = rng.normal_rows(seed, lo, lo + cut, width)
+    tail = rng.normal_rows(seed, lo + cut, lo + n_paths, width)
+    assert np.array_equal(rows, np.concatenate([head, tail]))
+    for i in range(n_paths):
+        assert np.array_equal(rows[i], rng.normal_rows(seed, lo + i, lo + i + 1, width)[0])
+    for narrower in range(width):
+        assert np.array_equal(rows[:, :narrower], rng.normal_rows(seed, lo, lo + n_paths, narrower))
+
+
+def test_open_normals_keeps_the_extreme_doubles_finite_and_symmetric():
+    low, high = rng.open_normals(np.array([0.0, 1.0 - 2.0 ** -53]))
+    assert np.isfinite(low) and np.isfinite(high)
+    assert low == -high < -8
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 2 ** 63 + 1)])
+def test_normal_rows_path_bounds(lo, hi):
+    with pytest.raises(ValueError, match="paths"):
+        rng.normal_rows(0, lo, hi, 3)
 
 
 @settings(max_examples=30)
@@ -526,10 +561,10 @@ def test_pinned_driver_block():
 # change of the Riccati solver moves it too.
 PINNED_AFFINE = {
     "gauss": (
-        [1.0101773055737844, 1.0144590607095259, 1.0080609871417818,
-         1.0096616764705446, 1.0108574710060403],
-        [1.0059555507756548, 1.017050232216234, 1.0088381808295002,
-         1.025731651787014, 1.0126540290435644]),
+        [1.0087311881389431, 1.009487641477064, 1.012895959462351,
+         1.0090412387381544, 1.0102344992858512],
+        [0.9969500318321515, 1.0135649550031633, 1.0167029858933843,
+         0.9997612300773745, 1.006038946211138]),
     "cir": (
         [1.0207874641381323, 1.003230690197184, 1.0178656776651829,
          1.004514512531918, 1.004479442050513],

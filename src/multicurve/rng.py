@@ -78,7 +78,7 @@ class PathStreams:
     """
 
     def __init__(self, seed: int, stream: int = DRIVER_STREAM):
-        self._bitgen = np.random.Philox(key=path_key(seed, 0))
+        self._bitgen = np.random.Philox(key=path_key(seed, 0, stream))
         self._gen = np.random.Generator(self._bitgen)
         self.seed, self.stream = int(seed), int(stream)
         # the state of a fresh generator; ``at`` swaps in each path's key

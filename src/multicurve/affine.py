@@ -670,39 +670,64 @@ def _diffusion_factor(const, linear, pos_dims, x_block):
 
 
 class _JumpDraws:
-    """One batch's normal blocks and jump draws, replayed across paths at once.
+    """One batch's counter-addressed rows for a stepped model with jumps.
 
-    A thin adapter over ``rng.StreamReplay`` on the driver stream: each
-    step's Poisson counts come from the replay, and each jump's atom from
-    one double searched in the cumulative probabilities, as
-    ``Generator.choice`` computes them, added one at a time in draw order.
+    Path i's row (``rng.uniform_rows``) holds its (n_steps, n_noise) normals
+    in the first n_steps * n_noise columns, one double per step for the
+    Poisson count (``rng.poisson_counts``) in the n_steps columns from the
+    next multiple of 4, and atom doubles after those.  Each jump reads its
+    path's next atom double through a per-path cursor and searches it in
+    the cumulative probabilities, as ``Generator.choice`` computes them.  A
+    cursor at the end of the batch's atom buffer widens it by reading
+    further columns (``refilled``); nothing is redrawn.  ``live`` marks the
+    paths with a step mean of 10 or more.
     """
 
     def __init__(self, spec: AffineModelSpec, seed: int, lo: int, hi: int,
                  n_steps: int, n_noise: int, horizon: float):
         jumps = spec.jumps
+        self.seed, self.lo, self.hi, self.step = seed, lo, hi, 0
         self.atoms_x, self.atoms_y = jumps.atoms_x, jumps.atoms_y
         # Generator.choice's own cumulative probabilities
         self.cdf = jumps.probabilities.cumsum()
         self.cdf /= self.cdf[-1]
-        # a step with a positive mean reads one double more than its jumps,
-        # plus one per jump for the atom: sized from the intensity at x0
+        n_normals = n_steps * n_noise
+        count_col = -(-n_normals // 4) * 4
+        self.atom_col = count_col + n_steps
+        # one atom double per jump, sized from the intensity at x0
         expected = max(jumps.intensity_const + spec.x0 @ jumps.intensity_linear, 0.0) * horizon
-        width = n_steps + math.ceil(2.0 * expected + 8.0 * math.sqrt(expected)) + 16
-        self.replay = _rng.StreamReplay(seed, range(lo, hi), n_steps, n_noise, width,
-                                        _rng.DRIVER_STREAM)
-        self.normals = self.replay.normals
-        self.refilled, self.live = self.replay.refilled, self.replay.live
+        width = math.ceil(expected + 4.0 * math.sqrt(expected)) + 8
+        self.normals = _rng.normal_rows(seed, lo, hi, n_normals).reshape(hi - lo, n_steps, n_noise)
+        self.count_doubles = _rng.uniform_rows(seed, lo, hi, count_col, self.atom_col)
+        self.atoms = _rng.uniform_rows(seed, lo, hi, self.atom_col, self.atom_col + width)
+        self.cursor = np.zeros(hi - lo, dtype=np.int64)
+        self.refilled = np.zeros(hi - lo, dtype=bool)
+        self.live = np.zeros(hi - lo, dtype=bool)
         self.jumps = 0
+
+    def _atom_doubles(self, rows: np.ndarray) -> np.ndarray:
+        """The next atom double of each of the (distinct) rows."""
+        cursor = self.cursor[rows]
+        width = self.atoms.shape[1]
+        if cursor.max() >= width:
+            self.refilled[rows[cursor >= width]] = True
+            col = self.atom_col + width
+            wider = _rng.uniform_rows(self.seed, self.lo, self.hi, col, col + width)
+            self.atoms = np.concatenate([self.atoms, wider], axis=1)
+        self.cursor[rows] += 1
+        return self.atoms[rows, cursor]
 
     def add_jumps(self, means: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Draw one step's jumps with the given Poisson means; add them to x and y."""
-        counts = self.replay.poisson_counts(means)
+        counts = _rng.poisson_counts(self.seed, self.lo, self.step,
+                                     self.count_doubles[:, self.step], means)
+        self.live |= ~(means < _rng.INVERSION_LIMIT)
+        self.step += 1
         rows = np.flatnonzero(counts)
         counts = counts[rows]
         for k in range(int(counts.max(initial=0))):
             r = rows[counts > k]
-            atom = self.cdf.searchsorted(self.replay.next_doubles(r), side="right")
+            atom = self.cdf.searchsorted(self._atom_doubles(r), side="right")
             x[r] += self.atoms_x[atom]
             y[r] += self.atoms_y[atom]
         self.jumps += int(counts.sum())
@@ -728,22 +753,21 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     call rather than at every step.
 
     Every path's numbers depend only on (seed, path index), whatever the
-    batch.  The exact draw reads each path's row of normals at its counter
-    offset in one Philox keyed by the seed, a few bulk calls per batch
-    (``rng.normal_rows``).  A stepped path owns a stream keyed by (seed, path
-    index): one normal block for the whole path, then per-step jump draws.
-    Those blocks are long, so they stay per path: one Philox is re-keyed to
-    each path in turn to draw its normal block
-    (``rng.driver_increment_block``) and, for jump models, a buffer of the
-    uniforms that follow it, from which every path's Poisson counts and
-    atoms are replayed at each step for all paths at once
-    (``rng.StreamReplay``, through ``_JumpDraws``); the draws are bit for bit
-    those of a generator per path, and only a path whose step mean reaches
-    10 holds a generator.  One DEBUG record per batch on
-    ``multicurve.affine`` gives its paths, steps (1 for an exact draw),
-    jumps, the paths whose buffer was redrawn or that held a generator, and
-    the seconds spent drawing the normals (``draw_s``) and stepping the
-    state, with the jump replay (``step_s``).
+    batch.  The exact draw and every stepped model with jumps read each
+    path's row of doubles at its counter offset in one Philox keyed by the
+    seed, a few bulk calls per batch (``rng.uniform_rows``): the exact draw
+    its d + n + 1 normals (``rng.normal_rows``), a jump model its normals,
+    one double per step that inverts the Poisson CDF at the step's mean and
+    one atom double per jump (``_JumpDraws``; a path whose step mean reaches
+    10 draws that count from a counter of its own).  A stepped jump-free
+    path owns a stream keyed by (seed, path index) and draws one long
+    normal block from it; those blocks stay per path, one Philox re-keyed
+    to each path in turn (``rng.driver_increment_block``).  One DEBUG
+    record per batch on ``multicurve.affine`` gives its paths, steps (1 for
+    an exact draw), jumps, the paths that outgrew the batch's atom buffer
+    (``refilled_paths``) or drew a count of mean 10 or more
+    (``live_paths``), and the seconds spent drawing the normals
+    (``draw_s``) and stepping the state, with the jump draws (``step_s``).
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("horizon and dt must be positive")
@@ -836,7 +860,7 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
         x_out[lo:hi], y_out[lo:hi], z_out[lo:hi] = x, y, z
         step_s = time.perf_counter() - started - draw_s
         jumps, refilled, live = ((0, 0, 0) if draws is None else
-                                 (draws.jumps, int(draws.refilled.sum()), len(draws.live)))
+                                 (draws.jumps, int(draws.refilled.sum()), int(draws.live.sum())))
         log.debug("affine batch: paths=%d steps=%d jumps=%d refilled_paths=%d live_paths=%d "
                   "draw_s=%.6f step_s=%.6f", m, n_steps, jumps, refilled, live, draw_s, step_s)
 

@@ -396,11 +396,10 @@ class KernelFamily:
 def yperp_replay(seed: int, paths, n_steps: int) -> _rng.StreamReplay:
     """The orthogonal-jump streams of ``paths``, buffered for ``kernel_jump_step``.
 
-    Stream 1 has no normal block.  A step with a positive intensity reads
-    one double plus two per jump, so the buffer covers a jump every other
-    step before a path is redrawn.
+    A step with a positive intensity reads one double plus two per jump, so
+    the buffer covers a jump every other step before a path is redrawn.
     """
-    return _rng.StreamReplay(seed, paths, 0, 0, 2 * n_steps + 16, _rng.YPERP_STREAM)
+    return _rng.StreamReplay(seed, paths, 2 * n_steps + 16, _rng.YPERP_STREAM)
 
 
 def kernel_jump_step(family: KernelFamily, replay: _rng.StreamReplay, y: np.ndarray,

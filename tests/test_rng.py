@@ -2,9 +2,11 @@
 batch invariance, pins.
 
 The pinned values at the end were recorded from the per-path generators that
-predate ``PathStreams``, except the ``gauss`` entry of ``PINNED_AFFINE``: an
-exact Gaussian affine draw reads counter-addressed rows (``normal_rows``),
-and that entry was recorded from them.  Any change to a seeded stream makes
+predate ``PathStreams``, except the ``gauss`` and ``jump`` entries of
+``PINNED_AFFINE``: an exact Gaussian affine draw reads counter-addressed
+rows (``normal_rows``), and so does a stepped affine model with jumps (its
+normals, one Poisson double per step and its atom doubles, ``uniform_rows``);
+those entries were recorded from them.  Any change to a seeded stream makes
 a pin fail, so a stream change has to be made, and announced, on purpose.
 """
 
@@ -15,8 +17,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
+from scipy.stats import poisson
 
 from multicurve import affine, hjm, momentkernel, rng
 from multicurve.affine import AffineJumps, AffineModelSpec, simulate_affine
@@ -214,6 +218,23 @@ def test_normal_rows_independent_of_split_and_width(seed, lo, n_paths, cut, widt
         assert np.array_equal(rows[:, :narrower], rng.normal_rows(seed, lo, lo + n_paths, narrower))
 
 
+def mirror_normals(doubles):
+    """The mirror form of ``open_normals``: the upper half through a masked
+    1 - p and a masked negation."""
+    upper = doubles >= 0.5
+    p = np.where(upper, (1.0 - doubles) - 2.0 ** -54, doubles + 2.0 ** -54)
+    out = ndtri(p)
+    np.negative(out, out=out, where=upper)
+    return out
+
+
+def test_open_normals_matches_the_mirror_form_bit_for_bit():
+    edges = [0.0, 2.0 ** -53, 0.5 - 2.0 ** -53, 0.5, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53]
+    doubles = np.concatenate([np.random.default_rng(11).random(100_000), edges])
+    got, want = rng.open_normals(doubles), mirror_normals(doubles)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_open_normals_keeps_the_extreme_doubles_finite_and_symmetric():
     low, high = rng.open_normals(np.array([0.0, 1.0 - 2.0 ** -53]))
     assert np.isfinite(low) and np.isfinite(high)
@@ -224,6 +245,58 @@ def test_open_normals_keeps_the_extreme_doubles_finite_and_symmetric():
 def test_normal_rows_path_bounds(lo, hi):
     with pytest.raises(ValueError, match="paths"):
         rng.normal_rows(0, lo, hi, 3)
+
+
+@given(seed=seeds, lo=st.integers(0, 2 ** 40), n_paths=st.integers(0, 5),
+       col_lo=st.integers(0, 11), span=st.integers(0, 11))
+def test_uniform_rows_read_columns_by_address(seed, lo, n_paths, col_lo, span):
+    whole = rng.uniform_rows(seed, lo, lo + n_paths, 0, col_lo + span)
+    part = rng.uniform_rows(seed, lo, lo + n_paths, col_lo, col_lo + span)
+    assert part.shape == (n_paths, span)
+    assert np.array_equal(part, whole[:, col_lo:])
+    assert np.array_equal(rng.normal_rows(seed, lo, lo + n_paths, col_lo + span),
+                          rng.open_normals(whole))
+
+
+def test_uniform_rows_column_bounds():
+    with pytest.raises(ValueError, match="columns"):
+        rng.uniform_rows(0, 0, 2, 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# Poisson counts by inversion
+
+
+@given(mean=st.floats(0.0, 10.0, exclude_max=True),
+       u=st.floats(0.0, 1.0, exclude_max=True) | st.just(1.0 - 2.0 ** -53))
+@example(mean=9.999999999999998, u=1.0 - 2.0 ** -53)
+@example(mean=0.0, u=1.0 - 2.0 ** -53)
+@example(mean=5e-324, u=0.0)
+def test_poisson_inversion_brackets_the_double(mean, u):
+    k = int(rng.poisson_inversion(np.array([u]), np.array([mean]))[0])
+    assert poisson.cdf(k - 1, mean) - 1e-12 <= u < poisson.cdf(k, mean) + 1e-12
+
+
+def philox_at(seed, counter):
+    """A generator under the rows' key (the seed on the driver stream),
+    positioned at ``counter``."""
+    bitgen = np.random.Philox(key=rng.path_key(seed, 0))
+    state = bitgen.state
+    state["state"]["counter"] = counter
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def test_poisson_counts_above_the_inversion_limit():
+    # means of 10 or more, or not finite, draw from the fallback counter
+    doubles, means = np.array([0.3, 0.3, 0.9]), np.array([0.5, 12.0, 40.0])
+    counts = rng.poisson_counts(8, 5, 2, doubles, means)
+    for row in (1, 2):
+        assert counts[row] == philox_at(8, (0, 5 + row, 2, 1)).poisson(means[row])
+    assert counts[0] == rng.poisson_inversion(doubles[:1], means[:1])[0]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            rng.poisson_counts(8, 5, 2, doubles, np.array([0.5, bad, 1.0]))
 
 
 @settings(max_examples=30)
@@ -240,29 +313,72 @@ def test_simulate_affine_independent_of_batch_size(name, n_paths, batch_size, se
 
 
 # ---------------------------------------------------------------------------
-# affine jump draws replayed from buffered uniforms against a generator per path
+# affine jump draws read from counter-addressed rows against a scalar
+# reference of the row layout
+
+
+class ScalarRow:
+    """One path's row, read column by column from a Philox positioned at the
+    path's row counter for each group of 4 columns."""
+
+    def __init__(self, seed, path):
+        self.seed, self.path, self.blocks = seed, path, {}
+
+    def __getitem__(self, col):
+        k = col // 4
+        if k not in self.blocks:
+            self.blocks[k] = philox_at(self.seed, (self.path, k, 0, 0)).random(4)
+        return float(self.blocks[k][col % 4])
+
+
+def scalar_poisson(seed, path, step, u, mean):
+    """The least k with u < F(k), the sum stopping when it stops growing;
+    a mean of 10 or more draws from counter (0, path, step, 1)."""
+    if not mean < 10.0:
+        return int(philox_at(seed, (0, path, step, 1)).poisson(mean))
+    term = float(np.exp(-mean))
+    total, k = term, 0
+    while u >= total:
+        k += 1
+        term = term * mean / k
+        if total + term == total:
+            break
+        total = total + term
+    return k
 
 
 class ScalarJumps:
-    """Reference jump draws: one generator per path and a scalar Poisson draw,
-    then one ``choice`` per jump, for every path at every step."""
+    """Reference jump draws: each path's row read column by column, its
+    normals by the mirror form, and a loop over paths at every step: the
+    step's Poisson double, then one atom double per jump searched as
+    ``Generator.choice`` does."""
 
     refilled = np.zeros(0, dtype=bool)
-    live: dict = {}
+    live = np.zeros(0, dtype=bool)
 
     def __init__(self, spec, seed, lo, hi, n_steps, n_noise, horizon):
-        self.spec, self.jumps = spec, 0
-        self.gens = [rng.path_generator(seed, p) for p in range(lo, hi)]
-        self.normals = np.array([g.standard_normal((n_steps, n_noise)) for g in self.gens])
+        self.spec, self.seed, self.lo, self.jumps, self.step = spec, seed, lo, 0, 0
+        self.rows = [ScalarRow(seed, p) for p in range(lo, hi)]
+        n_normals = n_steps * n_noise
+        self.count_col = -(-n_normals // 4) * 4
+        self.cursor = [self.count_col + n_steps] * (hi - lo)
+        self.normals = np.array([
+            mirror_normals(np.array([row[c] for c in range(n_normals)])).reshape(n_steps, n_noise)
+            for row in self.rows])
 
     def add_jumps(self, means, x, y):
         jmp = self.spec.jumps
-        for i, gen in enumerate(self.gens):
-            for _ in range(gen.poisson(means[i])):
-                atom = gen.choice(len(jmp.probabilities), p=jmp.probabilities)
+        cdf = jmp.probabilities.cumsum()
+        cdf /= cdf[-1]
+        for i, row in enumerate(self.rows):
+            u = row[self.count_col + self.step]
+            for _ in range(scalar_poisson(self.seed, self.lo + i, self.step, u, means[i])):
+                atom = int(cdf.searchsorted(row[self.cursor[i]], side="right"))
+                self.cursor[i] += 1
                 x[i] += jmp.atoms_x[atom]
                 y[i] += jmp.atoms_y[atom]
                 self.jumps += 1
+        self.step += 1
 
 
 class _Records(logging.Handler):
@@ -527,7 +643,7 @@ def test_simulate_yperp_matches_generator_per_path(name, n_paths, seed):
 def test_simulate_yperp_draw_branches(name, redraws, generators):
     # the buffer is drawn once unless a path outgrows it, and a generator is
     # built only for a Poisson mean of 10 or more
-    with mock.patch.object(rng, "normal_uniform_block", wraps=rng.normal_uniform_block) as blocks, \
+    with mock.patch.object(rng, "uniform_block", wraps=rng.uniform_block) as blocks, \
             mock.patch.object(rng, "path_generator", wraps=rng.path_generator) as made:
         yperp_and_scalar(name, 20, 7)
     assert (blocks.call_count > 1) == bool(redraws)
@@ -571,10 +687,10 @@ PINNED_AFFINE = {
         [1.0075325722618662, 0.9954955443376224, 1.0081702094857792,
          1.0100797678780884, 1.004482699877749]),
     "jump": (
-        [1.0092924394511475, 1.008102995101204, 1.0132462346910878,
-         1.011996801908409, 1.0108753324751505],
-        [1.012419801152007, 1.002157895053271, 1.0194512919976766,
-         1.0227808818671804, 1.0143996205919215]),
+        [1.0091769765944487, 1.0104345872259883, 1.0188212585866334,
+         1.0099652492041908, 1.013328572757405],
+        [1.0151130386392007, 1.025098121344518, 1.016077082309869,
+         1.0137320614008438, 1.0215995987689719]),
 }
 
 

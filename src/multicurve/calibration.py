@@ -9,6 +9,13 @@ bounded trust-region reflective solver (scipy's ``least_squares`` with
 per-parameter bounds.  Trial points where the spec is inadmissible, the
 transform explodes, or the price leaves the invertible range score a
 penalty rather than aborting the search, and any other error propagates.
+
+The Black formula takes its normal CDF from ``scipy.special.ndtr``, which
+``scipy.stats.norm.cdf`` calls, and its density from the formula of
+``norm.pdf``, so prices and implied vols match the ``scipy.stats`` ones bit
+for bit without that package's import or argument checks.  ``ndtr`` and
+``least_squares`` are imported by their first call, so importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -19,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.stats import norm
 
 from .affine import (
     AffineModelSpec,
@@ -44,6 +49,8 @@ _BLACK_MAX_ITER = 100
 _PENALTY = 1e8
 # restart starts scatter by this share of each |initial| parameter
 _RESTART_WIDTH = 0.2
+# the standard normal density's constant, as scipy.stats computes it
+_NORM_PDF_C = np.sqrt(2 * np.pi)
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +92,15 @@ def black_caplet(forward: float, strike: float, expiry: float, vol: float,
         return annuity * max(forward - strike, 0.0)
     d1 = (math.log(forward / strike) + 0.5 * stddev ** 2) / stddev
     d2 = d1 - stddev
-    return annuity * (forward * norm.cdf(d1) - strike * norm.cdf(d2))
+    from scipy.special import ndtr
+    return annuity * (forward * ndtr(d1) - strike * ndtr(d2))
+
+
+def _norm_pdf(x: float) -> np.float64:
+    """Standard normal density at ``x`` by scipy.stats' formula, applied to a
+    1-element float64 array as ``norm.pdf`` applies it, so the bits match."""
+    z = np.array([x], dtype=np.float64)
+    return (np.exp(-z * z / 2.0) / _NORM_PDF_C)[0]
 
 
 def black_implied_vol(price: float, forward: float, strike: float,
@@ -122,7 +137,7 @@ def black_implied_vol(price: float, forward: float, strike: float,
         if abs(hi - lo) < _BLACK_TOL:
             return 0.5 * (lo + hi)
         d1 = (math.log(forward / strike) + 0.5 * vol ** 2 * expiry) / (vol * sqrt_t)
-        vega = annuity * forward * norm.pdf(d1) * sqrt_t
+        vega = annuity * forward * _norm_pdf(d1) * sqrt_t
         if vega > 1e-14:
             candidate = vol - val / vega
             if lo < candidate < hi:
@@ -132,6 +147,12 @@ def black_implied_vol(price: float, forward: float, strike: float,
                 continue
         vol = 0.5 * (lo + hi)
     return vol
+
+
+def least_squares(*args, **kwargs):
+    """scipy's ``least_squares``, imported on the first call."""
+    from scipy.optimize import least_squares
+    return least_squares(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -758,7 +758,7 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         replay = None
         if kernel_family is not None:
             replay = yperp_replay(seed, range(lo, hi), n_steps)
-            lp_solves = kernel_family.lp_solves
+            lookups_before, solves_before = kernel_family.lookups, kernel_family.lp_solves
         draw_s = time.perf_counter() - started
         if method == "factor":
             engine = _FactorEngine(model, nb, n_nodes, alpha_rows, dt, short_det)
@@ -812,12 +812,13 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         good = engine.finite_mask() & np.isfinite(log_bank) & np.all(np.isfinite(y), axis=0)
         dropped = int(np.count_nonzero(~good))
         aborted += dropped
-        refilled, live, solves = ((0, 0, 0) if replay is None else (
-            int(replay.refilled.sum()), len(replay.live), kernel_family.lp_solves - lp_solves))
+        refilled, live, lookups, solves = ((0, 0, 0, 0) if replay is None else (
+            int(replay.refilled.sum()), len(replay.live),
+            kernel_family.lookups - lookups_before, kernel_family.lp_solves - solves_before))
         log.debug("hjm batch: paths=%d steps=%d kernel_jumps=%d refilled_paths=%d "
-                  "live_paths=%d lp_solves=%d aborted=%d draw_s=%.6f step_s=%.6f "
-                  "snapshot_s=%.6f", nb, n_steps, kernel_jumps, refilled, live, solves,
-                  dropped, draw_s, step_s, snapshot_s)
+                  "live_paths=%d kernel_lookups=%d lp_solves=%d aborted=%d draw_s=%.6f "
+                  "step_s=%.6f snapshot_s=%.6f", nb, n_steps, kernel_jumps, refilled, live,
+                  lookups, solves, dropped, draw_s, step_s, snapshot_s)
         for t_obs, (keep, numeraire, bonds, spreads) in local_snaps.items():
             snap_parts[t_obs].append(
                 (keep, numeraire[good], bonds[good],

@@ -19,8 +19,8 @@ hull (e.g. p_2 exactly (u_2/u_1) p_1, reachable only as xi -> 0) are reported
 infeasible on the grid because atoms near 0 are excluded; certificates for
 infeasible targets are Farkas dual rays.
 
-The LP backend is HiGHS dual simplex via scipy, which is deterministic and
-returns vertex solutions.
+The LP backend is HiGHS dual simplex via scipy's ``linprog``, imported by
+the first solve; it is deterministic and returns vertex solutions.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import rng as _rng
 
@@ -175,6 +174,12 @@ class FeasibilityReport:
     weights: np.ndarray | None
     dual_ray: np.ndarray | None
     atoms: np.ndarray
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first call."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 def _linprog(objective: str, grid_size: int, c, **kwargs):

@@ -45,6 +45,9 @@ for all paths of a batch at once: the kernel-mode jumps of ``momentkernel``
 on stream 1.  ``path_generator`` builds a fresh generator; only the
 replay's fallback for a Poisson mean of 10 or more (or a non-finite one)
 uses it, and the tests.
+
+``open_normals`` imports ``scipy.special.ndtri`` on its first call, so only
+the row draws load scipy.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 DRIVER_STREAM = 0
 YPERP_STREAM = 1
@@ -149,6 +151,7 @@ def open_normals(doubles: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     their difference carries that sign (+0.0 or negative), and ``out`` may
     be ``doubles`` itself.
     """
+    from scipy.special import ndtri
     mirror = np.subtract(1.0, doubles)
     mirror -= _HALF_CELL
     out = np.add(doubles, _HALF_CELL, out=out)

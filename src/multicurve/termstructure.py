@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Tenor",
@@ -349,6 +348,7 @@ def bootstrap_ois_curve(quotes: Iterable[OisSwapQuote]) -> DiscountCurve:
     interpolation against the unknown pillar, so the returned curve reprices
     every input to within ``BOOTSTRAP_RESIDUAL_TOL``.
     """
+    from scipy.optimize import brentq
     started = time.perf_counter()
     quotes = sorted(quotes, key=lambda q: q.maturity)
     mats = [q.maturity for q in quotes]
@@ -410,6 +410,7 @@ def bootstrap_spread_curve(disc: DiscountCurve, quotes: Iterable[SpreadQuote], t
     T_n - delta and is solved to reprice exactly, interpolating (log-linearly,
     flat left of the first pillar) across earlier resets.
     """
+    from scipy.optimize import brentq
     started = time.perf_counter()
     tenor = tenor if isinstance(tenor, Tenor) else Tenor(tenor)
     delta = float(tenor)

@@ -1,11 +1,13 @@
+import contextlib
 import logging
 import math
 import re
+import struct
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 from scipy.stats import norm
@@ -26,6 +28,7 @@ from multicurve.calibration import (
     VolQuote,
     VolQuoteSurface,
     _evaluate_fit,
+    _norm_pdf,
     black_caplet,
     black_implied_vol,
     calibrate,
@@ -34,6 +37,26 @@ from multicurve.termstructure import DiscountCurve, SpreadTermStructure, Tenor
 
 T6M = Tenor.parse("6M")
 TRUE_PARAMS = np.array([0.012, 0.02, 0.15])
+
+
+def scipy_stats_black_caplet(forward, strike, expiry, vol, annuity):
+    """``black_caplet`` as it read on ``scipy.stats.norm.cdf``, the reference
+    for the formula on ``scipy.special.ndtr``."""
+    if forward <= 0.0 or strike <= 0.0:
+        raise BlackDomainError("Black-76 requires positive forward and strike")
+    if expiry <= 0.0 or vol < 0.0 or annuity <= 0.0:
+        raise ValueError("expiry and annuity must be positive, vol nonnegative")
+    stddev = vol * math.sqrt(expiry)
+    if stddev == 0.0:
+        return annuity * max(forward - strike, 0.0)
+    d1 = (math.log(forward / strike) + 0.5 * stddev ** 2) / stddev
+    d2 = d1 - stddev
+    return annuity * (forward * norm.cdf(d1) - strike * norm.cdf(d2))
+
+
+def same_bits(a, b):
+    """Equal type and equal IEEE bits, so -0.0 differs from 0.0 and NaN matches."""
+    return type(a) is type(b) and struct.pack("<d", a) == struct.pack("<d", b)
 
 
 def build_toy(params):
@@ -121,6 +144,37 @@ class TestBlackFormula:
         assume(scale * norm.pdf(d1) * math.sqrt(expiry) > 1e-3 * scale)
         implied = black_implied_vol(price, forward, strike, expiry, annuity)
         assert implied == pytest.approx(vol, abs=1e-10)
+
+    # a near-zero stddev squares a huge d1 on both paths
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200)
+    @given(st.floats(1e-4, 0.2), st.floats(-2.0, 2.0), st.floats(1e-3, 30.0),
+           st.floats(0.0, 3.0), st.floats(0.01, 2.0))
+    def test_matches_the_scipy_stats_formulas_bit_for_bit(self, forward, moneyness,
+                                                          expiry, vol, annuity):
+        strike = forward * math.exp(-moneyness)
+        price = black_caplet(forward, strike, expiry, vol, annuity)
+        expected = scipy_stats_black_caplet(forward, strike, expiry, vol, annuity)
+        assert same_bits(price, expected)
+        stddev = vol * math.sqrt(expiry)
+        if stddev > 0.0:
+            d1 = (moneyness + 0.5 * stddev ** 2) / stddev
+            assert same_bits(_norm_pdf(d1), norm.pdf(d1))
+        outcomes = []
+        for patches in ((), (mock.patch("multicurve.calibration.black_caplet",
+                                        scipy_stats_black_caplet),
+                             mock.patch("multicurve.calibration._norm_pdf", norm.pdf))):
+            with contextlib.ExitStack() as stack:
+                for patch in patches:
+                    stack.enter_context(patch)
+                try:
+                    outcomes.append(black_implied_vol(price, forward, strike, expiry, annuity))
+                except ValueError as exc:
+                    outcomes.append((type(exc), str(exc)))
+        if isinstance(outcomes[1], tuple):
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert same_bits(*outcomes)
 
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError, match="positive forward"):

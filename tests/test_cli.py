@@ -663,3 +663,80 @@ class TestErrorHandling:
             json.dumps({"u": [0.5], "p": [0.3], "mass_cap": 50.0}))
         cfg = write_json_config(tmp_path / "kern.json", {"targets": "targets.json"})
         assert run_cli("construct-kernel", "--config", cfg, "--out", tmp_path / "out") == 0
+
+
+# run in a fresh interpreter: the exit code of main(argv) (None when argv is
+# empty) and the scipy modules loaded by then, as the last stdout line
+COLD_RUN = """\
+import json, sys
+from multicurve.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else None
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def cold_run(*args):
+    """(exit code, set of loaded scipy modules) of ``main(args)`` in a new process."""
+    src = str(Path(multicurve.__file__).resolve().parents[1])
+    env = {**os.environ, "MULTICURVE_LOG": "WARNING",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", COLD_RUN, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    return code, set(loaded)
+
+
+class TestColdStart:
+    """scipy subpackages are imported by the first call that needs them.
+
+    In-process tests cannot see a broken deferred import once another test
+    module has imported scipy, so these run the CLI in fresh interpreters.
+    """
+
+    def test_import_loads_no_scipy(self):
+        assert cold_run() == (None, set())
+
+    def test_price_and_factor_simulation_load_no_scipy(self, cli_files, tmp_path):
+        price = write_json_config(cli_files / "cold_price.json", {
+            "product": "fra.json", "discount_curve": "disc.json",
+            "spread_curves": ["spread.json"]})
+        simulate = write_json_config(cli_files / "cold_sim_hjm.json", {
+            "model": "hjm.json", "n_paths": 200, "dt": 0.05, "horizon": 0.5,
+            "maturities": [1.0], "dump_paths": 0})
+        assert cold_run("price", "--config", price, "--out", tmp_path / "a") == (0, set())
+        assert cold_run("simulate", "--config", simulate, "--seed", 9,
+                        "--out", tmp_path / "b") == (0, set())
+
+    def test_bootstrap_imports_brentq(self, bootstrap_config, tmp_path):
+        code, loaded = cold_run("bootstrap", "--config", bootstrap_config, "--out", tmp_path)
+        assert code == 0
+        assert "scipy.optimize" in loaded
+
+    def test_construct_kernel_imports_linprog(self, tmp_path):
+        (tmp_path / "targets.json").write_text(
+            json.dumps({"u": [0.5], "p": [0.3], "mass_cap": 50.0}))
+        cfg = write_json_config(tmp_path / "kern.json", {"targets": "targets.json"})
+        code, loaded = cold_run("construct-kernel", "--config", cfg, "--out", tmp_path / "out")
+        assert code == 0
+        assert "scipy.optimize" in loaded
+
+    def test_calibrate_imports_least_squares_and_ndtr(self, calibration_inputs, tmp_path):
+        cfg = write_json_config(calibration_inputs / "cold_calib.json", {
+            "model": "affine.json", "surface": "calib_vols.csv",
+            "discount_curve": "calib_disc.json",
+            "spread_curves": ["calib_spread.json"],
+            "parameters": [{"field": "spreads/diff_const/0/0",
+                            "initial": 3.0e-4, "lower": 1.0e-8}],
+            "restarts": 0})
+        code, loaded = cold_run("calibrate", "--config", cfg, "--seed", 5, "--out", tmp_path)
+        assert code == 0
+        assert {"scipy.optimize", "scipy.special"} <= loaded
+
+    def test_exact_gaussian_swaption_imports_ndtri(self, cli_files, tmp_path):
+        cfg = write_json_config(cli_files / "cold_swpt.json", {
+            "product": "swaption.json", "model": "affine.json",
+            "n_paths": 400, "dt": 0.02})
+        code, loaded = cold_run("price", "--config", cfg, "--seed", 11, "--out", tmp_path)
+        assert code == 0
+        assert "scipy.special" in loaded

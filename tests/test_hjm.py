@@ -347,7 +347,8 @@ def test_batches_are_logged(kernel, caplog):
     assert len(batches) == 3
     for message in batches:
         assert re.fullmatch(r"hjm batch: paths=\d+ steps=\d+ kernel_jumps=\d+ "
-                            r"refilled_paths=\d+ live_paths=\d+ lp_solves=\d+ aborted=\d+ "
+                            r"refilled_paths=\d+ live_paths=\d+ kernel_lookups=\d+ "
+                            r"lp_solves=\d+ aborted=\d+ "
                             r"draw_s=[\d.]+ step_s=[\d.]+ snapshot_s=[\d.]+",
                             message)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multicurve.products import (
     EmptyPathSet,
@@ -122,6 +124,58 @@ class TestBasisSwap:
         s2 = SpreadTermStructure(Tenor(1, 2), [1.0], [1.005])
         with pytest.raises(ValueError):
             basis_swap_spread(disc, s1, [0.0, 1.0], s2, [0.0, 0.5, 1.0, 1.5], [0.0, 0.5, 1.0])
+
+
+@st.composite
+def market_curves(draw):
+    """A discount curve on strictly increasing random pillar dates, from
+    random forwards in [-1%, 10%], and a 6M and a 1Y spread curve >= 1 on the
+    same dates; every curve extrapolates flat-forward past its last pillar."""
+    n = draw(st.integers(1, 8))
+
+    def column(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    steps = column(0.1, 2.0)
+    times = np.cumsum(steps)
+    disc = DiscountCurve(times, np.exp(-np.cumsum(column(-0.01, 0.1) * steps)),
+                         allow_extrapolation=True)
+    spread_6m, spread_1y = (
+        SpreadTermStructure(tenor, times, column(1.0, 1.1), allow_extrapolation=True)
+        for tenor in (Tenor(1, 2), Tenor(1)))
+    return disc, spread_6m, spread_1y
+
+
+class TestParIdentities:
+    """The paper's linear-product identities on random curves."""
+
+    @given(market_curves(), st.sampled_from([0.5, 1.0]), st.integers(0, 4),
+           st.integers(1, 20), st.floats(1.0, 1e8))
+    def test_ois_swap_at_its_par_rate_is_worth_zero(self, curves, delta, start, periods,
+                                                    notional):
+        disc = curves[0]
+        sched = delta * np.arange(start, start + periods + 1)
+        rate = ois_swap_rate(disc, sched)
+        assert abs(ois_swap_value(disc, sched, rate, notional)) <= 1e-13 * notional
+
+    @given(market_curves(), st.sampled_from([0, 1]), st.integers(0, 4),
+           st.integers(1, 20), st.floats(1.0, 1e8))
+    def test_irs_at_its_par_rate_is_worth_zero(self, curves, leg, start, periods, notional):
+        disc, spread = curves[0], curves[1 + leg]
+        delta = float(spread.tenor)
+        sched = delta * np.arange(start, start + periods + 1)
+        rate = irs_swap_rate(disc, spread, sched)
+        assert abs(irs_value(disc, spread, sched, rate, notional)) <= 1e-13 * notional
+
+    @given(market_curves(), st.integers(0, 3), st.integers(1, 10), st.sampled_from([0.5, 1.0]))
+    def test_swapping_the_basis_legs_negates_the_spread(self, curves, start, years, fixed):
+        disc, spread_6m, spread_1y = curves
+        sched_6m = 0.5 * np.arange(2 * start, 2 * (start + years) + 1)
+        sched_1y = np.arange(start, start + years + 1, dtype=float)
+        sched_fixed = fixed * np.arange(start / fixed, (start + years) / fixed + 1)
+        k_ab = basis_swap_spread(disc, spread_6m, sched_6m, spread_1y, sched_1y, sched_fixed)
+        k_ba = basis_swap_spread(disc, spread_1y, sched_1y, spread_6m, sched_6m, sched_fixed)
+        assert k_ab == -k_ba
 
 
 def _toy_pathset(seed=7, n=500, time=1.0, tenor=Tenor(1, 2)):

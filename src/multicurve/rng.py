@@ -46,8 +46,8 @@ on stream 1.  ``path_generator`` builds a fresh generator; only the
 replay's fallback for a Poisson mean of 10 or more (or a non-finite one)
 uses it, and the tests.
 
-``open_normals`` imports ``scipy.special.ndtri`` on its first call, so only
-the row draws load scipy.
+``open_normals`` imports ``scipy.special.ndtri`` on its first call, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng as _rng
 from .products import PathSet
-from .rng import path_generator  # noqa: F401 - bench/trace.py wraps this name; rng calls it
+from .rng import path_generator  # noqa: F401 - bench/trace.py wraps this name; no module calls it
 from .termstructure import Tenor
 
 log = logging.getLogger(__name__)
@@ -669,65 +669,39 @@ def _diffusion_factor(const, linear, pos_dims, x_block):
     return vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
 
 
-class _JumpDraws:
+class _JumpDraws(_rng.JumpRows):
     """One batch's counter-addressed rows for a stepped model with jumps.
 
     Path i's row (``rng.uniform_rows``) holds its (n_steps, n_noise) normals
-    in the first n_steps * n_noise columns, one double per step for the
-    Poisson count (``rng.poisson_counts``) in the n_steps columns from the
-    next multiple of 4, and atom doubles after those.  Each jump reads its
-    path's next atom double through a per-path cursor and searches it in
-    the cumulative probabilities, as ``Generator.choice`` computes them.  A
-    cursor at the end of the batch's atom buffer widens it by reading
-    further columns (``refilled``); nothing is redrawn.  ``live`` marks the
-    paths with a step mean of 10 or more.
+    in the first n_steps * n_noise columns and, from the next multiple of 4,
+    its count and atom doubles (``rng.JumpRows``).  Each jump searches its
+    atom double in the cumulative probabilities, as ``Generator.choice``
+    computes them.
     """
 
     def __init__(self, spec: AffineModelSpec, seed: int, lo: int, hi: int,
                  n_steps: int, n_noise: int, horizon: float):
         jumps = spec.jumps
-        self.seed, self.lo, self.hi, self.step = seed, lo, hi, 0
         self.atoms_x, self.atoms_y = jumps.atoms_x, jumps.atoms_y
         # Generator.choice's own cumulative probabilities
         self.cdf = jumps.probabilities.cumsum()
         self.cdf /= self.cdf[-1]
         n_normals = n_steps * n_noise
-        count_col = -(-n_normals // 4) * 4
-        self.atom_col = count_col + n_steps
         # one atom double per jump, sized from the intensity at x0
         expected = max(jumps.intensity_const + spec.x0 @ jumps.intensity_linear, 0.0) * horizon
         width = math.ceil(expected + 4.0 * math.sqrt(expected)) + 8
+        super().__init__(seed, lo, hi, -(-n_normals // 4) * 4, n_steps, width)
         self.normals = _rng.normal_rows(seed, lo, hi, n_normals).reshape(hi - lo, n_steps, n_noise)
-        self.count_doubles = _rng.uniform_rows(seed, lo, hi, count_col, self.atom_col)
-        self.atoms = _rng.uniform_rows(seed, lo, hi, self.atom_col, self.atom_col + width)
-        self.cursor = np.zeros(hi - lo, dtype=np.int64)
-        self.refilled = np.zeros(hi - lo, dtype=bool)
-        self.live = np.zeros(hi - lo, dtype=bool)
         self.jumps = 0
-
-    def _atom_doubles(self, rows: np.ndarray) -> np.ndarray:
-        """The next atom double of each of the (distinct) rows."""
-        cursor = self.cursor[rows]
-        width = self.atoms.shape[1]
-        if cursor.max() >= width:
-            self.refilled[rows[cursor >= width]] = True
-            col = self.atom_col + width
-            wider = _rng.uniform_rows(self.seed, self.lo, self.hi, col, col + width)
-            self.atoms = np.concatenate([self.atoms, wider], axis=1)
-        self.cursor[rows] += 1
-        return self.atoms[rows, cursor]
 
     def add_jumps(self, means: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Draw one step's jumps with the given Poisson means; add them to x and y."""
-        counts = _rng.poisson_counts(self.seed, self.lo, self.step,
-                                     self.count_doubles[:, self.step], means)
-        self.live |= ~(means < _rng.INVERSION_LIMIT)
-        self.step += 1
+        counts = self.counts(means)
         rows = np.flatnonzero(counts)
         counts = counts[rows]
         for k in range(int(counts.max(initial=0))):
             r = rows[counts > k]
-            atom = self.cdf.searchsorted(self._atom_doubles(r), side="right")
+            atom = self.cdf.searchsorted(self.atom_doubles(r), side="right")
             x[r] += self.atoms_x[atom]
             y[r] += self.atoms_y[atom]
         self.jumps += int(counts.sum())

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .momentkernel import OBJECTIVES, KernelFamily, kernel_jump_step, yperp_replay
+from .momentkernel import OBJECTIVES, KernelFamily, kernel_jump_step
 from .products import PathSet
 from .termstructure import Tenor
 
@@ -682,14 +682,15 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     ``zero_drift`` suppresses the no-arbitrage curve drifts (negative-control
     diagnostic: discounted prices should then fail their martingale checks).
 
-    Path i draws its driver increments from stream 0 of (seed, i) and, in
-    kernel mode, its orthogonal jumps from stream 1, replayed for all paths
-    of a batch at once from buffered doubles (``momentkernel.kernel_jump_step``)
-    bit for bit as a generator per path would draw them; results do not
+    Path i draws its driver increments from its own stream 0 of (seed, i)
+    (``rng.driver_increment_block``) and, in kernel mode, its orthogonal
+    jumps from its row on stream 1 (``rng.JumpRows``), read for all paths of
+    a batch at once (``momentkernel.kernel_jump_step``); results do not
     depend on ``batch_size``.  One DEBUG record per batch on
-    ``multicurve.hjm`` gives its paths, steps, kernel jumps, the paths whose
-    jump buffer was redrawn or that held a generator, the kernel LP solves
-    and the aborted paths.
+    ``multicurve.hjm`` gives its paths, steps, kernel jumps, the paths that
+    widened the batch's atom buffer (``refilled_paths``) or drew a count of
+    mean 10 or more (``live_paths``), the kernel lookups and LP solves, the
+    aborted paths and the seconds per stage.
     """
     if observation_times is None:
         observation_times = [horizon]
@@ -755,9 +756,10 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         nb = hi - lo
         started = time.perf_counter()
         dx_block = _increments(model, seed, lo, hi, n_steps, dt)  # (n_steps, dim, nb)
-        replay = None
+        draws = None
         if kernel_family is not None:
-            replay = yperp_replay(seed, range(lo, hi), n_steps)
+            # one atom double per jump; a jump every other step fits up front
+            draws = _rng.JumpRows(seed, lo, hi, 0, n_steps, n_steps // 2 + 8, _rng.YPERP_STREAM)
             lookups_before, solves_before = kernel_family.lookups, kernel_family.lp_solves
         draw_s = time.perf_counter() - started
         if method == "factor":
@@ -798,7 +800,7 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
                 y += q * dt
                 held_psi = model.u_vectors @ q + psi_col
             elif model.spread_factor_mode == "kernel":
-                held_psi, jumps = _kernel_step(kernel_family, replay, targets.T, y.T, dt, psi_hat)
+                held_psi, jumps = _kernel_step(kernel_family, draws, targets.T, y.T, dt, psi_hat)
                 held_psi = held_psi.T
                 kernel_jumps += int(jumps.sum())
             else:
@@ -812,8 +814,8 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         good = engine.finite_mask() & np.isfinite(log_bank) & np.all(np.isfinite(y), axis=0)
         dropped = int(np.count_nonzero(~good))
         aborted += dropped
-        refilled, live, lookups, solves = ((0, 0, 0, 0) if replay is None else (
-            int(replay.refilled.sum()), len(replay.live),
+        refilled, live, lookups, solves = ((0, 0, 0, 0) if draws is None else (
+            int(draws.refilled.sum()), int(draws.live.sum()),
             kernel_family.lookups - lookups_before, kernel_family.lp_solves - solves_before))
         log.debug("hjm batch: paths=%d steps=%d kernel_jumps=%d refilled_paths=%d "
                   "live_paths=%d kernel_lookups=%d lp_solves=%d aborted=%d draw_s=%.6f "
@@ -855,7 +857,7 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     return HjmSimulationResult(snapshots, diagnostics)
 
 
-def _kernel_step(family: KernelFamily, replay: _rng.StreamReplay, targets: np.ndarray,
+def _kernel_step(family: KernelFamily, draws: _rng.JumpRows, targets: np.ndarray,
                  y: np.ndarray, dt: float, psi_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One kernel-mode step of a batch (``momentkernel.kernel_jump_step``).
 
@@ -863,7 +865,7 @@ def _kernel_step(family: KernelFamily, replay: _rng.StreamReplay, targets: np.nd
     which it moves in place; returns the exponents held over the step, the
     kernel's plus ``psi_hat``, and each path's jump count.
     """
-    psi, jumps = kernel_jump_step(family, replay, y[:, 0], targets, dt)
+    psi, jumps = kernel_jump_step(family, draws, y[:, 0], targets, dt)
     return psi + psi_hat, jumps
 
 

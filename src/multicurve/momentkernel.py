@@ -398,16 +398,7 @@ class KernelFamily:
         return entries, index
 
 
-def yperp_replay(seed: int, paths, n_steps: int) -> _rng.StreamReplay:
-    """The orthogonal-jump streams of ``paths``, buffered for ``kernel_jump_step``.
-
-    A step with a positive intensity reads one double plus two per jump, so
-    the buffer covers a jump every other step before a path is redrawn.
-    """
-    return _rng.StreamReplay(seed, paths, 2 * n_steps + 16, _rng.YPERP_STREAM)
-
-
-def kernel_jump_step(family: KernelFamily, replay: _rng.StreamReplay, y: np.ndarray,
+def kernel_jump_step(family: KernelFamily, draws: _rng.JumpRows, y: np.ndarray,
                      targets: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One step of the orthogonal jump factor for every row at once.
 
@@ -419,12 +410,15 @@ def kernel_jump_step(family: KernelFamily, replay: _rng.StreamReplay, y: np.ndar
     every jump, so that the support floor tracks the post-jump level; a row
     stops early when its re-solved intensity is not positive.  Jumps are
     taken one round at a time across the rows, and only the rows that
-    jumped are re-solved.  Draws come from row i's stream in ``replay``, in
-    the order a generator per path would make them.  A loop over the rows
-    would instead take all of a row's jumps before the next row starts; it
-    solves the same kernels unless one cache key is reached by rows whose
-    targets differ below the key's rounding (1e-12), first by an earlier
-    row after a jump and also by a later row at the step start.
+    jumped are re-solved.  Row i's count and atom doubles are the next ones
+    of its row in ``draws``: the step's count double, inverted at the
+    frozen intensity times ``dt``, then one atom double per jump, searched
+    in the kernel's cumulative probabilities.  A loop over the rows would
+    instead take all of a row's jumps before the next row starts; it draws
+    the same numbers and solves the same kernels unless one cache key is
+    reached by rows whose targets differ below the key's rounding (1e-12),
+    first by an earlier row after a jump and also by a later row at the step
+    start.
 
     ``y`` is updated in place.  Returns the exponents Psi(u) of the kernels
     held over the step, (n, m), and each row's number of jumps.
@@ -432,13 +426,13 @@ def kernel_jump_step(family: KernelFamily, replay: _rng.StreamReplay, y: np.ndar
     entries, index = family.solve_rows(y, targets)
     psi = np.array([entry[1] for entry in entries]).reshape(len(entries), len(family.u))[index]
     lam = np.array([entry[0].total_intensity for entry in entries])[index]
-    counts = replay.poisson_counts(np.where(lam > 0, lam * dt, 0.0))
+    counts = draws.counts(np.where(lam > 0, lam * dt, 0.0))
     jumps = np.zeros(len(y), dtype=np.int64)
     rows = np.flatnonzero(counts)
     kernels = [entry[0] for entry in entries]
     index = index[rows]
     while len(rows):
-        u = replay.next_doubles(rows)
+        u = draws.atom_doubles(rows)
         for k in np.unique(index).tolist():
             kernel, mine = kernels[k], index == k
             # Generator.choice's own cumulative probabilities
@@ -476,9 +470,8 @@ def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int
     jump draws its size from the current kernel's atoms (re-solving after
     every jump so the support floor tracks the post-jump state).  The
     compensator integral accumulates the frozen exponent Psi(u_i) * dt per
-    step.  Path i draws from its own stream 1, replayed from buffered
-    doubles (``yperp_replay``); the draws are bit for bit those of a
-    generator per path.
+    step.  Path i reads its count and atom doubles from its row on stream 1
+    (``rng.JumpRows``), so its numbers do not depend on ``n_paths``.
     """
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9:
@@ -489,12 +482,13 @@ def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int
     comps = np.zeros((n_paths, m, n_steps + 1))
     counts = np.zeros(n_paths, dtype=np.int64)
 
-    replay = yperp_replay(seed, range(n_paths), n_steps)
+    # one atom double per jump; a jump every other step fits up front
+    draws = _rng.JumpRows(seed, 0, n_paths, 0, n_steps, n_steps // 2 + 8, _rng.YPERP_STREAM)
     y = np.zeros(n_paths)
     values[:, 0] = y
     for l in range(n_steps):
         p = family.targets_at(times[l])
-        psi, jumps = kernel_jump_step(family, replay, y, np.broadcast_to(p, (n_paths, len(p))), dt)
+        psi, jumps = kernel_jump_step(family, draws, y, np.broadcast_to(p, (n_paths, len(p))), dt)
         comps[:, :, l + 1] = comps[:, :, l] + dt * psi
         counts += jumps
         values[:, l + 1] = y

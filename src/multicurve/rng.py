@@ -1,58 +1,51 @@
 """Counter-based random number streams.
 
-Every path in a simulation owns a Philox stream keyed by ``(seed, path index,
-stream id)``, packed into the 128-bit Philox key as ``seed << 64 | path << 1 |
-stream``.  A path's variates therefore depend only on the seed and its own
-index, never on how paths are batched or ordered, so results are bit-identical
-under any execution decomposition.
+Draws come from Philox (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11) under 128-bit keys ``seed << 64 | path << 1 | stream``
+(``path_key``).  Whatever the layout, a path's variates depend only on the
+seed and its own index, never on how paths are batched or ordered, so
+results are bit-identical under any execution decomposition.
 
-Draw layout per path.  Stream 0, the curve driver of the HJM engines and of
-stepped jump-free affine models: one block of standard normals of shape
-(n_steps, d), then, for the HJM engines, one block of Poisson counts of
-shape (n_steps, n_atoms).  Stream 1, the orthogonal jump factor: step by
-step a Poisson count and one atom choice per jump.
+Rows are counter-addressed.  All paths of a draw share one Philox keyed by
+(seed, 0, stream).  Its 4 x 64-bit counter steps its lowest word first and
+yields 4 doubles per value, so path i's doubles 4k..4k+3 sit at counter (i,
+k, 0, 0) and one ``random`` call per group of 4 columns reads them for a
+whole batch (``uniform_rows``).  A column depends only on (seed, stream,
+path, column), whatever the batch or how many columns are read.  Three
+draws read rows:
 
-Rows are counter-addressed instead.  All paths share one Philox, keyed by
-the seed on the driver stream (path 0's key; a model draws either rows or
-per-path blocks, never both).  Its 4 x 64-bit counter steps its lowest word
-first and yields 4 doubles per value, so path i's doubles 4k..4k+3 sit at
-counter (i, k, 0, 0) and one ``random`` call per group of 4 columns reads
-them for a whole batch (``uniform_rows``; Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11).  A column depends only on (seed,
-path, column), whatever the batch or how many columns are read.  The exact
-terminal draw of a jump-free Gaussian affine model reads one row of
-d + n + 1 normals per path (``normal_rows``).  A stepped affine model with
-jumps, of n_steps S and q normals per step, reads S q normals from columns
-[0, S q), one double per step for the Poisson count from the S columns that
-start at the next multiple of 4, and atom doubles from the columns after
-those, one per jump through a per-path cursor.  Counts invert the Poisson
-CDF (``poisson_counts``); a mean of 10 or more, or a non-finite one, is
-drawn by a Philox under the same key at counter (0, path, step, 1).  Long
-blocks keep the per-path streams: there the normals cost more than the
-re-key, and ``ndtri`` costs more per value than numpy's ziggurat (5.1 s
-against 3.0 s for 100k paths x 365 steps x 2 normals).
+- the exact terminal draw of a jump-free Gaussian affine model: one row of
+  d + n + 1 normals per path on stream 0 (``normal_rows``);
+- a stepped affine model with jumps, of n_steps S and q normals per step,
+  on stream 0: S q normals from columns [0, S q), then its jumps
+  (``JumpRows``) from the next multiple of 4;
+- the kernel-mode orthogonal jump factor of ``momentkernel`` (HJM kernel
+  mode and ``simulate_yperp``), on stream 1: its jumps from column 0.
+  Stream 1, because HJM kernel mode also draws per-path stream-0 blocks,
+  and path 0's stream-0 key is that of the stream-0 rows.
 
-``PathStreams`` re-keys one Philox generator per path by setting its state
-(counter zero, the path's key, an empty buffer), which draws what a fresh
-generator would at a fraction of its cost.  It builds that state once and
-re-keys by replacing only the key; the seed and stream are validated once,
-on construction, and each re-key checks only the path range.  Block draws
-use it path after path: ``driver_increment_block`` (the HJM engines and
-stepped jump-free affine models) and ``uniform_block``, which draws a
-buffer of a path's ``random()`` doubles.  ``StreamReplay`` replays from
-such buffers the step-by-step draws that a generator per path would make,
-for all paths of a batch at once: the kernel-mode jumps of ``momentkernel``
-on stream 1.  ``path_generator`` builds a fresh generator; only the
-replay's fallback for a Poisson mean of 10 or more (or a non-finite one)
-uses it, and the tests.
+A stepwise compound Poisson process (``JumpRows``) reads one double per
+step for the count, which inverts the Poisson CDF (``poisson_counts``), and
+atom doubles after those S count columns, one per jump through a per-path
+cursor.  A mean of 10 or more, or a non-finite one, is drawn by a Philox
+under the rows' key at counter (0, path, step, 1), which no row counter
+reaches.
+
+Per-path streams serve only the long driver blocks of the HJM engines and
+of stepped jump-free affine models (``driver_increment_block``, stream 0):
+there the normals cost more than the re-key, and ``ndtri`` costs more per
+value than numpy's ziggurat (5.1 s against 3.0 s for 100k paths x 365
+steps x 2 normals).  ``PathStreams`` re-keys one Philox generator per path
+by setting its state (counter zero, the path's key, an empty buffer), which
+draws what a fresh generator would at a fraction of its cost.
+``path_generator`` builds such a fresh generator; only the tests and the
+benchmark's tracing call it.
 
 ``open_normals`` imports ``scipy.special.ndtri`` on its first call, so
 importing this module loads no scipy.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -78,17 +71,17 @@ def path_generator(seed: int, path_index: int, stream: int = DRIVER_STREAM) -> n
 
 
 class PathStreams:
-    """One Philox generator re-keyed to each path's stream in turn.
+    """One Philox generator re-keyed to each path's driver stream in turn.
 
     ``at(i)`` returns the shared generator positioned at the start of path
-    ``i``'s stream: it draws exactly what ``path_generator(seed, i, stream)``
-    would, and invalidates whatever ``at`` returned before.
+    ``i``'s stream: it draws exactly what ``path_generator(seed, i)`` would,
+    and invalidates whatever ``at`` returned before.
     """
 
-    def __init__(self, seed: int, stream: int = DRIVER_STREAM):
-        self._bitgen = np.random.Philox(key=path_key(seed, 0, stream))
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=path_key(seed, 0))
         self._gen = np.random.Generator(self._bitgen)
-        self.seed, self.stream = int(seed), int(stream)
+        self.seed = int(seed)
         # the state of a fresh generator; ``at`` swaps in each path's key
         self._key = {"counter": (0, 0, 0, 0), "key": None}
         self._state = {"bit_generator": "Philox", "state": self._key,
@@ -99,8 +92,8 @@ class PathStreams:
         path_index = int(path_index)
         if not 0 <= path_index < 1 << 63:
             raise ValueError(f"path_index must lie in [0, 2**63), got {path_index}")
-        # low and high words of path_key(seed, path_index, stream)
-        self._key["key"] = (path_index << 1 | self.stream, self.seed)
+        # low and high words of path_key(seed, path_index)
+        self._key["key"] = (path_index << 1, self.seed)
         self._bitgen.state = self._state
         return self._gen
 
@@ -161,20 +154,21 @@ def open_normals(doubles: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return np.copysign(out, mirror, out=out)
 
 
-def uniform_rows(seed: int, path_lo: int, path_hi: int, col_lo: int, col_hi: int) -> np.ndarray:
+def uniform_rows(seed: int, path_lo: int, path_hi: int, col_lo: int, col_hi: int,
+                 stream: int = DRIVER_STREAM) -> np.ndarray:
     """The (n_paths, col_hi - col_lo) doubles at columns [col_lo, col_hi) of
-    the rows of paths [path_lo, path_hi).
+    the rows of paths [path_lo, path_hi) on ``stream``.
 
     Columns 4k..4k+3 of path i are the 4 doubles that a Philox keyed by
-    (seed, driver stream) draws next from counter (i, k, 0, 0), so one
-    ``random`` call per k reads them for the whole batch and a column
-    depends only on (seed, path, column).
+    ``path_key(seed, 0, stream)`` draws next from counter (i, k, 0, 0), so
+    one ``random`` call per k reads them for the whole batch and a column
+    depends only on (seed, stream, path, column).
     """
     if not 0 <= path_lo <= path_hi <= 1 << 63:
         raise ValueError(f"paths [{path_lo}, {path_hi}) must lie within [0, 2**63)")
     if not 0 <= col_lo <= col_hi:
         raise ValueError(f"columns [{col_lo}, {col_hi}) must be a range of nonnegative columns")
-    bitgen = np.random.Philox(key=path_key(seed, 0))
+    bitgen = np.random.Philox(key=path_key(seed, 0, stream))
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     rows = np.empty((path_hi - path_lo, col_hi - col_lo))
@@ -222,7 +216,7 @@ def poisson_inversion(doubles: np.ndarray, means: np.ndarray) -> np.ndarray:
 
 
 def poisson_counts(seed: int, path_lo: int, step: int, doubles: np.ndarray,
-                   means: np.ndarray) -> np.ndarray:
+                   means: np.ndarray, stream: int = DRIVER_STREAM) -> np.ndarray:
     """One step's Poisson counts of paths path_lo, path_lo + 1, ...
 
     A mean below ``INVERSION_LIMIT`` inverts the path's count double of the
@@ -237,7 +231,7 @@ def poisson_counts(seed: int, path_lo: int, step: int, doubles: np.ndarray,
     if not hot.any():
         return poisson_inversion(doubles, means)
     counts = poisson_inversion(doubles, np.where(hot, 0.0, means))
-    bitgen = np.random.Philox(key=path_key(seed, 0))
+    bitgen = np.random.Philox(key=path_key(seed, 0, stream))
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     for row in np.flatnonzero(hot).tolist():
@@ -247,98 +241,45 @@ def poisson_counts(seed: int, path_lo: int, step: int, doubles: np.ndarray,
     return counts
 
 
-def uniform_block(seed: int, paths, n_uniforms: int, stream: int) -> np.ndarray:
-    """The first ``n_uniforms`` values ``Generator.random()`` returns on each
-    of ``paths``' ``stream``, one row per path; ``StreamReplay`` replays from
-    them the draws numpy makes from such doubles one at a time."""
-    uniforms = np.empty((len(paths), n_uniforms))
-    streams = PathStreams(seed, stream)
-    for i, path in enumerate(paths):
-        streams.at(int(path)).random(out=uniforms[i])
-    return uniforms
+class JumpRows:
+    """One batch's stepwise compound Poisson draws, read from rows.
 
-
-class StreamReplay:
-    """Step-by-step draws of many paths' streams, replayed for all at once.
-
-    numpy's ``Generator.poisson`` draws a count with mean below 10 by
-    multiplying ``random()`` doubles until the product falls to exp(-mean)
-    or below (a zero mean draws nothing), and ``choice`` with probabilities
-    searches one such double in the normalized cumulative probabilities.
-    Each path's doubles are therefore drawn up front (``uniform_block``) and
-    read through a per-path cursor: ``poisson_counts`` gives every row's
-    count and ``next_doubles`` the next double of the given rows, in the
-    order a generator per path would draw them, so the same draws come out
-    bit for bit.  A row that reads past its buffer is redrawn from its
-    stream at at least twice the length (``refilled``); a row whose mean
-    reaches 10, or is not finite, takes a generator positioned at its cursor
-    and draws with it from then on (``live``).
+    Paths [lo, hi) read on ``stream`` one double per step for the Poisson
+    count, step s at column ``count_col + s`` (``poisson_counts``), and atom
+    doubles in the columns after those ``n_steps``, one per jump through a
+    per-path cursor (``atom_doubles``); ``width`` atom columns are read up
+    front.  A cursor at the end of the atom buffer widens it by reading as
+    many further columns (``refilled``); nothing is redrawn.  ``live``
+    marks the paths that drew a count of mean 10 or more, or a non-finite
+    one.
     """
 
-    def __init__(self, seed: int, paths, width: int, stream: int):
-        self.seed, self.stream = int(seed), int(stream)
-        self.paths = np.asarray(paths, dtype=np.int64)
-        self.uniforms = uniform_block(seed, self.paths, width, stream)
-        self.filled = np.full(len(self.paths), width)
-        self.cursor = np.zeros(len(self.paths), dtype=np.int64)
-        self.refilled = np.zeros(len(self.paths), dtype=bool)
-        self.live: dict[int, np.random.Generator] = {}
+    def __init__(self, seed: int, lo: int, hi: int, count_col: int, n_steps: int, width: int,
+                 stream: int = DRIVER_STREAM):
+        self.seed, self.lo, self.hi, self.stream, self.step = seed, lo, hi, stream, 0
+        self.atom_col = count_col + n_steps
+        self.count_doubles = uniform_rows(seed, lo, hi, count_col, self.atom_col, stream)
+        self.atoms = uniform_rows(seed, lo, hi, self.atom_col, self.atom_col + width, stream)
+        self.cursor = np.zeros(hi - lo, dtype=np.int64)
+        self.refilled = np.zeros(hi - lo, dtype=bool)
+        self.live = np.zeros(hi - lo, dtype=bool)
 
-    def _ensure(self, rows: np.ndarray) -> None:
-        """Redraw the rows whose buffer ends at their cursor."""
-        short = self.cursor[rows] >= self.filled[rows]
-        if not short.any():
-            return
-        rows = rows[short]
-        length = max(2 * int(self.filled[rows].max()), 16)
-        if length > self.uniforms.shape[1]:
-            wider = np.empty((len(self.uniforms), length))
-            wider[:, : self.uniforms.shape[1]] = self.uniforms
-            self.uniforms = wider
-        self.uniforms[rows, :length] = uniform_block(self.seed, self.paths[rows], length,
-                                                     self.stream)
-        self.filled[rows] = length
-        self.refilled[rows] = True
-
-    def _next(self, rows: np.ndarray) -> np.ndarray:
-        """The next buffered double of each of the (distinct) rows."""
-        self._ensure(rows)
-        out = self.uniforms[rows, self.cursor[rows]]
-        self.cursor[rows] += 1
-        return out
-
-    def poisson_counts(self, means: np.ndarray) -> np.ndarray:
-        """One Poisson count per row, with the given means."""
-        for row in np.flatnonzero(~(means < 10.0)).tolist():
-            if row not in self.live:
-                gen = path_generator(self.seed, int(self.paths[row]), self.stream)
-                gen.random(int(self.cursor[row]))
-                self.live[row] = gen
-        counts = np.zeros(len(means), dtype=np.int64)
-        positive = means > 0.0
-        positive[list(self.live)] = False
-        rows = np.flatnonzero(positive)
-        # multiplication, one round per double drawn; exp by math.exp on the
-        # unique means, as numpy's C code calls libm
-        unique, inverse = np.unique(means[rows], return_inverse=True)
-        floor = np.array([math.exp(-mean) for mean in unique.tolist()])[inverse]
-        product = np.ones(len(rows))
-        active = np.arange(len(rows))
-        while len(active):
-            product[active] *= self._next(rows[active])
-            active = active[product[active] > floor[active]]
-            counts[rows[active]] += 1
-        for row, gen in self.live.items():
-            counts[row] = gen.poisson(means[row])
+    def counts(self, means: np.ndarray) -> np.ndarray:
+        """The next step's Poisson counts, one per path, with the given means."""
+        counts = poisson_counts(self.seed, self.lo, self.step, self.count_doubles[:, self.step],
+                                means, self.stream)
+        self.live |= ~(means < INVERSION_LIMIT)
+        self.step += 1
         return counts
 
-    def next_doubles(self, rows: np.ndarray) -> np.ndarray:
-        """The next ``random()`` double of each of the (distinct) rows."""
-        if not self.live:
-            return self._next(rows)
-        live = np.isin(rows, list(self.live))
-        out = np.empty(len(rows))
-        out[~live] = self._next(rows[~live])
-        for i in np.flatnonzero(live).tolist():
-            out[i] = self.live[int(rows[i])].random()
-        return out
+    def atom_doubles(self, rows: np.ndarray) -> np.ndarray:
+        """The next atom double of each of the (distinct) rows."""
+        cursor = self.cursor[rows]
+        width = self.atoms.shape[1]
+        if cursor.max(initial=0) >= width:
+            self.refilled[rows[cursor >= width]] = True
+            col = self.atom_col + width
+            wider = uniform_rows(self.seed, self.lo, self.hi, col, col + width, self.stream)
+            self.atoms = np.concatenate([self.atoms, wider], axis=1)
+        self.cursor[rows] += 1
+        return self.atoms[rows, cursor]

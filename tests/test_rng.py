@@ -2,12 +2,14 @@
 batch invariance, pins.
 
 The pinned values at the end were recorded from the per-path generators that
-predate ``PathStreams``, except the ``gauss`` and ``jump`` entries of
-``PINNED_AFFINE``: an exact Gaussian affine draw reads counter-addressed
-rows (``normal_rows``), and so does a stepped affine model with jumps (its
-normals, one Poisson double per step and its atom doubles, ``uniform_rows``);
-those entries were recorded from them.  Any change to a seeded stream makes
-a pin fail, so a stream change has to be made, and announced, on purpose.
+predate ``PathStreams``, except three groups that read counter-addressed
+rows and were recorded from them: the ``gauss`` entry of ``PINNED_AFFINE``
+(an exact Gaussian affine draw, ``normal_rows``), its ``jump`` entry (a
+stepped affine model with jumps: its normals, one Poisson double per step
+and its atom doubles on stream 0) and the two kernel-mode pins (the
+orthogonal jump factor's count and atom doubles on stream 1).  Any change
+to a seeded stream makes a pin fail, so a stream change has to be made, and
+announced, on purpose.
 """
 
 import logging
@@ -33,7 +35,6 @@ T6M = Tenor.parse("6M")
 
 seeds = st.integers(0, 2 ** 64 - 1)
 paths = st.integers(0, 2 ** 63 - 1)
-streams = st.sampled_from([rng.DRIVER_STREAM, rng.YPERP_STREAM])
 
 
 def gaussian_spec():
@@ -152,7 +153,7 @@ class TestPathKey:
         with pytest.raises(ValueError, match="stream must be 0 or 1"):
             rng.path_key(0, 0, stream)
         with pytest.raises(ValueError, match="stream"):
-            rng.PathStreams(0, stream)
+            rng.uniform_rows(0, 0, 2, 0, 4, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +171,13 @@ def mixed_draws(gen, n_normals):
     ]
 
 
-@given(seed=seeds, stream=streams,
-       indices=st.lists(paths | st.integers(0, 64), min_size=1, max_size=6),
+@given(seed=seeds, indices=st.lists(paths | st.integers(0, 64), min_size=1, max_size=6),
        n_normals=st.integers(0, 9))
-def test_rekeyed_stream_matches_fresh_generator(seed, stream, indices, n_normals):
-    shared = rng.PathStreams(seed, stream)
+def test_rekeyed_stream_matches_fresh_generator(seed, indices, n_normals):
+    shared = rng.PathStreams(seed)
     for path in indices:
         got = mixed_draws(shared.at(path), n_normals)
-        want = mixed_draws(rng.path_generator(seed, path, stream), n_normals)
+        want = mixed_draws(rng.path_generator(seed, path), n_normals)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -256,6 +256,13 @@ def test_uniform_rows_read_columns_by_address(seed, lo, n_paths, col_lo, span):
     assert np.array_equal(part, whole[:, col_lo:])
     assert np.array_equal(rng.normal_rows(seed, lo, lo + n_paths, col_lo + span),
                           rng.open_normals(whole))
+    # stream 1 reads other rows under its own key
+    ones = rng.uniform_rows(seed, lo, lo + n_paths, col_lo, col_lo + span, rng.YPERP_STREAM)
+    for i in range(n_paths):
+        row = ScalarRow(seed, lo + i, rng.YPERP_STREAM)
+        assert ones[i].tolist() == [row[c] for c in range(col_lo, col_lo + span)]
+    if span and n_paths:
+        assert not np.array_equal(ones, part)
 
 
 def test_uniform_rows_column_bounds():
@@ -277,10 +284,9 @@ def test_poisson_inversion_brackets_the_double(mean, u):
     assert poisson.cdf(k - 1, mean) - 1e-12 <= u < poisson.cdf(k, mean) + 1e-12
 
 
-def philox_at(seed, counter):
-    """A generator under the rows' key (the seed on the driver stream),
-    positioned at ``counter``."""
-    bitgen = np.random.Philox(key=rng.path_key(seed, 0))
+def philox_at(seed, counter, stream=rng.DRIVER_STREAM):
+    """A generator under the rows' key on ``stream``, positioned at ``counter``."""
+    bitgen = np.random.Philox(key=rng.path_key(seed, 0, stream))
     state = bitgen.state
     state["state"]["counter"] = counter
     bitgen.state = state
@@ -294,6 +300,9 @@ def test_poisson_counts_above_the_inversion_limit():
     for row in (1, 2):
         assert counts[row] == philox_at(8, (0, 5 + row, 2, 1)).poisson(means[row])
     assert counts[0] == rng.poisson_inversion(doubles[:1], means[:1])[0]
+    counts = rng.poisson_counts(8, 5, 2, doubles, means, rng.YPERP_STREAM)
+    for row in (1, 2):
+        assert counts[row] == philox_at(8, (0, 5 + row, 2, 1), rng.YPERP_STREAM).poisson(means[row])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             rng.poisson_counts(8, 5, 2, doubles, np.array([0.5, bad, 1.0]))
@@ -318,24 +327,24 @@ def test_simulate_affine_independent_of_batch_size(name, n_paths, batch_size, se
 
 
 class ScalarRow:
-    """One path's row, read column by column from a Philox positioned at the
-    path's row counter for each group of 4 columns."""
+    """One path's row on ``stream``, read column by column from a Philox
+    positioned at the path's row counter for each group of 4 columns."""
 
-    def __init__(self, seed, path):
-        self.seed, self.path, self.blocks = seed, path, {}
+    def __init__(self, seed, path, stream=rng.DRIVER_STREAM):
+        self.seed, self.path, self.stream, self.blocks = seed, path, stream, {}
 
     def __getitem__(self, col):
         k = col // 4
         if k not in self.blocks:
-            self.blocks[k] = philox_at(self.seed, (self.path, k, 0, 0)).random(4)
+            self.blocks[k] = philox_at(self.seed, (self.path, k, 0, 0), self.stream).random(4)
         return float(self.blocks[k][col % 4])
 
 
-def scalar_poisson(seed, path, step, u, mean):
+def scalar_poisson(seed, path, step, u, mean, stream=rng.DRIVER_STREAM):
     """The least k with u < F(k), the sum stopping when it stops growing;
     a mean of 10 or more draws from counter (0, path, step, 1)."""
     if not mean < 10.0:
-        return int(philox_at(seed, (0, path, step, 1)).poisson(mean))
+        return int(philox_at(seed, (0, path, step, 1), stream).poisson(mean))
     term = float(np.exp(-mean))
     total, k = term, 0
     while u >= total:
@@ -345,6 +354,13 @@ def scalar_poisson(seed, path, step, u, mean):
             break
         total = total + term
     return k
+
+
+def scalar_choice(probabilities, u):
+    """The atom ``Generator.choice`` picks for the double u."""
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
 
 
 class ScalarJumps:
@@ -368,12 +384,10 @@ class ScalarJumps:
 
     def add_jumps(self, means, x, y):
         jmp = self.spec.jumps
-        cdf = jmp.probabilities.cumsum()
-        cdf /= cdf[-1]
         for i, row in enumerate(self.rows):
             u = row[self.count_col + self.step]
             for _ in range(scalar_poisson(self.seed, self.lo + i, self.step, u, means[i])):
-                atom = int(cdf.searchsorted(row[self.cursor[i]], side="right"))
+                atom = scalar_choice(jmp.probabilities, row[self.cursor[i]])
                 self.cursor[i] += 1
                 x[i] += jmp.atoms_x[atom]
                 y[i] += jmp.atoms_y[atom]
@@ -446,8 +460,8 @@ def test_jump_replay_fallbacks_run_and_match(name, branch):
 
 
 # ---------------------------------------------------------------------------
-# kernel-mode jump steps replayed from buffered uniforms against a generator
-# per path
+# kernel-mode jump steps read from stream-1 rows against a scalar reference
+# of the row layout
 
 
 class FakeKernels:
@@ -468,28 +482,32 @@ class FakeKernels:
 
 
 class ScalarKernelSteps:
-    """Reference kernel-mode steps: the loop over paths with one generator per
-    path, a scalar Poisson draw and one ``choice`` per jump, in
-    ``hjm._kernel_step``'s interface.  ``stopped`` counts the jumps left
+    """Reference kernel-mode steps in ``hjm._kernel_step``'s interface: a loop
+    over each batch's paths, each reading its stream-1 row column by column,
+    the step's count double from columns [0, n_steps) and one atom double
+    per jump from column n_steps on.  ``stopped`` counts the jumps left
     undrawn because a re-solved intensity was not positive."""
 
-    def __init__(self):
-        self.replay, self.gens, self.stopped = None, [], 0
+    def __init__(self, seed, n_steps):
+        self.seed, self.n_steps, self.stopped = seed, n_steps, 0
+        self.draws, self.rows, self.lo = None, [], 0
 
-    def __call__(self, family, replay, targets, y, dt, psi_hat):
-        if replay is not self.replay:  # a new batch
-            self.replay = replay
-            self.gens = [rng.path_generator(replay.seed, int(p), rng.YPERP_STREAM)
-                         for p in replay.paths]
+    def __call__(self, family, draws, targets, y, dt, psi_hat):
+        if draws is not self.draws:  # a new batch, after the previous one
+            self.draws, self.lo, self.step = draws, self.lo + len(self.rows), 0
+            self.rows = [ScalarRow(self.seed, self.lo + p, rng.YPERP_STREAM) for p in range(len(y))]
+            self.cursor = [self.n_steps] * len(y)
         held = np.empty_like(targets)
         jumps = np.zeros(len(y), dtype=np.int64)
-        for p in range(targets.shape[0]):
+        for p, row in enumerate(self.rows):
             kernel, psi = family.solve_with_exponent(float(y[p, 0]), targets[p])
             lam = kernel.total_intensity
             held[p] = psi + psi_hat
-            n_jumps = int(self.gens[p].poisson(lam * dt)) if lam > 0 else 0
+            n_jumps = scalar_poisson(self.seed, self.lo + p, self.step, row[self.step],
+                                     lam * dt if lam > 0 else 0.0, rng.YPERP_STREAM)
             for k in range(n_jumps):
-                j = int(self.gens[p].choice(len(kernel.atoms), p=kernel.weights / lam))
+                j = scalar_choice(kernel.weights / lam, row[self.cursor[p]])
+                self.cursor[p] += 1
                 y[p, 0] += float(kernel.atoms[j])
                 jumps[p] += 1
                 kernel, _ = family.solve_with_exponent(float(y[p, 0]), targets[p])
@@ -497,32 +515,32 @@ class ScalarKernelSteps:
                 if lam <= 0:
                     self.stopped += n_jumps - k - 1
                     break
+        self.step += 1
         return held, jumps
 
 
-def scalar_yperp(family, horizon, dt, n_paths, seed, y0=0.0):
-    """Reference ``simulate_yperp``: the loop over paths on a re-keyed stream 1,
-    with ``p_fn`` called at every solve."""
+def scalar_yperp(family, horizon, dt, n_paths, seed):
+    """Reference ``simulate_yperp``: the loop over paths, each reading its
+    stream-1 row column by column, with ``p_fn`` called at every solve."""
     n_steps = int(round(horizon / dt))
     m = len(family.u)
     times = dt * np.arange(n_steps + 1)
     values = np.empty((n_paths, n_steps + 1))
     comps = np.zeros((n_paths, m, n_steps + 1))
     counts = np.zeros(n_paths, dtype=np.int64)
-    streams = rng.PathStreams(seed, rng.YPERP_STREAM)
     for ipath in range(n_paths):
-        gen = streams.at(ipath)
-        y = float(y0)
+        row, cursor = ScalarRow(seed, ipath, rng.YPERP_STREAM), n_steps
+        y = 0.0
         values[ipath, 0] = y
         for l in range(n_steps):
             kernel = family.solve(times[l], y)
             lam = kernel.total_intensity
             comps[ipath, :, l + 1] = comps[ipath, :, l] + dt * np.asarray(kernel.exponent(family.u))
-            n_jumps = int(gen.poisson(lam * dt)) if lam > 0 else 0
+            n_jumps = scalar_poisson(seed, ipath, l, row[l], lam * dt if lam > 0 else 0.0,
+                                     rng.YPERP_STREAM)
             for _ in range(n_jumps):
-                probs = kernel.weights / lam
-                j = int(gen.choice(len(kernel.atoms), p=probs))
-                y += float(kernel.atoms[j])
+                y += float(kernel.atoms[scalar_choice(kernel.weights / lam, row[cursor])])
+                cursor += 1
                 counts[ipath] += 1
                 kernel = family.solve(times[l], y)
                 lam = kernel.total_intensity
@@ -536,8 +554,8 @@ def recording(step):
     """``step`` with each call's held exponents, factor levels and jump counts kept."""
     calls = []
 
-    def wrapper(family, replay, targets, y, dt, psi_hat):
-        held, jumps = step(family, replay, targets, y, dt, psi_hat)
+    def wrapper(family, draws, targets, y, dt, psi_hat):
+        held, jumps = step(family, draws, targets, y, dt, psi_hat)
         calls.append((held.copy(), y.copy(), jumps.copy()))
         return held, jumps
 
@@ -564,12 +582,12 @@ def kernels(fake):
 
 
 def kernel_hjm_and_scalar(name, n_paths, seed, batch_size):
-    """Kernel-mode HJM with the step replayed and with the scalar reference;
+    """Kernel-mode HJM with the vectorized step and with the scalar reference;
     asserts bit identity of every step and snapshot, returns the summed
     batch counters and the reference."""
     scale, fake, horizon, dt = KERNEL_HJM[name]
     args = (kernel_hjm_model(scale), horizon, dt, n_paths, seed, [horizon, horizon + 0.5])
-    scalar = ScalarKernelSteps()
+    scalar = ScalarKernelSteps(seed, round(horizon / dt))
     step, got = recording(hjm._kernel_step)
     with kernels(fake):
         with mock.patch.object(hjm, "_kernel_step", step), batch_counters("hjm") as batches:
@@ -594,7 +612,7 @@ def kernel_hjm_and_scalar(name, n_paths, seed, batch_size):
 @settings(max_examples=25)
 @given(name=st.sampled_from(sorted(KERNEL_HJM)), n_paths=st.integers(1, 10),
        batch_size=st.integers(1, 10), seed=st.integers(0, 2 ** 64 - 1))
-def test_kernel_step_matches_generator_per_path(name, n_paths, batch_size, seed):
+def test_kernel_step_matches_scalar_rows(name, n_paths, batch_size, seed):
     kernel_hjm_and_scalar(name, n_paths, seed, batch_size)
 
 
@@ -634,20 +652,50 @@ def yperp_and_scalar(name, n_paths, seed):
 @settings(max_examples=20)
 @given(name=st.sampled_from(sorted(KERNEL_YPERP)), n_paths=st.integers(0, 12),
        seed=st.integers(0, 2 ** 64 - 1))
-def test_simulate_yperp_matches_generator_per_path(name, n_paths, seed):
+def test_simulate_yperp_matches_scalar_rows(name, n_paths, seed):
     yperp_and_scalar(name, n_paths, seed)
 
 
-@pytest.mark.parametrize("name, redraws, generators", [
-    ("lp", 0, 0), ("moving", 0, 0), ("refill", 1, 0), ("live", 0, 1)])
-def test_simulate_yperp_draw_branches(name, redraws, generators):
-    # the buffer is drawn once unless a path outgrows it, and a generator is
-    # built only for a Poisson mean of 10 or more
-    with mock.patch.object(rng, "uniform_block", wraps=rng.uniform_block) as blocks, \
-            mock.patch.object(rng, "path_generator", wraps=rng.path_generator) as made:
+@settings(max_examples=20)
+@given(name=st.sampled_from(sorted(KERNEL_YPERP)), n_paths=st.integers(1, 12),
+       head=st.integers(0, 12), seed=st.integers(0, 2 ** 64 - 1))
+def test_simulate_yperp_is_prefix_invariant(name, n_paths, head, seed):
+    # the first k paths of an N-path run are a k-path run, bit for bit
+    head = min(head, n_paths)
+    p_fn, fake, cap, horizon, dt = KERNEL_YPERP[name]
+    with kernels(fake):
+        whole, part = (simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=cap, p_fn=p_fn),
+                                      horizon, dt, n, seed) for n in (n_paths, head))
+    assert np.array_equal(whole.values[:head], part.values)
+    assert np.array_equal(whole.compensators[:head], part.compensators)
+    assert np.array_equal(whole.jump_counts[:head], part.jump_counts)
+
+
+@contextmanager
+def built_jump_rows():
+    """The ``rng.JumpRows`` built inside the block, in order."""
+    built = []
+
+    class Recorded(rng.JumpRows):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with mock.patch.object(rng, "JumpRows", Recorded):
+        yield built
+
+
+@pytest.mark.parametrize("name, refilled, live", [
+    ("lp", False, False), ("moving", False, False), ("refill", True, False),
+    ("live", True, True)])
+def test_simulate_yperp_draw_branches(name, refilled, live):
+    # the atom buffer widens only when a path outgrows it, and a path is live
+    # only after a Poisson mean of 10 or more
+    with built_jump_rows() as built:
         yperp_and_scalar(name, 20, 7)
-    assert (blocks.call_count > 1) == bool(redraws)
-    assert (made.call_count > 0) == bool(generators)
+    [draws] = built
+    assert draws.refilled.any() == refilled
+    assert draws.live.any() == live
 
 
 def test_kernel_mode_builds_no_generator():
@@ -707,21 +755,24 @@ def test_pinned_simulate_yperp():
     family = KernelFamily([0.5, 1.0], mass_cap=50.0, p_fn=lambda t: np.array([4.0, 12.0]))
     paths = simulate_yperp(family, horizon=0.5, dt=1 / 26, n_paths=6, seed=9)
     assert paths.values[:, -1].tolist() == [
-        1.342207152716012, 1.342207152716012, 1.342207152716012,
-        5.436672737818551, 0.0, 4.044116608944087]
-    assert paths.jump_counts.tolist() == [1, 1, 1, 4, 0, 3]
-    assert paths.compensators[3, 1, -1] == 6.0000000000000036
+        2.6925211905858855, 1.342207152716012, 1.342207152716012,
+        4.042835228455759, 2.651560480069623, 2.6925211905858855]
+    assert paths.jump_counts.tolist() == [2, 1, 1, 3, 2, 2]
+    assert paths.compensators[3, 1, -1] == 6.000000000000004
 
 
 def test_pinned_simulate_hjm_kernel_mode():
-    # two batches (4 + 2 paths); paths 1, 3 and 5 jump, path 1 twice
-    res = simulate_hjm(kernel_hjm_model(), horizon=0.5, dt=1 / 8, n_paths=6, seed=95,
+    # seven batches (6 x 4 + 2 paths); paths 12 and 24 jump once, 21 and 25
+    # twice and 18 three times; the first 6 paths do not jump
+    res = simulate_hjm(kernel_hjm_model(), horizon=0.5, dt=1 / 8, n_paths=26, seed=95,
                        maturities=[0.5, 1.0], batch_size=4)
     paths = res.pathset(0.5)
-    assert paths.numeraire.tolist() == [
+    assert paths.numeraire[:6].tolist() == [
         1.00785522425748, 1.0081531402551818, 1.0094261215674607,
         1.0092695285784605, 1.007845156473616, 1.0109766095272996]
-    assert paths.spreads[T6M][:, 1].tolist() == [
-        1.0101511771512957, 1.0905404032825192, 1.0101511771512957,
-        1.0496609232531355, 1.0101511771512957, 1.0496609232531355]
+    spreads = [1.0101511771512957] * 26
+    for path, spread in {12: 1.0487423395748794, 18: 1.132660767113132, 21: 1.0905404032825192,
+                         24: 1.0487423395748794, 25: 1.0905404032825192}.items():
+        spreads[path] = spread
+    assert paths.spreads[T6M][:, 1].tolist() == spreads
     assert res.diagnostics["consistency_max"] == 2.3245294578089215e-16

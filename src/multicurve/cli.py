@@ -2,7 +2,8 @@
 construct-kernel, and verify.
 
 Configuration comes from ``--config``, either JSON or plain ``key = value``
-lines (values parsed as JSON when possible).  Paths inside a config resolve
+lines (values parsed as JSON when possible), whose values are read by the
+rules of the input files (``RunConfig.option``).  Paths inside a config resolve
 relative to the config file.  ``--seed`` overrides the config seed; any
 command that draws random numbers refuses to run without one.  Artifacts go
 under ``--out``.  Exit status: 0 on success, 1 for domain failures (solver
@@ -47,6 +48,8 @@ from .hjm import (
     simulate_hjm,
 )
 from .marketio import (
+    REQUIRED,
+    Fields,
     SchemaError,
     affine_spec_from_dict,
     affine_spec_to_dict,
@@ -121,46 +124,27 @@ class RunConfig:
     seed: int | None = None
     extras: dict = field(default_factory=dict)
 
-    def require(self, key: str):
-        if key not in self.options:
-            raise ConfigError(f"config key {key!r} is required for {self.command}")
-        return self.options[key]
+    def option(self, key: str, kind: str, default=REQUIRED, minimum: int | None = None):
+        """Config value ``key`` read as ``kind`` by the file reading rules
+        (``marketio.Fields``), and at least ``minimum`` when one is given; a
+        bad value raises ConfigError naming the key."""
+        fields = Fields(self.options, f"{self.command} config", ConfigError)
+        value = fields(key, kind, default)
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{fields.where}: field {key!r} must be at least {minimum}, "
+                              f"got {value}")
+        return value
 
     def path(self, key: str) -> Path:
         """Resolve a config path relative to the config file and check it exists."""
-        return self.resolve_path(self.require(key), key)
+        return self.resolve_path(self.option(key, "string"), key)
 
-    def resolve_path(self, raw, key: str) -> Path:
+    def resolve_path(self, raw: str, key: str) -> Path:
         """Resolve the raw path string ``raw`` found under config key ``key``."""
-        if not isinstance(raw, str):
-            raise ConfigError(f"config key {key!r} must be a path string")
         p = (self.base_dir / raw).resolve() if not os.path.isabs(raw) else Path(raw)
         if not p.exists():
             raise ConfigError(f"{key}: file not found: {p}")
         return p
-
-    def positive(self, key: str, kind=float):
-        value = self.require(key)
-        try:
-            value = kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r} must be a {kind.__name__}") from None
-        if value <= 0:
-            raise ConfigError(f"config key {key!r} must be positive")
-        return value
-
-    def integer(self, key: str, default: int, minimum: int) -> int:
-        """Optional integer option, at least ``minimum``."""
-        value = self.options.get(key, default)
-        try:
-            number = int(value)
-            valid = not isinstance(value, bool) and number == float(value) >= minimum
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, "
-                              f"got {value!r}")
-        return number
 
     def require_seed(self) -> int:
         if self.seed is None:
@@ -201,11 +185,8 @@ def _tenor_slug(tenor: Tenor) -> str:
 
 def _load_spread_curves(run: RunConfig, key: str = "spread_curves"
                         ) -> dict[Tenor, SpreadTermStructure]:
-    paths = run.options.get(key, [])
-    if isinstance(paths, str):
-        paths = [paths]
     curves: dict[Tenor, SpreadTermStructure] = {}
-    for raw in paths:
+    for raw in run.option(key, "string list", []):
         curve = load_curve_json(run.resolve_path(raw, key))
         if not isinstance(curve, SpreadTermStructure):
             raise ConfigError(f"{raw}: expected a spread curve")
@@ -218,7 +199,7 @@ def _find_spread(curves: dict[Tenor, SpreadTermStructure], tenor: Tenor
     for key, curve in curves.items():
         if abs(float(key) - float(tenor)) <= 1e-12:
             return curve
-    raise ConfigError(f"no spread curve supplied for tenor {tenor}")
+    raise ConfigError(f"no spread curve supplied for tenor {tenor} (config key 'spread_curves')")
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +248,8 @@ def cmd_bootstrap(run: RunConfig) -> int:
         **_reprice_quotes(quotes, disc, spreads),
     }
     save_report_json(report, run.out_dir / "bootstrap_report.json")
-    if "plot_times" in run.options:
-        grid = [float(t) for t in run.options["plot_times"]]
+    grid = run.option("plot_times", "vector", None)
+    if grid is not None:
         save_plot_csv(run.out_dir / "curves_plot.csv",
                       curve_plot_rows(disc, spreads, grid))
         for tenor, curve in spreads.items():
@@ -323,8 +304,8 @@ def cmd_price(run: RunConfig) -> int:
         if not isinstance(model, AffineModelSpec):
             raise ConfigError("swaption pricing requires an affine model spec")
         seed = run.require_seed()
-        n_paths = run.positive("n_paths", int)
-        dt = run.positive("dt", float)
+        n_paths = run.option("n_paths", "integer", minimum=1)
+        dt = run.option("dt", "positive number")
         expiry = product.schedule[0]
         paths = simulate_affine(model, expiry, dt, n_paths, seed,
                                 maturities=list(product.schedule))
@@ -406,13 +387,13 @@ def _dump_paths_csv(path, pathsets, tenors, n_dump: int) -> None:
 
 
 def cmd_simulate(run: RunConfig) -> int:
-    n_dump = run.integer("dump_paths", 100, minimum=0)
+    n_dump = run.option("dump_paths", "integer", 100, minimum=0)
     model = load_model_json(run.path("model"))
     seed = run.require_seed()
-    n_paths = run.positive("n_paths", int)
-    dt = run.positive("dt", float)
-    horizon = run.positive("horizon", float)
-    maturities = [float(m) for m in run.require("maturities")]
+    n_paths = run.option("n_paths", "integer", minimum=1)
+    dt = run.option("dt", "positive number")
+    horizon = run.option("horizon", "positive number")
+    maturities = run.option("maturities", "vector").tolist()
     report: dict = {
         "kind": "simulation_report",
         "provenance": simulation_provenance(seed, n_paths, dt),
@@ -423,7 +404,7 @@ def cmd_simulate(run: RunConfig) -> int:
         pathsets = [ps]
         report["model"] = "affine"
     else:
-        obs = [float(t) for t in run.options.get("observation_times", [horizon])]
+        obs = run.option("observation_times", "vector", np.array([horizon])).tolist()
         result = simulate_hjm(model, horizon, dt, n_paths, seed, maturities,
                               observation_times=obs)
         pathsets = [result.pathset(t) for t in obs]
@@ -458,27 +439,28 @@ def _set_by_pointer(doc, pointer: str, value: float) -> None:
 
 
 def cmd_calibrate(run: RunConfig) -> int:
-    base_doc = affine_spec_to_dict(load_model_json(run.path("model")))
+    model = load_model_json(run.path("model"))
+    if not isinstance(model, AffineModelSpec):
+        raise ConfigError("calibration requires an affine model spec")
+    base_doc = affine_spec_to_dict(model)
     surface = load_vol_surface_csv(run.path("surface"))
     disc = load_curve_json(run.path("discount_curve"))
-    spreads = _load_spread_curves(run)
+    curves = _load_spread_curves(run)
+    spreads = {q.tenor: _find_spread(curves, q.tenor) for q in surface.quotes}
     seed = run.require_seed()
-    restarts = run.integer("restarts", 3, minimum=0)
-    max_iterations = run.integer("max_iterations", 4000, minimum=1)
-    params_cfg = run.require("parameters")
-    if not params_cfg:
+    restarts = run.option("restarts", "integer", 3, minimum=0)
+    max_iterations = run.option("max_iterations", "integer", 4000, minimum=1)
+    params = run.option("parameters", "object list")
+    if not params:
         raise ConfigError("parameters must list at least one free coefficient")
-    fields, initials, bounds = [], [], []
-    for item in params_cfg:
-        if "field" not in item or "initial" not in item:
-            raise ConfigError("each parameter needs 'field' and 'initial'")
-        fields.append(item["field"])
-        initials.append(float(item["initial"]))
-        bounds.append((item.get("lower"), item.get("upper")))
+    fields = [p("field", "string") for p in params]
+    initials = [p("initial", "number") for p in params]
+    bounds = [(p("lower", "number", None, True), p("upper", "number", None, True))
+              for p in params]
     for pointer in fields:
         try:
             _set_by_pointer(copy.deepcopy(base_doc), pointer, 0.0)
-        except (KeyError, IndexError, TypeError):
+        except (KeyError, IndexError, TypeError, ValueError):
             raise ConfigError(f"parameter field {pointer!r} not found in the model") from None
 
     def build_spec(values):
@@ -507,8 +489,8 @@ def cmd_calibrate(run: RunConfig) -> int:
 
 
 def cmd_construct_kernel(run: RunConfig) -> int:
-    grid_size = run.integer("grid_size", 400, minimum=1)
-    objective = run.options.get("objective", "min-total-mass")
+    grid_size = run.option("grid_size", "integer", 400, minimum=1)
+    objective = run.option("objective", "string", "min-total-mass")
     if objective not in OBJECTIVES:
         raise ConfigError(f"config key 'objective' must be one of {list(OBJECTIVES)}, "
                           f"got {objective!r}")
@@ -822,18 +804,12 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config file not found: {config_path}")
             options = _parse_config_text(config_path.read_text(encoding="utf-8"))
             base_dir = config_path.resolve().parent
-        seed = args.seed if args.seed is not None else options.get("seed")
-        if seed is not None:
-            try:
-                seed = int(seed)
-            except (TypeError, ValueError):
-                raise ConfigError("seed must be an integer") from None
-            if not 0 <= seed < 2 ** 64:
-                raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         run = RunConfig(command=args.command, options=options,
-                        base_dir=base_dir, out_dir=out_dir, seed=seed)
+                        base_dir=base_dir, out_dir=Path(args.out))
+        run.seed = args.seed if args.seed is not None else run.option("seed", "integer", None)
+        if run.seed is not None and not 0 <= run.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {run.seed}")
+        run.out_dir.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](run)
     except ConfigError as exc:
         _emit_error("config", str(exc))

@@ -11,6 +11,14 @@ Quote CSV schema: header ``instrument,tenor,maturity,quote`` with instrument
 in {OIS, FRA, IRS, BASIS}.  BASIS rows are accepted by the parser but not
 consumed by either bootstrapper; they are dropped with a warning.  Vol
 surface CSV schema: ``expiry,tenor,strike,vol``.
+
+Reading rules (``Fields``, shared with the CLI config): a number is finite
+and never a bool; vectors, matrices and the 3-d diffusion tensors are
+rectangular lists of numbers of a fixed rank; tenors are strings such as
+``"6M"``.  Null is allowed only where a writer writes it (the HJM
+``spread_factor.y0``).  Unknown keys are ignored, and every CSV row has one
+cell per header column.  A malformed field, or a value a constructor
+rejects, raises SchemaError naming the file and the field.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 from typing import Sequence
@@ -40,8 +49,10 @@ from .termstructure import (
 
 SCHEMA_VERSION = 1
 
-_QUOTE_HEADER = ["instrument", "tenor", "maturity", "quote"]
-_VOL_HEADER = ["expiry", "tenor", "strike", "vol"]
+# CSV columns and the kind of their cells
+_QUOTE_COLUMNS = {"instrument": "string", "tenor": "tenor",
+                  "maturity": "number", "quote": "number"}
+_VOL_COLUMNS = {"expiry": "number", "tenor": "tenor", "strike": "number", "vol": "number"}
 
 
 class SchemaError(ValueError):
@@ -51,6 +62,107 @@ class SchemaError(ValueError):
 class InadmissibleSchema(SchemaError, InadmissibleSpec):
     """A model file whose coefficients are inadmissible: a schema error to the
     CLI, an inadmissible trial point to calibration."""
+
+
+# ---------------------------------------------------------------------------
+# the typed field reader
+
+REQUIRED = object()  # the default of a field that must be present
+_BAD = object()  # what _read returns for a value of another kind
+_EMPTY = np.zeros(0)
+_RANKS = {"vector": 1, "matrix": 2, "tensor": 3}
+_TYPES = {"integer": int, "boolean": bool, "string": str, "object": dict}
+_LARGEST = 1.7976931348623157e308  # the largest finite float
+
+
+def _nest(value, rank: int) -> bool:
+    """True when ``value`` is lists nested ``rank`` deep around finite numbers;
+    exact type tests keep bools out, and nan fails every comparison."""
+    if rank == 0:
+        return (type(value) is float or type(value) is int) and abs(value) <= _LARGEST
+    if type(value) is not list:
+        return False
+    if rank > 1:
+        return all(_nest(v, rank - 1) for v in value)
+    if not set(map(type, value)) <= {int, float}:
+        return False
+    try:  # one C-level pass; only non-finite entries make the exact sum non-finite
+        return math.isfinite(math.fsum(value))
+    except OverflowError:  # a huge integer, or finite entries summing past float range
+        return all(abs(v) <= _LARGEST for v in value)
+    except ValueError:  # inf - inf
+        return False
+
+
+def _read(value, kind: str):
+    """``value`` read as ``kind``, or _BAD when it is of another kind."""
+    if kind in _RANKS:
+        if not _nest(value, _RANKS[kind]):
+            return _BAD
+        try:
+            arr = np.array(value, dtype=float)
+        except ValueError:  # ragged
+            return _BAD
+        return arr if arr.ndim == _RANKS[kind] else _BAD  # [] is no matrix
+    if kind in _TYPES:
+        return value if type(value) is _TYPES[kind] else _BAD
+    if kind.endswith(" list"):
+        items = [_read(v, kind[:-5]) for v in value] if type(value) is list else [_BAD]
+        return _BAD if any(v is _BAD for v in items) else items
+    if kind == "tenor":
+        try:
+            return Tenor.parse(value)
+        except ValueError:
+            return _BAD
+    if not _nest(value, 0) or (kind == "positive number" and value <= 0):
+        return _BAD
+    return float(value)
+
+
+class Fields:
+    """Typed reads of one JSON object's fields, by the module's reading rules.
+
+    ``fields(key, kind)`` reads field ``key`` as a ``number``, ``positive
+    number``, ``integer``, ``boolean``, ``string``, ``tenor``, ``vector``,
+    ``matrix`` or ``tensor`` (float arrays), ``object`` (a nested Fields), or
+    a list of one of them (``tenor list``).  An absent field, or a null one
+    when ``nullable``, reads as ``default``, and is an error without one.
+    Failures raise ``error`` naming ``where`` and the key."""
+
+    __slots__ = ("payload", "where", "error")
+
+    def __init__(self, payload, where: str, error: type = SchemaError):
+        if type(payload) is not dict:
+            text = json.dumps(payload, default=repr)[:40]
+            raise error(f"{where}: expected a JSON object, got {text}")
+        self.payload, self.where, self.error = payload, where, error
+
+    def __call__(self, key: str, kind: str, default=REQUIRED, nullable: bool = False):
+        value = self.payload.get(key, REQUIRED)
+        if value is REQUIRED or (value is None and nullable):
+            if default is REQUIRED:
+                raise self.error(f"{self.where}: missing field {key!r}")
+            return default
+        out = _read(value, kind)
+        if out is _BAD:
+            text = json.dumps(value, default=repr)[:40]
+            raise self.error(f"{self.where}: bad {kind} {text} in field {key!r}")
+        if kind == "object":
+            return Fields(out, f"{self.where}: {key}", self.error)
+        if kind == "object list":
+            return [Fields(v, f"{self.where}: {key}[{i}]", self.error) for i, v in enumerate(out)]
+        return out
+
+
+def _build(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)`` on values read from a file: the one place where
+    a constructor's ValueError becomes a SchemaError (InadmissibleSchema)."""
+    try:
+        return make(*args, **kwargs)
+    except InadmissibleSpec as exc:
+        raise InadmissibleSchema(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -70,57 +182,18 @@ def _read_json(path):
 
 
 def _load_json(path, expected_kind: str | None = None) -> dict:
-    payload = _read_json(path)
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected a JSON object at top level")
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: schema_version {version!r} not supported (expected {SCHEMA_VERSION})"
-        )
-    if expected_kind is not None and payload.get("kind") != expected_kind:
-        raise SchemaError(
-            f"{path}: kind {payload.get('kind')!r}, expected {expected_kind!r}"
-        )
+    payload = Fields(_read_json(path), str(path)).payload
+    version, kind = payload.get("schema_version"), payload.get("kind")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"{path}: schema_version {version!r} not supported "
+                          f"(expected {SCHEMA_VERSION})")
+    if expected_kind is not None and kind != expected_kind:
+        raise SchemaError(f"{path}: kind {kind!r}, expected {expected_kind!r}")
     return payload
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=float).ravel()]
-
-
-def _nested(values) -> list:
-    arr = np.asarray(values, dtype=float)
-    return arr.tolist()
-
-
-def _get(payload: dict, key: str, where: str, kind: type | None = None):
-    """``payload[key]``, optionally checked to be of JSON type ``kind``.
-
-    A container that is not an object, a missing field, and a value of the
-    wrong type all raise SchemaError.
-    """
-    if not isinstance(payload, dict):
-        raise SchemaError(
-            f"{where}: expected an object holding {key!r}, got {type(payload).__name__}")
-    if key not in payload:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    value = payload[key]
-    if kind is not None and not isinstance(value, kind):
-        raise SchemaError(f"{where}: field {key!r} must be a {kind.__name__}, "
-                          f"got {type(value).__name__}")
-    return value
-
-
-def _number(value, key: str, where: str, integer: bool = False):
-    """Field ``key``'s value as a float, or an int when ``integer``; any other
-    JSON type (a string, a list, a bool) raises SchemaError."""
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise SchemaError(f"{where}: field {key!r} must be "
-                          f"{'an integer' if integer else 'a number'}, "
-                          f"got {type(value).__name__}")
-    return int(value) if integer else float(value)
+def _floats(values) -> list:
+    return np.asarray(values, dtype=float).tolist()
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
@@ -144,21 +217,29 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="\n")
 
 
-def _read_csv(path, header: Sequence[str]) -> list[dict]:
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _read_csv(path, columns: dict) -> list[tuple]:
+    """(where, cells...) per non-blank row, each cell read as its column's kind."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames != list(header):
-            raise SchemaError(
-                f"{path}: header {reader.fieldnames}, expected {list(header)}"
-            )
-        return [row for row in reader if any((v or "").strip() for v in row.values())]
-
-
-def _row_float(row: dict, key: str, path, line: int) -> float:
-    try:
-        return float(row[key])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path} row {line}: bad {key} {row[key]!r}") from exc
+        if reader.fieldnames != list(columns):
+            raise SchemaError(f"{path}: header {reader.fieldnames}, expected {list(columns)}")
+        for row in reader:
+            where = f"{path} row {reader.line_num}"
+            if None in row or None in row.values():  # cells beyond or short of the header
+                raise SchemaError(f"{where}: expected {len(columns)} cells")
+            if any(v.strip() for v in row.values()):
+                cells = Fields({k: _cell(v) if columns[k] == "number" else v
+                                for k, v in row.items()}, where)
+                rows.append((where, *(cells(k, kind) for k, kind in columns.items())))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +253,15 @@ def save_quotes_csv(quotes: MarketQuoteSet, path) -> None:
     for tenor in sorted(quotes.spread_quotes, key=float):
         for q in sorted(quotes.spread_quotes[tenor], key=lambda q: q.maturity):
             rows.append((q.kind, str(tenor), q.maturity, q.rate))
-    write_csv(path, _QUOTE_HEADER, rows)
+    write_csv(path, _QUOTE_COLUMNS, rows)
 
 
 def load_quotes_csv(path) -> MarketQuoteSet:
     """Parse the quote CSV; BASIS rows are dropped with a warning."""
     quotes = MarketQuoteSet()
     n_basis = 0
-    for line, row in enumerate(_read_csv(path, _QUOTE_HEADER), start=2):
-        instrument = row["instrument"].strip().upper()
-        maturity = _row_float(row, "maturity", path, line)
-        rate = _row_float(row, "quote", path, line)
-        try:
-            tenor = Tenor.parse(row["tenor"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{path} row {line}: bad tenor {row['tenor']!r}") from exc
+    for where, instrument, tenor, maturity, rate in _read_csv(path, _QUOTE_COLUMNS):
+        instrument = instrument.strip().upper()
         if instrument == "OIS":
             quotes.ois_swaps.append(OisSwapQuote(maturity, rate, tenor))
         elif instrument in ("FRA", "IRS"):
@@ -195,7 +270,7 @@ def load_quotes_csv(path) -> MarketQuoteSet:
         elif instrument == "BASIS":
             n_basis += 1
         else:
-            raise SchemaError(f"{path} row {line}: unknown instrument {instrument!r}")
+            raise SchemaError(f"{where}: unknown instrument {instrument!r}")
     if n_basis:
         warnings.warn(
             f"{path}: dropped {n_basis} BASIS row(s); basis quotes are not "
@@ -239,23 +314,20 @@ def save_curve_json(curve, path) -> None:
 
 def load_curve_json(path):
     """Read a curve JSON; returns DiscountCurve or SpreadTermStructure."""
-    payload = _load_json(path)
-    kind = payload.get("kind")
+    doc = Fields(_load_json(path), str(path))
+    kind = doc("kind", "string")
     if kind == "discount_curve":
-        expected = DiscountCurve.interpolation
-        curve = DiscountCurve(_get(payload, "times", str(path)),
-                              _get(payload, "discounts", str(path)))
+        curve = _build(doc.where, DiscountCurve, doc("times", "vector"),
+                       doc("discounts", "vector"))
     elif kind == "spread_curve":
-        expected = SpreadTermStructure.interpolation
-        curve = SpreadTermStructure(Tenor.parse(_get(payload, "tenor", str(path))),
-                                    _get(payload, "times", str(path)),
-                                    _get(payload, "spreads", str(path)))
+        curve = _build(doc.where, SpreadTermStructure, doc("tenor", "tenor"),
+                       doc("times", "vector"), doc("spreads", "vector"))
     else:
         raise SchemaError(f"{path}: unknown curve kind {kind!r}")
-    tag = payload.get("interpolation")
-    if tag != expected:
+    tag = doc("interpolation", "string")
+    if tag != curve.interpolation:
         raise SchemaError(f"{path}: interpolation {tag!r} not supported "
-                          f"(this build uses {expected!r})")
+                          f"(this build uses {curve.interpolation!r})")
     return curve
 
 
@@ -273,9 +345,9 @@ def affine_spec_to_dict(spec: AffineModelSpec) -> dict:
             "x0": _floats(spec.x0),
         },
         "drift": {"const": _floats(spec.drift_const),
-                  "linear": _nested(spec.drift_linear)},
-        "diffusion": {"const": _nested(spec.diffusion_const),
-                      "linear": _nested(spec.diffusion_linear)},
+                  "linear": _floats(spec.drift_linear)},
+        "diffusion": {"const": _floats(spec.diffusion_const),
+                      "linear": _floats(spec.diffusion_linear)},
         "rate": {"const": float(spec.rate_const),
                  "linear": _floats(spec.rate_linear)},
         "spreads": {
@@ -285,71 +357,49 @@ def affine_spec_to_dict(spec: AffineModelSpec) -> dict:
     }
     if spec.n_spread:
         doc["spreads"].update({
-            "u_vectors": _nested(spec.u_vectors),
+            "u_vectors": _floats(spec.u_vectors),
             "y0": _floats(spec.y0),
             "drift_const": _floats(spec.y_drift_const),
-            "drift_linear": _nested(spec.y_drift_linear),
-            "diff_const": _nested(spec.y_diff_const),
-            "diff_linear": _nested(spec.y_diff_linear),
+            "drift_linear": _floats(spec.y_drift_linear),
+            "diff_const": _floats(spec.y_diff_const),
+            "diff_linear": _floats(spec.y_diff_linear),
         })
     if spec.jumps is not None:
         jumps = {
-            "atoms_x": _nested(spec.jumps.atoms_x),
+            "atoms_x": _floats(spec.jumps.atoms_x),
             "probabilities": _floats(spec.jumps.probabilities),
             "intensity_const": float(spec.jumps.intensity_const),
             "intensity_linear": _floats(spec.jumps.intensity_linear),
         }
         if spec.jumps.atoms_y is not None:
-            jumps["atoms_y"] = _nested(spec.jumps.atoms_y)
+            jumps["atoms_y"] = _floats(spec.jumps.atoms_y)
         doc["jumps"] = jumps
     return doc
 
 
 def affine_spec_from_dict(payload: dict, where: str = "affine spec") -> AffineModelSpec:
-    state = _get(payload, "state", where)
-    drift = _get(payload, "drift", where)
-    diffusion = _get(payload, "diffusion", where)
-    rate = _get(payload, "rate", where)
-    spreads = _get(payload, "spreads", where)
-    try:
-        jumps = None
-        if "jumps" in payload:
-            j = payload["jumps"]
-            jumps = AffineJumps(
-                atoms_x=_get(j, "atoms_x", where),
-                probabilities=_get(j, "probabilities", where),
-                intensity_const=_number(j.get("intensity_const", 0.0), "intensity_const", where),
-                intensity_linear=j.get("intensity_linear"),
-                atoms_y=j.get("atoms_y"),
-            )
-        tenors = [Tenor.parse(t) for t in _get(spreads, "tenors", where, list)]
-        return AffineModelSpec(
-            pos_dims=_number(_get(state, "pos_dims", where), "pos_dims", where, integer=True),
-            real_dims=_number(_get(state, "real_dims", where), "real_dims", where, integer=True),
-            drift_const=_get(drift, "const", where),
-            drift_linear=_get(drift, "linear", where),
-            diffusion_const=_get(diffusion, "const", where),
-            diffusion_linear=diffusion.get("linear"),
-            rate_const=_number(_get(rate, "const", where), "const", where),
-            rate_linear=_get(rate, "linear", where),
-            n_spread=len(tenors),
-            u_vectors=_get(spreads, "u_vectors", where) if tenors else None,
-            tenors=tenors,
-            y_mode=_get(spreads, "mode", where),
-            y_drift_const=spreads.get("drift_const"),
-            y_drift_linear=spreads.get("drift_linear"),
-            y_diff_const=spreads.get("diff_const"),
-            y_diff_linear=spreads.get("diff_linear"),
-            jumps=jumps,
-            x0=state.get("x0"),
-            y0=spreads.get("y0"),
-        )
-    except SchemaError:
-        raise
-    except InadmissibleSpec as exc:
-        raise InadmissibleSchema(f"{where}: {exc}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    doc = Fields(payload, where)
+    state, drift, rate = doc("state", "object"), doc("drift", "object"), doc("rate", "object")
+    diffusion, spreads = doc("diffusion", "object"), doc("spreads", "object")
+    tenors, jumps = spreads("tenors", "tenor list"), doc("jumps", "object", None)
+    if jumps is not None:
+        jumps = _build(where, AffineJumps, jumps("atoms_x", "matrix"),
+                       jumps("probabilities", "vector"), jumps("intensity_const", "number", 0.0),
+                       jumps("intensity_linear", "vector", None), jumps("atoms_y", "matrix", None))
+    return _build(
+        where, AffineModelSpec,
+        pos_dims=state("pos_dims", "integer"), real_dims=state("real_dims", "integer"),
+        drift_const=drift("const", "vector"), drift_linear=drift("linear", "matrix"),
+        diffusion_const=diffusion("const", "matrix"),
+        diffusion_linear=diffusion("linear", "tensor", None),
+        rate_const=rate("const", "number"), rate_linear=rate("linear", "vector"),
+        n_spread=len(tenors), u_vectors=spreads("u_vectors", "matrix") if tenors else None,
+        tenors=tenors, y_mode=spreads("mode", "string"),
+        y_drift_const=spreads("drift_const", "vector", None),
+        y_drift_linear=spreads("drift_linear", "matrix", None),
+        y_diff_const=spreads("diff_const", "matrix", None),
+        y_diff_linear=spreads("diff_linear", "tensor", None),
+        jumps=jumps, x0=state("x0", "vector", None), y0=spreads("y0", "vector", None))
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +415,12 @@ def _vol_to_dict(vol) -> dict:
             "scales": _floats(vol.scales), "decays": _floats(vol.decays)}
 
 
-def _vol_from_dict(payload: dict, where: str) -> ExponentialVolatility:
-    family = _get(payload, "family", where)
+def _vol_from_dict(vol: Fields) -> ExponentialVolatility:
+    family = vol("family", "string")
     if family != "exponential":
-        raise SchemaError(f"{where}: unknown volatility family {family!r}")
-    return ExponentialVolatility(_get(payload, "scales", where),
-                                 _get(payload, "decays", where))
+        raise SchemaError(f"{vol.where}: unknown volatility family {family!r}")
+    return _build(vol.where, ExponentialVolatility, vol("scales", "vector"),
+                  vol("decays", "vector"))
 
 
 def _initial_curve_to_dict(curve, what: str):
@@ -383,10 +433,10 @@ def _initial_curve_to_dict(curve, what: str):
 def hjm_model_to_dict(model: LevyHjmModel) -> dict:
     driver = {
         "drift": _floats(model.driver.drift),
-        "covariance": _nested(model.driver.covariance),
+        "covariance": _floats(model.driver.covariance),
     }
     if len(model.driver.jump_intensities):
-        driver["jump_sizes"] = _nested(model.driver.jump_sizes)
+        driver["jump_sizes"] = _floats(model.driver.jump_sizes)
         driver["jump_intensities"] = _floats(model.driver.jump_intensities)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -397,7 +447,7 @@ def hjm_model_to_dict(model: LevyHjmModel) -> dict:
             "ois": _vol_to_dict(model.ois_vol),
             "spreads": [_vol_to_dict(v) for v in model.spread_vols],
         },
-        "u_vectors": _nested(model.u_vectors),
+        "u_vectors": _floats(model.u_vectors),
         "tenors": [str(t) for t in model.tenors],
         "initial_curves": {
             "forward": _initial_curve_to_dict(model.forward_curve, "forward curve"),
@@ -414,39 +464,24 @@ def hjm_model_to_dict(model: LevyHjmModel) -> dict:
 
 
 def hjm_model_from_dict(payload: dict, where: str = "hjm spec") -> LevyHjmModel:
-    driver = _get(payload, "driver", where)
-    vols = _get(payload, "vols", where)
-    curves = _get(payload, "initial_curves", where)
-    factor = (_get(payload, "spread_factor", where, dict)
-              if "spread_factor" in payload else {})
-    try:
-        triplet = LevyTriplet(
-            drift=_get(driver, "drift", where),
-            covariance=_get(driver, "covariance", where),
-            jump_sizes=np.asarray(driver.get("jump_sizes", np.zeros((0, 1)))),
-            jump_intensities=np.asarray(driver.get("jump_intensities", np.zeros(0))),
-        )
-        return LevyHjmModel(
-            driver=triplet,
-            n_curve_factors=_number(_get(payload, "n_curve_factors", where), "n_curve_factors",
-                                    where, integer=True),
-            ois_vol=_vol_from_dict(_get(vols, "ois", where), where),
-            spread_vols=[_vol_from_dict(v, where)
-                         for v in _get(vols, "spreads", where, list)],
-            u_vectors=_get(payload, "u_vectors", where),
-            tenors=[Tenor.parse(t) for t in _get(payload, "tenors", where, list)],
-            forward_curve=_number(_get(curves, "forward", where), "forward", where),
-            forward_spread_curves=[_number(c, f"spreads[{k}]", where) for k, c in
-                                   enumerate(_get(curves, "spreads", where, list))],
-            spread_factor_mode=factor.get("mode", "none"),
-            kernel_mass_cap=_number(factor.get("mass_cap", 50.0), "mass_cap", where),
-            kernel_objective=factor.get("objective", "min-total-mass"),
-            y0=factor.get("y0"),
-        )
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    doc = Fields(payload, where)
+    driver, vols = doc("driver", "object"), doc("vols", "object")
+    curves = doc("initial_curves", "object")
+    factor = doc("spread_factor", "object", Fields({}, where))
+    triplet = _build(where, LevyTriplet, driver("drift", "vector"), driver("covariance", "matrix"),
+                     driver("jump_sizes", "matrix", _EMPTY),
+                     driver("jump_intensities", "vector", _EMPTY))
+    return _build(
+        where, LevyHjmModel, driver=triplet, n_curve_factors=doc("n_curve_factors", "integer"),
+        ois_vol=_vol_from_dict(vols("ois", "object")),
+        spread_vols=[_vol_from_dict(v) for v in vols("spreads", "object list")],
+        u_vectors=doc("u_vectors", "matrix"), tenors=doc("tenors", "tenor list"),
+        forward_curve=curves("forward", "number"),
+        forward_spread_curves=curves("spreads", "vector").tolist(),
+        spread_factor_mode=factor("mode", "string", "none"),
+        kernel_mass_cap=factor("mass_cap", "number", 50.0),
+        kernel_objective=factor("objective", "string", "min-total-mass"),
+        y0=factor("y0", "vector", None, nullable=True))
 
 
 def save_model_json(model, path) -> None:
@@ -493,21 +528,14 @@ def product_spec_to_dict(spec: ProductSpec) -> dict:
 
 
 def product_spec_from_dict(payload: dict, where: str = "product spec") -> ProductSpec:
-    try:
-        return ProductSpec(
-            kind=_get(payload, "product", where),
-            schedule=tuple(_get(payload, "schedule", where)),
-            fixed_rate=_number(_get(payload, "fixed_rate", where), "fixed_rate", where),
-            notional=_number(_get(payload, "notional", where), "notional", where),
-            tenor=Tenor.parse(_get(payload, "tenor", where)),
-            tenor_b=Tenor.parse(payload["tenor_b"]) if "tenor_b" in payload else None,
-            schedule_b=tuple(payload.get("schedule_b", ())),
-            schedule_fixed=tuple(payload.get("schedule_fixed", ())),
-        )
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    doc = Fields(payload, where)
+    return _build(
+        where, ProductSpec, kind=doc("product", "string"),
+        schedule=tuple(doc("schedule", "vector").tolist()),
+        fixed_rate=doc("fixed_rate", "number"), notional=doc("notional", "number"),
+        tenor=doc("tenor", "tenor"), tenor_b=doc("tenor_b", "tenor", None),
+        schedule_b=tuple(doc("schedule_b", "vector", _EMPTY).tolist()),
+        schedule_fixed=tuple(doc("schedule_fixed", "vector", _EMPTY).tolist()))
 
 
 def save_product_json(spec: ProductSpec, path) -> None:
@@ -544,22 +572,11 @@ def kernel_to_dict(kernel: JumpKernel) -> dict:
 
 
 def moment_targets_from_dict(payload: dict, where: str = "moment targets") -> MomentTargets:
-    """Targets from an object of ``u``, ``p``, ``mass_cap`` and optional
-    ``floor`` and ``p_extra``; any malformed or invalid field raises SchemaError."""
-    u, p = _get(payload, "u", where), _get(payload, "p", where)
-    p_extra = payload.get("p_extra")
-    try:
-        return MomentTargets(
-            u=np.asarray(u, dtype=float),
-            p=np.asarray(p, dtype=float),
-            mass_cap=_number(_get(payload, "mass_cap", where), "mass_cap", where),
-            floor=_number(payload.get("floor", 0.0), "floor", where),
-            p_extra=None if p_extra is None else _number(p_extra, "p_extra", where),
-        )
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    """Targets from an object of ``u``, ``p``, ``mass_cap``, ``floor`` and ``p_extra``."""
+    doc = Fields(payload, where)
+    return _build(where, MomentTargets, doc("u", "vector"), doc("p", "vector"),
+                  doc("mass_cap", "number"), doc("floor", "number", 0.0),
+                  doc("p_extra", "number", None))
 
 
 def load_targets_json(path) -> MomentTargets:
@@ -569,16 +586,14 @@ def load_targets_json(path) -> MomentTargets:
 
 
 def kernel_from_dict(payload: dict, where: str = "kernel") -> JumpKernel:
-    atoms = _get(payload, "atoms", where)
-    targets = moment_targets_from_dict(_get(payload, "targets", where), where)
+    doc = Fields(payload, where)
+    atoms, targets = doc("atoms", "object list"), doc("targets", "object")
     return JumpKernel(
-        atoms=np.array([_get(a, "xi", where) for a in atoms], dtype=float),
-        weights=np.array([_get(a, "w", where) for a in atoms], dtype=float),
-        targets=targets,
-        residuals=np.asarray(_get(payload, "residuals", where), dtype=float),
-        objective=_get(payload, "objective", where),
-        extra_mass=_number(_get(payload, "extra_mass", where), "extra_mass", where),
-    )
+        atoms=np.array([a("xi", "number") for a in atoms], dtype=float),
+        weights=np.array([a("w", "number") for a in atoms], dtype=float),
+        targets=moment_targets_from_dict(targets.payload, targets.where),
+        residuals=doc("residuals", "vector"), objective=doc("objective", "string"),
+        extra_mass=doc("extra_mass", "number"))
 
 
 def save_kernel_json(kernel: JumpKernel, path) -> None:
@@ -598,26 +613,12 @@ def save_vol_surface_csv(surface: VolQuoteSurface, path) -> None:
         raise SchemaError("the surface CSV stores implied vols; convert premium "
                           "quotes before saving")
     rows = [(q.expiry, str(q.tenor), q.strike, q.value) for q in surface.quotes]
-    write_csv(path, _VOL_HEADER, rows)
+    write_csv(path, _VOL_COLUMNS, rows)
 
 
 def load_vol_surface_csv(path) -> VolQuoteSurface:
-    quotes = []
-    for line, row in enumerate(_read_csv(path, _VOL_HEADER), start=2):
-        try:
-            tenor = Tenor.parse(row["tenor"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{path} row {line}: bad tenor {row['tenor']!r}") from exc
-        quotes.append(VolQuote(
-            expiry=_row_float(row, "expiry", path, line),
-            tenor=tenor,
-            strike=_row_float(row, "strike", path, line),
-            value=_row_float(row, "vol", path, line),
-        ))
-    try:
-        return VolQuoteSurface(quotes)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    quotes = [VolQuote(*cells) for _, *cells in _read_csv(path, _VOL_COLUMNS)]
+    return _build(str(path), VolQuoteSurface, quotes)
 
 
 # ---------------------------------------------------------------------------
@@ -665,15 +666,11 @@ def calibration_result_to_dict(result: CalibrationResult,
 
 def calibration_result_from_dict(payload: dict,
                                  where: str = "calibration result") -> CalibrationResult:
+    doc = Fields(payload, where)
     return CalibrationResult(
-        parameters=np.asarray(_get(payload, "parameters", where), dtype=float),
-        objective=_number(_get(payload, "objective", where), "objective", where),
-        residuals=np.asarray(_get(payload, "residuals", where), dtype=float),
-        trace=np.asarray(_get(payload, "trace", where), dtype=float),
-        n_evaluations=_number(_get(payload, "n_evaluations", where), "n_evaluations", where,
-                              integer=True),
-        converged=bool(_get(payload, "converged", where)),
-    )
+        parameters=doc("parameters", "vector"), objective=doc("objective", "number"),
+        residuals=doc("residuals", "vector"), trace=doc("trace", "vector"),
+        n_evaluations=doc("n_evaluations", "integer"), converged=doc("converged", "boolean"))
 
 
 def save_report_json(report: dict, path) -> None:

@@ -17,10 +17,21 @@ import pytest
 
 import multicurve
 from multicurve.affine import AffineModelSpec, affine_bond, affine_spread, caplet_price_fourier
-from multicurve.calibration import black_implied_vol, VolQuote, VolQuoteSurface
+from multicurve.calibration import (
+    CalibrationResult,
+    black_implied_vol,
+    VolQuote,
+    VolQuoteSurface,
+)
 from multicurve.cli import ConfigError, RunConfig, _load_spread_curves, main
 from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet
 from multicurve.marketio import (
+    SchemaError,
+    affine_spec_to_dict,
+    calibration_result_from_dict,
+    calibration_result_to_dict,
+    hjm_model_to_dict,
+    kernel_to_dict,
     load_curve_json,
     load_kernel_json,
     load_report_json,
@@ -30,6 +41,7 @@ from multicurve.marketio import (
     save_quotes_csv,
     save_vol_surface_csv,
 )
+from multicurve.momentkernel import JumpKernel, MomentTargets
 from multicurve.products import ProductSpec, fra_value, irs_swap_rate, ois_swap_rate
 from multicurve.termstructure import (
     DiscountCurve,
@@ -740,3 +752,267 @@ class TestColdStart:
         code, loaded = cold_run("price", "--config", cfg, "--seed", 11, "--out", tmp_path)
         assert code == 0
         assert "scipy.special" in loaded
+
+
+# ---------------------------------------------------------------------------
+# file fuzz: every single-field type change or key deletion of a valid input
+
+DELETE = object()
+# per JSON type of a leaf or block, its replacements of other JSON types
+SWAPS = {"number": ("x", [1.0], True, None), "string": (5, ["x"], True, None),
+         "bool": (1, "x", None), "null": (5, "x"), "list": (5, {}), "object": ([],)}
+SUBJECT = "fuzz_subject"  # the file a case mutates; configs name it by this stem
+
+
+def json_type(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "list", dict: "object", type(None): "null"}[type(value)]
+
+
+def json_mutations(doc):
+    """Every (path, replacement) one change away from ``doc``: each leaf and
+    block below the top swapped for each other JSON type, and each key
+    deleted (replacement DELETE)."""
+    def walk(node, path):
+        if path:
+            yield from ((path, new) for new in SWAPS[json_type(node)])
+        items = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        for key, value in items:
+            if isinstance(node, dict):
+                yield path + (key,), DELETE
+            yield from walk(value, path + (key,))
+    return list(walk(doc, ()))
+
+
+def mutated(doc, path, new):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if new is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = new
+    return doc
+
+
+def csv_mutations(text):
+    """(label, text) for each data cell of a CSV swapped for a non-number,
+    a non-finite number or an empty cell, and each row given a cell too
+    many or too few."""
+    lines = text.splitlines()
+    for r in range(1, len(lines)):
+        cells = lines[r].split(",")
+        for c in range(len(cells)):
+            for new in ("x", "", "nan", "-inf", "[1]"):
+                row = ",".join(cells[:c] + [new] + cells[c + 1:])
+                yield f"row {r} cell {c} -> {new!r}", lines[:r] + [row] + lines[r + 1:]
+        for row in (lines[r] + ",0.1", ",".join(cells[:-1])):
+            yield f"row {r} -> {row!r}", lines[:r] + [row] + lines[r + 1:]
+
+
+def fuzz_failure(code, err, label, type_change, nullable, names):
+    """Why one fuzzed run breaks the reading rules, or None when it keeps them."""
+    if code not in (0, 2):
+        return f"{label}: exit {code} {err}"
+    if code == 2 and (err["kind"] not in ("schema", "config")
+                      or not any(name in err["message"] for name in names)):
+        return f"{label}: {err} does not name {names}"
+    if code == 0 and type_change and not nullable:
+        return f"{label}: type change accepted"
+    return None
+
+
+def fuzz_models():
+    """The valid model documents: an affine model with jumps and a spread
+    factor, and an HJM model with driver jumps and a spread factor."""
+    affine = affine_spec_to_dict(toy_affine_model())
+    affine["jumps"] = {"atoms_x": [[0.004], [-0.004]], "probabilities": [0.5, 0.5],
+                       "intensity_const": 1.5, "intensity_linear": [0.0],
+                       "atoms_y": [[0.001], [0.0]]}
+    hjm = LevyHjmModel(
+        driver=LevyTriplet(drift=[0.0, 0.0], covariance=np.diag([1.0, 1e-4]),
+                           jump_sizes=[[0.3, 0.0], [-0.3, 0.0]], jump_intensities=[2.0, 2.0]),
+        n_curve_factors=1, ois_vol=ExponentialVolatility([0.01], [0.2]),
+        spread_vols=[ExponentialVolatility([0.004], [0.2])], u_vectors=[[1.0]], tenors=[T6M],
+        forward_curve=0.02, forward_spread_curves=[0.005],
+        spread_factor_mode="integrated-drift")
+    hjm_doc = hjm_model_to_dict(hjm)
+    hjm_doc["spread_factor"]["y0"] = None
+    return {"affine_model": affine, "hjm_model": hjm_doc}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(calibration_inputs):
+    """(valid document, command, config, nullable paths) per fuzzed input;
+    the config names the mutated file by the SUBJECT stem."""
+    root = calibration_inputs
+    times = np.array([0.5, 1.0, 2.0])
+    save_curve_json(DiscountCurve(times, np.exp(-0.02 * times)), root / "fuzz_disc.json")
+    save_curve_json(SpreadTermStructure(T6M, times, np.exp(0.004 * times)),
+                    root / "fuzz_spread.json")
+    curves = {"discount_curve": "fuzz_disc.json", "spread_curves": ["fuzz_spread.json"]}
+    targets = {"u": [0.5, 1.0, 1.5], "p": [0.2, 0.45, 0.8], "mass_cap": 100.0, "floor": 0.0}
+    (root / "fuzz_targets.json").write_text(json.dumps(targets), encoding="utf-8")
+    simulate = {"n_paths": 20, "dt": 0.1, "horizon": 0.5, "maturities": [1.0], "dump_paths": 2}
+    models = fuzz_models()
+    for name, doc in models.items():
+        (root / f"fuzz_{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    calibrate = {"model": "affine.json", "surface": "calib_vols.csv",
+                 "discount_curve": "calib_disc.json", "spread_curves": ["calib_spread.json"],
+                 # started at the truth, so the runs that exit 0 stay short
+                 "parameters": [{"field": "spreads/diff_const/0/0", "initial": 0.02 ** 2,
+                                 "lower": 1.0e-8, "upper": 1.0}],
+                 "restarts": 0, "max_iterations": 200}
+    docs = {
+        "affine_model": (models["affine_model"], "simulate", {"model": SUBJECT, **simulate}),
+        "hjm_model": (models["hjm_model"], "simulate", {"model": SUBJECT, **simulate}),
+        "fra_product": ("fra.json", "price", {"product": SUBJECT, **curves}),
+        "basis_product": ("basis.json", "price", {"product": SUBJECT, **curves}),
+        "discount_curve": ("fuzz_disc.json", "price",
+                           {"product": "fra.json", **curves, "discount_curve": SUBJECT}),
+        "spread_curve": ("fuzz_spread.json", "price",
+                         {"product": "fra.json", **curves, "spread_curves": [SUBJECT]}),
+        "targets": (targets, "construct-kernel", {"targets": SUBJECT, "grid_size": 50}),
+        "bootstrap_config": ({"quotes": "quotes.csv", "plot_times": [0.5, 1.0]},
+                             "bootstrap", None),
+        "price_config": ({"product": "swaption.json", "model": "fuzz_affine_model.json",
+                          "n_paths": 50, "dt": 0.25}, "price", None),
+        "simulate_config": ({"model": "fuzz_hjm_model.json", **simulate, "seed": 3,
+                             "observation_times": [0.5]}, "simulate", None),
+        "calibrate_config": (calibrate, "calibrate", None),
+        "kernel_config": ({"targets": "fuzz_targets.json", "grid_size": 50,
+                           "objective": "min-total-mass"}, "construct-kernel", None),
+    }
+    nullable = {"hjm_model": {("spread_factor", "y0")},
+                "calibrate_config": {("parameters", 0, "lower"), ("parameters", 0, "upper")}}
+    cases = {}
+    for name, (doc, command, config) in docs.items():
+        if isinstance(doc, str):
+            doc = json.loads((root / doc).read_text(encoding="utf-8"))
+        cases[name] = (doc, command, config, nullable.get(name, set()))
+    return root, cases
+
+
+FUZZ_CASES = ["affine_model", "hjm_model", "fra_product", "basis_product", "discount_curve",
+              "spread_curve", "targets", "bootstrap_config", "price_config", "simulate_config",
+              "calibrate_config", "kernel_config"]
+
+
+@pytest.mark.parametrize("case", FUZZ_CASES)
+def test_every_single_field_mutation_exits_0_or_2(fuzz_inputs, tmp_path, capsys, case):
+    """Each mutation ends in exit 0 or 2, never a traceback or exit 1; an exit
+    2 is a "schema" error naming the file, or a "config" error naming the key;
+    a type change exits 0 only on a listed nullable field set to null."""
+    root, cases = fuzz_inputs
+    doc, command, config, nullable = cases[case]
+    is_config = config is None
+    failures = []
+    for path, new in json_mutations(doc):
+        if is_config:
+            cfg = write_json_config(root / f"{SUBJECT}.json", mutated(doc, path, new))
+            names = [str(path[0])]
+        else:
+            (root / f"{SUBJECT}.json").write_text(json.dumps(mutated(doc, path, new)),
+                                                  encoding="utf-8")
+            cfg = write_json_config(root / "fuzz_config.json", json.loads(
+                json.dumps(config).replace(f'"{SUBJECT}"', f'"{SUBJECT}.json"')))
+            names = [f"{SUBJECT}.json"]
+        # a --seed flag would hide the config's own seed
+        seed = [] if "seed" in doc else ["--seed", 4]
+        code = run_cli(command, "--config", cfg, *seed, "--out", tmp_path / "out")
+        stderr = capsys.readouterr().err
+        err = json.loads(stderr.splitlines()[-1])["error"] if stderr.strip() else None
+        failures.append(fuzz_failure(code, err, f"{path} -> {new!r}", new is not DELETE,
+                                     new is None and path in nullable, names))
+    failures = [f for f in failures if f]
+    assert not failures, "\n".join(failures[:20])
+
+
+@pytest.mark.parametrize("name, command, key", [
+    ("quotes.csv", "bootstrap", "quotes"), ("calib_vols.csv", "calibrate", "surface")])
+def test_every_csv_cell_mutation_is_a_schema_error(fuzz_inputs, tmp_path, capsys,
+                                                  name, command, key):
+    root, cases = fuzz_inputs
+    config = (cases["bootstrap_config"] if command == "bootstrap"
+              else cases["calibrate_config"])[0]
+    cfg = write_json_config(root / "fuzz_config.json", {**config, key: f"{SUBJECT}.csv"})
+    failures = []
+    for label, lines in csv_mutations((root / name).read_text(encoding="utf-8")):
+        (root / f"{SUBJECT}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli(command, "--config", cfg, "--seed", 4, "--out", tmp_path / "out")
+        stderr = capsys.readouterr().err
+        err = json.loads(stderr.splitlines()[-1])["error"] if stderr.strip() else None
+        if code != 2 or err["kind"] != "schema" or f"{SUBJECT}.csv" not in err["message"]:
+            failures.append(f"{label}: exit {code} {err}")
+    assert not failures, "\n".join(failures[:20])
+
+
+def test_every_kernel_and_calibration_result_mutation_is_a_schema_error(tmp_path):
+    """The kernel and calibration-result readers, called directly: a type
+    change or a deleted required key raises SchemaError naming the file."""
+    targets = MomentTargets(u=np.array([0.5, 1.0]), p=np.array([0.1, 0.3]), mass_cap=50.0,
+                            floor=0.01, p_extra=12.0)
+    kernel = JumpKernel(atoms=np.array([-0.008, 0.02]), weights=np.array([0.6, 1.1]),
+                        targets=targets, residuals=np.zeros(3), objective="min-total-mass",
+                        extra_mass=11.7)
+    # the result reader is handed a report's fields; its envelope is not its own
+    result = calibration_result_to_dict(
+        CalibrationResult(np.array([0.1]), 1e-9, np.zeros(2), np.ones(2), 8, True))
+    del result["schema_version"], result["kind"]
+    optional = {("targets", "floor"), ("targets", "p_extra")}
+    failures = []
+    for doc, load, optional_keys in (
+            (kernel_to_dict(kernel), load_kernel_json, optional),
+            (result, lambda p: calibration_result_from_dict(
+                json.loads(p.read_text(encoding="utf-8")), str(p)), set())):
+        for path, new in json_mutations(doc):
+            subject = tmp_path / f"{SUBJECT}.json"
+            subject.write_text(json.dumps(mutated(doc, path, new)), encoding="utf-8")
+            try:
+                load(subject)
+            except SchemaError as exc:
+                if f"{SUBJECT}.json" not in str(exc):
+                    failures.append(f"{path} -> {new!r}: {exc}")
+                continue
+            if new is not DELETE or path not in optional_keys:
+                failures.append(f"{path} -> {new!r}: accepted")
+    assert not failures, "\n".join(failures[:20])
+
+
+# one property's drawn examples in a fresh interpreter that loads the suite's
+# conftest, as pytest does, then the modules named on the command line
+EXAMPLES_RUN = """\
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import conftest  # noqa: F401
+for name in sys.argv[2:]:
+    importlib.import_module(name)
+from hypothesis import given, strategies as st
+drawn = []
+@given(st.floats(0.0, 100.0), st.integers(0, 1000))
+def prop(x, k):
+    drawn.append((x, k))
+prop()
+print(json.dumps(drawn))
+"""
+
+
+def test_properties_draw_the_same_examples_in_any_test_selection():
+    """A property module that imports only part of the package draws the same
+    examples as one run after ``multicurve.cli`` is loaded."""
+    src = str(Path(multicurve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def drawn(*modules):
+        done = subprocess.run(
+            [sys.executable, "-c", EXAMPLES_RUN, str(Path(__file__).parent), *modules],
+            env=env, capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    alone = drawn("multicurve.momentkernel")
+    assert alone == drawn("multicurve.momentkernel", "multicurve.cli")

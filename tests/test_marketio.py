@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multicurve.affine import AffineJumps, AffineModelSpec, InadmissibleSpec, affine_bond
 from multicurve.calibration import VolQuote, VolQuoteSurface
@@ -16,12 +18,14 @@ from multicurve.marketio import (
     forward_spread_rate_rows,
     hjm_model_from_dict,
     hjm_model_to_dict,
+    kernel_to_dict,
     load_curve_json,
     load_kernel_json,
     load_model_json,
     load_product_json,
     load_quotes_csv,
     load_report_json,
+    load_targets_json,
     load_vol_surface_csv,
     pricing_report,
     save_curve_json,
@@ -35,7 +39,7 @@ from multicurve.marketio import (
     simulation_provenance,
 )
 from multicurve.calibration import CalibrationResult
-from multicurve.momentkernel import JumpKernel, MomentTargets
+from multicurve.momentkernel import OBJECTIVES, JumpKernel, MomentTargets
 from multicurve.products import ProductSpec
 from multicurve.termstructure import (
     DiscountCurve,
@@ -516,3 +520,169 @@ class TestPlotData:
         curve = SpreadTermStructure(T6M, [0.5, 2.5], [1.002, 1.01])
         with pytest.raises(ValueError, match="two sample times"):
             forward_spread_rate_rows(curve, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# writer/reader round trips on random valid objects
+
+TENORS = [T3M, T6M, T1Y]
+
+
+def floats(draw, shape, lo=-1.0, hi=1.0):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))).reshape(shape)
+
+
+def psd(draw, n):
+    root = floats(draw, (n, n))
+    m = root @ root.T
+    return 0.5 * (m + m.T)
+
+
+@st.composite
+def affine_specs(draw):
+    """Admissible affine specs: 1-3 factors, the first ``p`` positive, 0-2
+    spread tenors, with or without jumps."""
+    d = draw(st.integers(1, 3))
+    p, n = draw(st.integers(0, d)), draw(st.integers(0, 2))
+    positive = np.arange(d) < p
+    drift_linear = floats(draw, (d, d))
+    drift_linear[:p, :p] = np.where(np.eye(p, dtype=bool), drift_linear[:p, :p],
+                                    np.abs(drift_linear[:p, :p]))
+    drift_linear[:p, p:] = 0.0
+    diffusion_const = np.zeros((d, d))
+    diffusion_const[p:, p:] = psd(draw, d - p)
+    diffusion_linear = np.zeros((d, d, d))
+    for k in range(p):
+        diffusion_linear[k, k, k] = draw(st.floats(0.0, 1.0))
+    diffusive = n > 0 and draw(st.booleans())
+    y_diff_linear = np.zeros((d, n, n))
+    if diffusive:
+        for k in range(p):
+            y_diff_linear[k] = psd(draw, n)
+    jumps = None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        atoms_x = floats(draw, (m, d))
+        atoms_x[:, positive] = np.abs(atoms_x[:, positive])
+        weights = floats(draw, (m,), 0.1, 1.0)
+        jumps = AffineJumps(atoms_x=atoms_x, probabilities=weights / weights.sum(),
+                            intensity_const=draw(st.floats(0.0, 5.0)),
+                            intensity_linear=np.where(positive, floats(draw, (d,), 0.0, 5.0), 0.0),
+                            atoms_y=floats(draw, (m, n)) if n else None)
+    x0 = floats(draw, (d,))
+    return AffineModelSpec(
+        pos_dims=p, real_dims=d - p,
+        drift_const=np.where(positive, np.abs(floats(draw, (d,))), floats(draw, (d,))),
+        drift_linear=drift_linear, diffusion_const=diffusion_const,
+        diffusion_linear=diffusion_linear, rate_const=draw(st.floats(-0.1, 0.1)),
+        rate_linear=floats(draw, (d,)), n_spread=n,
+        u_vectors=floats(draw, (n, n)) if n else None, tenors=draw(st.permutations(TENORS))[:n],
+        y_mode="diffusive" if diffusive else "integrated",
+        y_drift_const=floats(draw, (n,)), y_drift_linear=floats(draw, (n, d)),
+        y_diff_const=psd(draw, n) if diffusive else None,
+        y_diff_linear=y_diff_linear, jumps=jumps,
+        x0=np.where(positive, np.abs(x0), x0), y0=floats(draw, (n,)))
+
+
+@st.composite
+def hjm_models(draw):
+    """HJM models with 1-2 curve factors, 1-2 spread factors (one in kernel
+    mode), 1-2 tenors, with or without driver jumps and a spread-factor y0."""
+    mode = draw(st.sampled_from(["none", "integrated-drift", "kernel"]))
+    d, n = draw(st.integers(1, 2)), 1 if mode == "kernel" else draw(st.integers(1, 2))
+    k, m = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+
+    def vol():
+        return ExponentialVolatility(floats(draw, (d,)), floats(draw, (d,), 0.0, 2.0))
+
+    return LevyHjmModel(
+        driver=LevyTriplet(drift=floats(draw, (d + n,)), covariance=psd(draw, d + n),
+                           jump_sizes=floats(draw, (m, d + n)),
+                           jump_intensities=floats(draw, (m,), 0.0, 5.0)),
+        n_curve_factors=d, ois_vol=vol(), spread_vols=[vol() for _ in range(k)],
+        u_vectors=floats(draw, (k, n)), tenors=draw(st.permutations(TENORS))[:k],
+        forward_curve=draw(st.floats(-0.05, 0.1)),
+        forward_spread_curves=list(floats(draw, (k,), 0.0, 0.05)),
+        spread_factor_mode=mode, kernel_mass_cap=draw(st.floats(1.0, 100.0)),
+        kernel_objective=draw(st.sampled_from(OBJECTIVES)),
+        y0=floats(draw, (n,), 0.0, 1.0) if draw(st.booleans()) else None)
+
+
+@st.composite
+def product_specs(draw):
+    kind = draw(st.sampled_from(["FRA", "OIS_SWAP", "IRS", "BASIS_SWAP", "CAPLET", "SWAPTION"]))
+    schedule = st.lists(st.floats(0.0, 30.0), min_size=1, max_size=5).map(tuple)
+    basis = kind == "BASIS_SWAP"
+    return ProductSpec(kind, draw(schedule), draw(st.floats(-0.1, 0.1)),
+                       draw(st.floats(1.0, 1e8)), draw(st.sampled_from(TENORS)),
+                       tenor_b=draw(st.sampled_from(TENORS)) if basis else None,
+                       schedule_b=draw(schedule) if basis else (),
+                       schedule_fixed=draw(schedule) if basis else ())
+
+
+@st.composite
+def kernels(draw):
+    m, a = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    targets = MomentTargets(u=np.cumsum(floats(draw, (m,), 0.01, 1.0)), p=floats(draw, (m,)),
+                            mass_cap=draw(st.floats(0.1, 100.0)), floor=draw(st.floats(0.0, 1.0)),
+                            p_extra=draw(st.none() | st.floats(0.0, 100.0)))
+    return JumpKernel(atoms=floats(draw, (a,)), weights=floats(draw, (a,), 0.0, 2.0),
+                      targets=targets, residuals=floats(draw, (m + 1,)),
+                      objective=draw(st.sampled_from(OBJECTIVES)),
+                      extra_mass=draw(st.floats(0.0, 100.0)))
+
+
+def assert_same_fields(got, want, names):
+    for name in names:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+class TestWrittenFilesLoadBack:
+    """Whatever a writer emits, the reader loads back equal."""
+
+    @given(affine_specs())
+    def test_affine_spec(self, tmp_path_factory, spec):
+        path = tmp_path_factory.mktemp("rt") / "affine.json"
+        save_model_json(spec, path)
+        loaded = load_model_json(path)
+        assert_same_fields(loaded, spec, [
+            "pos_dims", "real_dims", "drift_const", "drift_linear", "diffusion_const",
+            "diffusion_linear", "rate_const", "rate_linear", "n_spread", "u_vectors", "tenors",
+            "y_mode", "y_drift_const", "y_drift_linear", "y_diff_const", "y_diff_linear",
+            "x0", "y0"])
+        assert (loaded.jumps is None) == (spec.jumps is None)
+        if spec.jumps is not None:
+            assert_same_fields(loaded.jumps, spec.jumps, [
+                "atoms_x", "probabilities", "intensity_const", "intensity_linear", "atoms_y"])
+
+    @given(hjm_models())
+    def test_hjm_model(self, tmp_path_factory, model):
+        path = tmp_path_factory.mktemp("rt") / "hjm.json"
+        save_model_json(model, path)
+        loaded = load_model_json(path)
+        assert_same_fields(loaded.driver, model.driver,
+                           ["drift", "covariance", "jump_sizes", "jump_intensities"])
+        for got, want in zip([loaded.ois_vol, *loaded.spread_vols],
+                             [model.ois_vol, *model.spread_vols], strict=True):
+            assert_same_fields(got, want, ["scales", "decays"])
+        assert_same_fields(loaded, model, [
+            "n_curve_factors", "u_vectors", "tenors", "forward_curve", "forward_spread_curves",
+            "spread_factor_mode", "kernel_mass_cap", "kernel_objective", "y0"])
+
+    @given(product_specs())
+    def test_product(self, tmp_path_factory, spec):
+        path = tmp_path_factory.mktemp("rt") / "product.json"
+        save_product_json(spec, path)
+        assert load_product_json(path) == spec
+
+    @given(kernels())
+    def test_kernel_and_its_targets(self, tmp_path_factory, kernel):
+        root = tmp_path_factory.mktemp("rt")
+        save_kernel_json(kernel, root / "kernel.json")
+        loaded = load_kernel_json(root / "kernel.json")
+        assert_same_fields(loaded, kernel, ["atoms", "weights", "residuals", "objective",
+                                            "extra_mass"])
+        (root / "targets.json").write_text(json.dumps(kernel_to_dict(kernel)["targets"]))
+        for targets in (loaded.targets, load_targets_json(root / "targets.json")):
+            assert_same_fields(targets, kernel.targets, ["u", "p", "mass_cap", "floor", "p_extra"])

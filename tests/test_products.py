@@ -149,6 +149,12 @@ def market_curves(draw):
 class TestParIdentities:
     """The paper's linear-product identities on random curves."""
 
+    @given(market_curves(), st.sampled_from([0, 1]), st.floats(0.0, 12.0), st.floats(1.0, 1e8))
+    def test_fra_at_its_par_rate_is_worth_zero(self, curves, leg, fixing, notional):
+        disc, spread = curves[0], curves[1 + leg]
+        rate = fra_rate_from_curves(disc, spread, fixing)
+        assert abs(fra_value(disc, spread, fixing, rate, notional)) <= 1e-13 * notional
+
     @given(market_curves(), st.sampled_from([0.5, 1.0]), st.integers(0, 4),
            st.integers(1, 20), st.floats(1.0, 1e8))
     def test_ois_swap_at_its_par_rate_is_worth_zero(self, curves, delta, start, periods,

@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from multicurve.products import irs_swap_rate, ois_swap_rate
 from multicurve.termstructure import (
     DiscountCurve,
     ExtrapolationDisabled,
@@ -278,6 +281,51 @@ class TestSpreadBootstrap:
         quotes = [SpreadQuote(0.5, 0.02, "FRA"), SpreadQuote(1.0, 0.02, "IRS")]  # both pillar 0.5
         with pytest.raises(NonIncreasingMaturities):
             bootstrap_spread_curve(flat_2pct_curve, quotes, Tenor(1, 2))
+
+
+@st.composite
+def quoted_market(draw):
+    """Random curves and the par quotes they imply: a discount curve on
+    pillars 1..n years from forwards in [-1%, 10%], quoted by annual OIS
+    swaps, and a 6M spread curve >= 1 on pillars every half year to n - 1/2,
+    each quoted by a FRA fixing there or an IRS whose last reset is there."""
+    n = draw(st.integers(1, 6))
+    years = np.arange(1.0, n + 1.0)
+    forwards = np.array(draw(st.lists(st.floats(-0.01, 0.1), min_size=n, max_size=n)))
+    disc = DiscountCurve(years, np.exp(-np.cumsum(forwards)))
+    halves = 0.5 * np.arange(1, 2 * n)
+    spreads = draw(st.lists(st.floats(1.0, 1.05), min_size=len(halves), max_size=len(halves)))
+    spread = SpreadTermStructure(Tenor(1, 2), halves, spreads)
+    ois = [OisSwapQuote(T, ois_swap_rate(disc, np.arange(0.0, T + 1.0)), Tenor(1)) for T in years]
+    quotes = []
+    for T in halves:
+        if draw(st.booleans()):
+            quotes.append(SpreadQuote(T, fra_rate_from_curves(disc, spread, T), "FRA"))
+        else:
+            sched = 0.5 * np.arange(0, round(2 * T) + 2)
+            quotes.append(SpreadQuote(T + 0.5, irs_swap_rate(disc, spread, sched), "IRS"))
+    return disc, spread, ois, quotes
+
+
+# a spread of exactly one may come back one ulp below it, which warns
+@pytest.mark.filterwarnings("ignore::multicurve.termstructure.NegativeSpreadWarning")
+@given(quoted_market())
+def test_par_quotes_bootstrap_back_to_their_curves(market):
+    disc, spread, ois, quotes = market
+    built_disc = bootstrap_ois_curve(ois)
+    built = bootstrap_spread_curve(built_disc, quotes, Tenor(1, 2))
+    np.testing.assert_array_equal(built_disc.pillar_times, disc.pillar_times)
+    np.testing.assert_allclose(built_disc.pillar_discounts, disc.pillar_discounts, rtol=1e-12)
+    np.testing.assert_array_equal(built.pillar_times, spread.pillar_times)
+    np.testing.assert_allclose(built.pillar_spreads, spread.pillar_spreads, rtol=1e-12)
+    for q in ois:
+        assert abs(ois_swap_rate(built_disc, np.arange(0.0, q.maturity + 1.0)) - q.rate) <= 1e-12
+    for q in quotes:
+        if q.kind == "FRA":
+            model = fra_rate_from_curves(built_disc, built, q.maturity)
+        else:
+            model = irs_swap_rate(built_disc, built, 0.5 * np.arange(0, round(2 * q.maturity) + 1))
+        assert abs(model - q.rate) <= 1e-12
 
 
 class TestMarketQuoteSet:

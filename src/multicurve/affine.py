@@ -670,41 +670,26 @@ def _diffusion_factor(const, linear, pos_dims, x_block):
 
 
 class _JumpDraws(_rng.JumpRows):
-    """One batch's counter-addressed rows for a stepped model with jumps.
-
-    Path i's row (``rng.uniform_rows``) holds its (n_steps, n_noise) normals
-    in the first n_steps * n_noise columns and, from the next multiple of 4,
-    its count and atom doubles (``rng.JumpRows``).  Each jump searches its
-    atom double in the cumulative probabilities, as ``Generator.choice``
-    computes them.
-    """
+    """One batch's normals and jumps, read from the stream-0 rows of a
+    stepped model with jumps (layout in ``rng``)."""
 
     def __init__(self, spec: AffineModelSpec, seed: int, lo: int, hi: int,
                  n_steps: int, n_noise: int, horizon: float):
         jumps = spec.jumps
         self.atoms_x, self.atoms_y = jumps.atoms_x, jumps.atoms_y
-        # Generator.choice's own cumulative probabilities
-        self.cdf = jumps.probabilities.cumsum()
-        self.cdf /= self.cdf[-1]
+        self.cdf = _rng.choice_cdf(jumps.probabilities)
         n_normals = n_steps * n_noise
         # one atom double per jump, sized from the intensity at x0
         expected = max(jumps.intensity_const + spec.x0 @ jumps.intensity_linear, 0.0) * horizon
         width = math.ceil(expected + 4.0 * math.sqrt(expected)) + 8
         super().__init__(seed, lo, hi, -(-n_normals // 4) * 4, n_steps, width)
         self.normals = _rng.normal_rows(seed, lo, hi, n_normals).reshape(hi - lo, n_steps, n_noise)
-        self.jumps = 0
 
     def add_jumps(self, means: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Draw one step's jumps with the given Poisson means; add them to x and y."""
-        counts = self.counts(means)
-        rows = np.flatnonzero(counts)
-        counts = counts[rows]
-        for k in range(int(counts.max(initial=0))):
-            r = rows[counts > k]
-            atom = self.cdf.searchsorted(self.atom_doubles(r), side="right")
-            x[r] += self.atoms_x[atom]
-            y[r] += self.atoms_y[atom]
-        self.jumps += int(counts.sum())
+        for rows, atom in self.rounds(means, self.cdf):
+            x[rows] += self.atoms_x[atom]
+            y[rows] += self.atoms_y[atom]
 
 
 def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
@@ -727,18 +712,13 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     call rather than at every step.
 
     Every path's numbers depend only on (seed, path index), whatever the
-    batch.  The exact draw and every stepped model with jumps read each
-    path's row of doubles at its counter offset in one Philox keyed by the
-    seed, a few bulk calls per batch (``rng.uniform_rows``): the exact draw
-    its d + n + 1 normals (``rng.normal_rows``), a jump model its normals,
-    one double per step that inverts the Poisson CDF at the step's mean and
-    one atom double per jump (``_JumpDraws``; a path whose step mean reaches
-    10 draws that count from a counter of its own).  A stepped jump-free
-    path owns a stream keyed by (seed, path index) and draws one long
-    normal block from it; those blocks stay per path, one Philox re-keyed
-    to each path in turn (``rng.driver_increment_block``).  One DEBUG
-    record per batch on ``multicurve.affine`` gives its paths, steps (1 for
-    an exact draw), jumps, the paths that outgrew the batch's atom buffer
+    batch (addresses in ``rng``): the exact draw reads its d + n + 1 normals
+    from its stream-0 row (``rng.normal_rows``), a stepped model with jumps
+    its normals and then its jumps from that row (``_JumpDraws``), and a
+    stepped jump-free model one normal block from the path's own stream
+    (``rng.driver_increment_block``).  One DEBUG record per batch on
+    ``multicurve.affine`` gives its paths, steps (1 for an exact draw),
+    jumps, the paths that outgrew the batch's atom buffer
     (``refilled_paths``) or drew a count of mean 10 or more
     (``live_paths``), and the seconds spent drawing the normals
     (``draw_s``) and stepping the state, with the jump draws (``step_s``).
@@ -791,7 +771,7 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
             x, y, z = state[:, :d], state[:, d:d + n], state[:, -1]
         else:
             if spec.jumps is None:
-                normals, _ = _rng.driver_increment_block(seed, lo, hi, n_steps, n_noise)
+                normals = _rng.driver_increment_block(seed, lo, hi, n_steps, n_noise)
             else:
                 draws = _JumpDraws(spec, seed, lo, hi, n_steps, n_noise, horizon)
                 normals = draws.normals

@@ -233,11 +233,17 @@ def cmd_bootstrap(run: RunConfig) -> int:
     quotes = load_quotes_csv(run.path("quotes"))
     quotes.validate()
     disc = bootstrap_ois_curve(quotes.ois_swaps)
+    spreads = {tenor: bootstrap_spread_curve(disc, quotes.spread_quotes[tenor], tenor)
+               for tenor in sorted(quotes.spread_quotes, key=float)}
+    # the plots sample every curve, and eta differences the times: check first
+    grid = run.option("plot_times", "vector", None)
+    last = min(float(curve.pillar_times[-1]) for curve in (disc, *spreads.values()))
+    if grid is not None and (np.any(grid < 0) or np.any(grid > last)
+                             or (spreads and len(np.unique(grid)) < max(len(grid), 2))):
+        raise ConfigError(f"{run.command} config: field 'plot_times' must lie in [0, {last}] and, "
+                          f"with spread quotes, hold two or more distinct times; got {grid.tolist()}")
     save_curve_json(disc, run.out_dir / "discount_curve.json")
-    spreads: dict[Tenor, SpreadTermStructure] = {}
-    for tenor in sorted(quotes.spread_quotes, key=float):
-        curve = bootstrap_spread_curve(disc, quotes.spread_quotes[tenor], tenor)
-        spreads[tenor] = curve
+    for tenor, curve in spreads.items():
         save_curve_json(curve, run.out_dir / f"spread_curve_{_tenor_slug(tenor)}.json")
         log.info("bootstrapped %s spread curve with %d pillars",
                  tenor, len(curve.pillar_times))
@@ -248,7 +254,6 @@ def cmd_bootstrap(run: RunConfig) -> int:
         **_reprice_quotes(quotes, disc, spreads),
     }
     save_report_json(report, run.out_dir / "bootstrap_report.json")
-    grid = run.option("plot_times", "vector", None)
     if grid is not None:
         save_plot_csv(run.out_dir / "curves_plot.csv",
                       curve_plot_rows(disc, spreads, grid))

@@ -124,8 +124,8 @@ class LevyTriplet:
             raise ValueError("jump sizes must have one column per driver dimension")
         if xi.shape[0] != len(lam):
             raise ValueError("one intensity per jump atom required")
-        if np.any(lam < 0):
-            raise ValueError("jump intensities must be nonnegative")
+        if not np.all(np.isfinite(lam) & (lam >= 0)):
+            raise ValueError("jump intensities must be finite and nonnegative")
 
     @property
     def dim(self) -> int:
@@ -426,26 +426,34 @@ def _cumtrapz_loadings(g: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _increments(model: LevyHjmModel, seed: int, lo: int, hi: int, n_steps: int,
-                dt: float) -> np.ndarray:
-    """Driver increments (n_steps, dim, n_paths), step-major, for a contiguous path block.
+                dt: float) -> tuple[np.ndarray, _rng.JumpRows | None]:
+    """Driver increments (n_steps, dim, n_paths), step-major, for a contiguous
+    path block, and the ``rng.JumpRows`` of its jumps (None without jumps).
 
-    The diffusion factor times the normals, times sqrt(dt), plus drift * dt,
-    plus the jump sizes times the counts: per element the products and sums
-    of the path-major block in the same order, so the values are the same.
-    Each product reads the path-major draws through a transposed view, and
-    the normals are freed once they are used.
+    The diffusion factor times the path-major normals (read through a
+    transposed view, freed once used) times sqrt(dt), plus drift * dt; then
+    each step's jumps: a Poisson count of mean Lambda * dt, Lambda the total
+    intensity, and per jump atom j with probability lambda_j / Lambda.
     """
-    lam = model.driver.jump_intensities
-    normals, counts = _rng.driver_increment_block(
-        seed, lo, hi, n_steps, model.driver.dim, lam * dt if len(lam) else None
-    )
+    normals = _rng.driver_increment_block(seed, lo, hi, n_steps, model.driver.dim)
     dx = np.matmul(model.driver.diffusion_factor(), normals.transpose(1, 2, 0))
     del normals
     dx *= math.sqrt(dt)
     dx += (model.driver.drift * dt)[:, None]
-    if counts is not None:
-        dx += np.matmul(model.driver.jump_sizes.T, counts.transpose(1, 2, 0))
-    return dx
+    lam = model.driver.jump_intensities
+    total = float(lam.sum())
+    if total == 0.0:
+        return dx, None
+    cdf, sizes = _rng.choice_cdf(lam / total), model.driver.jump_sizes.T
+    # one atom double per jump, sized from the mean count per path
+    expected = total * n_steps * dt
+    draws = _rng.JumpRows(seed, lo, hi, _rng.DRIVER_JUMP_COLUMN, n_steps,
+                          math.ceil(expected + 4.0 * math.sqrt(expected)) + 8)
+    means = np.full(hi - lo, total * dt)
+    for step in dx:
+        for rows, atom in draws.rounds(means, cdf):
+            step[:, rows] += sizes[:, atom]
+    return dx, draws
 
 
 class _FactorEngine:
@@ -682,15 +690,15 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     ``zero_drift`` suppresses the no-arbitrage curve drifts (negative-control
     diagnostic: discounted prices should then fail their martingale checks).
 
-    Path i draws its driver increments from its own stream 0 of (seed, i)
-    (``rng.driver_increment_block``) and, in kernel mode, its orthogonal
-    jumps from its row on stream 1 (``rng.JumpRows``), read for all paths of
-    a batch at once (``momentkernel.kernel_jump_step``); results do not
-    depend on ``batch_size``.  One DEBUG record per batch on
-    ``multicurve.hjm`` gives its paths, steps, kernel jumps, the paths that
-    widened the batch's atom buffer (``refilled_paths``) or drew a count of
-    mean 10 or more (``live_paths``), the kernel lookups and LP solves, the
-    aborted paths and the seconds per stage.
+    Path i's numbers depend only on (seed, i), whatever ``batch_size``
+    (addresses in ``rng``): its driver normals come from its own stream 0
+    (``rng.driver_increment_block``), its driver jumps from its stream-0
+    row and its kernel-mode jumps from its stream-1 row (``rng.JumpRows``).
+    One DEBUG record per batch on ``multicurve.hjm`` gives its paths,
+    steps, driver and kernel jumps, the paths that widened an atom buffer
+    (``refilled_paths``) or drew a count of mean 10 or more
+    (``live_paths``), the kernel lookups and LP solves, the aborted paths
+    and the seconds per stage.
     """
     if observation_times is None:
         observation_times = [horizon]
@@ -755,7 +763,7 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         hi = min(lo + batch_size, n_paths)
         nb = hi - lo
         started = time.perf_counter()
-        dx_block = _increments(model, seed, lo, hi, n_steps, dt)  # (n_steps, dim, nb)
+        dx_block, driver_draws = _increments(model, seed, lo, hi, n_steps, dt)
         draws = None
         if kernel_family is not None:
             # one atom double per jump; a jump every other step fits up front
@@ -814,13 +822,16 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         good = engine.finite_mask() & np.isfinite(log_bank) & np.all(np.isfinite(y), axis=0)
         dropped = int(np.count_nonzero(~good))
         aborted += dropped
-        refilled, live, lookups, solves = ((0, 0, 0, 0) if draws is None else (
-            int(draws.refilled.sum()), int(draws.live.sum()),
+        drawn = [d for d in (driver_draws, draws) if d is not None]
+        refilled = int(np.any([d.refilled for d in drawn], axis=0).sum())
+        live = int(np.any([d.live for d in drawn], axis=0).sum())
+        lookups, solves = ((0, 0) if draws is None else (
             kernel_family.lookups - lookups_before, kernel_family.lp_solves - solves_before))
-        log.debug("hjm batch: paths=%d steps=%d kernel_jumps=%d refilled_paths=%d "
-                  "live_paths=%d kernel_lookups=%d lp_solves=%d aborted=%d draw_s=%.6f "
-                  "step_s=%.6f snapshot_s=%.6f", nb, n_steps, kernel_jumps, refilled, live,
-                  lookups, solves, dropped, draw_s, step_s, snapshot_s)
+        log.debug("hjm batch: paths=%d steps=%d driver_jumps=%d kernel_jumps=%d "
+                  "refilled_paths=%d live_paths=%d kernel_lookups=%d lp_solves=%d aborted=%d "
+                  "draw_s=%.6f step_s=%.6f snapshot_s=%.6f", nb, n_steps,
+                  0 if driver_draws is None else driver_draws.jumps, kernel_jumps, refilled,
+                  live, lookups, solves, dropped, draw_s, step_s, snapshot_s)
         for t_obs, (keep, numeraire, bonds, spreads) in local_snaps.items():
             snap_parts[t_obs].append(
                 (keep, numeraire[good], bonds[good],

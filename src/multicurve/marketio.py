@@ -471,11 +471,14 @@ def hjm_model_from_dict(payload: dict, where: str = "hjm spec") -> LevyHjmModel:
     triplet = _build(where, LevyTriplet, driver("drift", "vector"), driver("covariance", "matrix"),
                      driver("jump_sizes", "matrix", _EMPTY),
                      driver("jump_intensities", "vector", _EMPTY))
+    d, tenors = doc("n_curve_factors", "integer"), doc("tenors", "tenor list")
+    # without tenors the writer's (0, n) block reads back as an empty list
+    u_vectors = doc("u_vectors", "matrix") if tenors else np.zeros((0, max(triplet.dim - d, 0)))
     return _build(
-        where, LevyHjmModel, driver=triplet, n_curve_factors=doc("n_curve_factors", "integer"),
+        where, LevyHjmModel, driver=triplet, n_curve_factors=d,
         ois_vol=_vol_from_dict(vols("ois", "object")),
         spread_vols=[_vol_from_dict(v) for v in vols("spreads", "object list")],
-        u_vectors=doc("u_vectors", "matrix"), tenors=doc("tenors", "tenor list"),
+        u_vectors=u_vectors, tenors=tenors,
         forward_curve=curves("forward", "number"),
         forward_spread_curves=curves("spreads", "vector").tolist(),
         spread_factor_mode=factor("mode", "string", "none"),

@@ -413,12 +413,12 @@ def kernel_jump_step(family: KernelFamily, draws: _rng.JumpRows, y: np.ndarray,
     jumped are re-solved.  Row i's count and atom doubles are the next ones
     of its row in ``draws``: the step's count double, inverted at the
     frozen intensity times ``dt``, then one atom double per jump, searched
-    in the kernel's cumulative probabilities.  A loop over the rows would
-    instead take all of a row's jumps before the next row starts; it draws
-    the same numbers and solves the same kernels unless one cache key is
-    reached by rows whose targets differ below the key's rounding (1e-12),
-    first by an earlier row after a jump and also by a later row at the step
-    start.
+    in the kernel's cumulative probabilities (``rng.choice_cdf``).  A loop
+    over the rows would instead take all of a row's jumps before the next
+    row starts; it draws the same numbers and solves the same kernels unless
+    one cache key is reached by rows whose targets differ below the key's
+    rounding (1e-12), first by an earlier row after a jump and also by a
+    later row at the step start.
 
     ``y`` is updated in place.  Returns the exponents Psi(u) of the kernels
     held over the step, (n, m), and each row's number of jumps.
@@ -435,9 +435,7 @@ def kernel_jump_step(family: KernelFamily, draws: _rng.JumpRows, y: np.ndarray,
         u = draws.atom_doubles(rows)
         for k in np.unique(index).tolist():
             kernel, mine = kernels[k], index == k
-            # Generator.choice's own cumulative probabilities
-            cdf = (kernel.weights / kernel.total_intensity).cumsum()
-            cdf /= cdf[-1]
+            cdf = _rng.choice_cdf(kernel.weights / kernel.total_intensity)
             y[rows[mine]] += kernel.atoms[cdf.searchsorted(u[mine], side="right")]
         jumps[rows] += 1
         entries, index = family.solve_rows(y[rows], targets[rows])

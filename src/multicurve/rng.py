@@ -11,27 +11,28 @@ Rows are counter-addressed.  All paths of a draw share one Philox keyed by
 yields 4 doubles per value, so path i's doubles 4k..4k+3 sit at counter (i,
 k, 0, 0) and one ``random`` call per group of 4 columns reads them for a
 whole batch (``uniform_rows``).  A column depends only on (seed, stream,
-path, column), whatever the batch or how many columns are read.  Three
+path, column), whatever the batch or how many columns are read.  Four
 draws read rows:
 
 - the exact terminal draw of a jump-free Gaussian affine model: one row of
   d + n + 1 normals per path on stream 0 (``normal_rows``);
 - a stepped affine model with jumps, of n_steps S and q normals per step,
-  on stream 0: S q normals from columns [0, S q), then its jumps
-  (``JumpRows``) from the next multiple of 4;
+  on stream 0: S q normals from columns [0, S q), then its jumps from the
+  next multiple of 4;
+- the driver jumps of an HJM model, on stream 0 from ``DRIVER_JUMP_COLUMN``
+  (4): the stream-0 row key is path 0's per-path key, so column group 0 of
+  path i is block i of path 0's per-path stream, which HJM normals read;
 - the kernel-mode orthogonal jump factor of ``momentkernel`` (HJM kernel
-  mode and ``simulate_yperp``), on stream 1: its jumps from column 0.
-  Stream 1, because HJM kernel mode also draws per-path stream-0 blocks,
-  and path 0's stream-0 key is that of the stream-0 rows.
+  mode and ``simulate_yperp``), on stream 1 from column 0, because one HJM
+  model can have both kernel mode and driver jumps.
 
-A stepwise compound Poisson process (``JumpRows``) reads one double per
-step for the count, which inverts the Poisson CDF (``poisson_counts``), and
-atom doubles after those S count columns, one per jump through a per-path
-cursor.  A mean of 10 or more, or a non-finite one, is drawn by a Philox
-under the rows' key at counter (0, path, step, 1), which no row counter
-reaches.
+Every jump draw is one stepwise compound Poisson process (``JumpRows``),
+its atoms searched as ``Generator.choice`` does (``choice_cdf``).  A count
+of mean 10 or more, or a non-finite one, is drawn by a Philox under the
+rows' key at counter (0, path, step, 1), which no row and no per-path
+stream reaches.
 
-Per-path streams serve only the long driver blocks of the HJM engines and
+Per-path streams serve only the long normal blocks of the HJM engines and
 of stepped jump-free affine models (``driver_increment_block``, stream 0):
 there the normals cost more than the re-key, and ``ndtri`` costs more per
 value than numpy's ziggurat (5.1 s against 3.0 s for 100k paths x 365
@@ -51,6 +52,7 @@ import numpy as np
 
 DRIVER_STREAM = 0
 YPERP_STREAM = 1
+DRIVER_JUMP_COLUMN = 4
 
 
 def path_key(seed: int, path_index: int, stream: int = DRIVER_STREAM) -> int:
@@ -98,32 +100,15 @@ class PathStreams:
         return self._gen
 
 
-def driver_increment_block(
-    seed: int,
-    path_lo: int,
-    path_hi: int,
-    n_steps: int,
-    n_normals: int,
-    jump_means: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Normals and jump counts for paths [path_lo, path_hi).
-
-    Returns ``(normals, counts)`` with shapes (n_paths, n_steps, n_normals)
-    and (n_paths, n_steps, n_atoms); ``counts`` is None when ``jump_means``
-    is None or empty.  ``jump_means`` holds lambda_j * dt per atom.
-    """
-    n_paths = path_hi - path_lo
-    normals = np.empty((n_paths, n_steps, n_normals))
-    counts = None
-    if jump_means is not None and len(jump_means) > 0:
-        counts = np.empty((n_paths, n_steps, len(jump_means)), dtype=np.int64)
+def driver_increment_block(seed: int, path_lo: int, path_hi: int, n_steps: int,
+                           n_normals: int) -> np.ndarray:
+    """The (n_paths, n_steps, n_normals) standard normals of paths [path_lo,
+    path_hi), each drawn from the path's own stream 0."""
+    normals = np.empty((path_hi - path_lo, n_steps, n_normals))
     streams = PathStreams(seed)
-    for i in range(n_paths):
-        gen = streams.at(path_lo + i)
-        gen.standard_normal(out=normals[i])
-        if counts is not None:
-            counts[i] = gen.poisson(lam=jump_means, size=(n_steps, len(jump_means)))
-    return normals, counts
+    for i in range(len(normals)):
+        streams.at(path_lo + i).standard_normal(out=normals[i])
+    return normals
 
 
 # half the spacing of the 2**-53 grid that ``Generator.random`` draws on
@@ -157,13 +142,8 @@ def open_normals(doubles: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 def uniform_rows(seed: int, path_lo: int, path_hi: int, col_lo: int, col_hi: int,
                  stream: int = DRIVER_STREAM) -> np.ndarray:
     """The (n_paths, col_hi - col_lo) doubles at columns [col_lo, col_hi) of
-    the rows of paths [path_lo, path_hi) on ``stream``.
-
-    Columns 4k..4k+3 of path i are the 4 doubles that a Philox keyed by
-    ``path_key(seed, 0, stream)`` draws next from counter (i, k, 0, 0), so
-    one ``random`` call per k reads them for the whole batch and a column
-    depends only on (seed, stream, path, column).
-    """
+    the rows of paths [path_lo, path_hi) on ``stream``, one ``random`` call
+    per group of 4 columns for the whole batch."""
     if not 0 <= path_lo <= path_hi <= 1 << 63:
         raise ValueError(f"paths [{path_lo}, {path_hi}) must lie within [0, 2**63)")
     if not 0 <= col_lo <= col_hi:
@@ -215,16 +195,23 @@ def poisson_inversion(doubles: np.ndarray, means: np.ndarray) -> np.ndarray:
     return counts
 
 
+def choice_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The cumulative probabilities that ``Generator.choice`` searches: a
+    double u picks atom ``cdf.searchsorted(u, side="right")``."""
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
+    return cdf
+
+
 def poisson_counts(seed: int, path_lo: int, step: int, doubles: np.ndarray,
                    means: np.ndarray, stream: int = DRIVER_STREAM) -> np.ndarray:
     """One step's Poisson counts of paths path_lo, path_lo + 1, ...
 
     A mean below ``INVERSION_LIMIT`` inverts the path's count double of the
     step (``poisson_inversion``).  Any other mean, 10 or more or not finite,
-    is drawn by ``Generator.poisson`` from a Philox under the rows' key at
-    counter (0, path, step, 1); the counter advances its lowest word, so it
-    reaches no row's counter and no other path's or step's.  A non-finite
-    mean raises ``ValueError`` there.
+    is drawn by ``Generator.poisson`` at counter (0, path, step, 1), which
+    advances its lowest word and so reaches no other path's or step's; a
+    non-finite mean raises ``ValueError`` there.
     """
     means = np.asarray(means, dtype=float)
     hot = ~(means < INVERSION_LIMIT)
@@ -251,12 +238,12 @@ class JumpRows:
     front.  A cursor at the end of the atom buffer widens it by reading as
     many further columns (``refilled``); nothing is redrawn.  ``live``
     marks the paths that drew a count of mean 10 or more, or a non-finite
-    one.
+    one, and ``jumps`` counts the jumps that ``rounds`` drew.
     """
 
     def __init__(self, seed: int, lo: int, hi: int, count_col: int, n_steps: int, width: int,
                  stream: int = DRIVER_STREAM):
-        self.seed, self.lo, self.hi, self.stream, self.step = seed, lo, hi, stream, 0
+        self.seed, self.lo, self.hi, self.stream, self.step, self.jumps = seed, lo, hi, stream, 0, 0
         self.atom_col = count_col + n_steps
         self.count_doubles = uniform_rows(seed, lo, hi, count_col, self.atom_col, stream)
         self.atoms = uniform_rows(seed, lo, hi, self.atom_col, self.atom_col + width, stream)
@@ -283,3 +270,15 @@ class JumpRows:
             self.atoms = np.concatenate([self.atoms, wider], axis=1)
         self.cursor[rows] += 1
         return self.atoms[rows, cursor]
+
+    def rounds(self, means: np.ndarray, cdf: np.ndarray):
+        """The next step's jumps with the given Poisson means, one round at a
+        time: round k yields the rows that draw more than k jumps and the atom
+        each picks, its next atom double searched in ``cdf`` (``choice_cdf``)."""
+        counts = self.counts(means)
+        rows = np.flatnonzero(counts)
+        counts = counts[rows]
+        self.jumps += int(counts.sum())
+        for k in range(int(counts.max(initial=0))):
+            r = rows[counts > k]
+            yield r, cdf.searchsorted(self.atom_doubles(r), side="right")

@@ -34,6 +34,7 @@ from multicurve.marketio import (
     kernel_to_dict,
     load_curve_json,
     load_kernel_json,
+    load_quotes_csv,
     load_report_json,
     save_curve_json,
     save_model_json,
@@ -187,6 +188,27 @@ class TestBootstrap:
         for name in ("discount_curve.json", "spread_curve_1_2.json",
                      "bootstrap_report.json", "curves_plot.csv", "eta_1_2.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    # past the OIS (5Y) and spread (4Y) curves; past the spread curve only; one
+    # time, too few for eta's differences; a negative time; a repeated time
+    @pytest.mark.parametrize("times", [[0.5, 9.0], [0.5, 4.5], [0.5], [-0.5, 1.0], [1.0, 1.0]])
+    def test_plot_times_off_the_curves_are_a_config_error(self, cli_files, tmp_path, capsys,
+                                                          times):
+        cfg = write_json_config(tmp_path / "cfg.json", {
+            "quotes": str(cli_files / "quotes.csv"), "plot_times": times})
+        assert run_cli("bootstrap", "--config", cfg, "--out", tmp_path / "out") == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and "'plot_times'" in error["message"]
+        # checked before any artifact is written
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_one_plot_time_without_spread_quotes(self, cli_files, tmp_path):
+        ois = load_quotes_csv(cli_files / "quotes.csv").ois_swaps
+        save_quotes_csv(MarketQuoteSet(ois_swaps=ois, spread_quotes={}), tmp_path / "ois.csv")
+        cfg = write_json_config(tmp_path / "cfg.json", {"quotes": "ois.csv", "plot_times": [5.0]})
+        assert run_cli("bootstrap", "--config", cfg, "--out", tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "curves_plot.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows] == [["x", "series"], ["5.0", "discount"]]
 
     def test_progress_is_logged_under_the_cli_logger(self, bootstrap_config, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="multicurve.cli"):

@@ -108,9 +108,10 @@ class TestLevyTriplet:
         with pytest.raises(ValueError, match="column"):
             LevyTriplet(drift=[0.0, 0.0], covariance=np.eye(2),
                         jump_sizes=[[0.1]], jump_intensities=[1.0])
-        with pytest.raises(ValueError, match="nonnegative"):
-            LevyTriplet(drift=[0.0], covariance=[[1.0]],
-                        jump_sizes=[[0.1]], jump_intensities=[-1.0])
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                LevyTriplet(drift=[0.0], covariance=[[1.0]],
+                            jump_sizes=[[0.1]], jump_intensities=[bad])
 
     def test_diffusion_factor_singular_covariance(self):
         c = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one, Cholesky fails
@@ -346,7 +347,7 @@ def test_batches_are_logged(kernel, caplog):
                if r.name == "multicurve.hjm" and "batch" in r.getMessage()]
     assert len(batches) == 3
     for message in batches:
-        assert re.fullmatch(r"hjm batch: paths=\d+ steps=\d+ kernel_jumps=\d+ "
+        assert re.fullmatch(r"hjm batch: paths=\d+ steps=\d+ driver_jumps=\d+ kernel_jumps=\d+ "
                             r"refilled_paths=\d+ live_paths=\d+ kernel_lookups=\d+ "
                             r"lp_solves=\d+ aborted=\d+ "
                             r"draw_s=[\d.]+ step_s=[\d.]+ snapshot_s=[\d.]+",
@@ -405,20 +406,21 @@ def test_pinned_simulate_hjm_factor():
         0.9363048059121118, 1.0698851545620351]
     assert res.diagnostics["consistency_max"] == 0.002642868225481914
 
+    # the driver jumps read stream-0 rows from column 4 (rng.JumpRows)
     res = simulate_hjm(_JUMPS, **kw)
     early, late = res.pathset(0.25), res.pathset(0.5)
     assert early.numeraire.tolist() == [
-        1.0053395844297985, 1.004188730641406, 1.0050020506934498,
-        1.004660209481246, 1.004972421635811]
+        1.0053277791348842, 1.004188730641406, 1.0050020506934498,
+        1.0046720069370687, 1.004972421635811]
     assert early.spreads[T6M][:, 1].tolist() == [
-        0.9746698590639435, 1.1041546142275405, 0.9523167311235496,
-        1.0530502916634272, 1.1271536247309981]
+        0.9746585622511847, 1.1041546142275405, 0.9523167311235496,
+        1.0530624970781552, 1.1271536247309981]
     assert late.numeraire.tolist() == [
-        1.009158290809634, 1.0080228091078, 1.010407836808435,
-        1.0093646054865848, 1.0112171240038834]
+        1.009147833093721, 1.0080228091078, 1.0103959719990891,
+        1.0093869182700062, 1.0112052496914063]
     assert late.spreads[T6M][:, 1].tolist() == [
-        0.9542526645568168, 1.0981392120206004, 0.8738429491282178,
-        0.9645934008739487, 1.1933364234631125]
+        0.9541904076481902, 1.0981392120206004, 0.8737851508021677,
+        0.9646683682582965, 1.1933215397007881]
     assert res.diagnostics["consistency_max"] == 0.008308241176214669
 
 

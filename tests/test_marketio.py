@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multicurve.affine import AffineJumps, AffineModelSpec, InadmissibleSpec, affine_bond
@@ -588,10 +588,10 @@ def affine_specs(draw):
 @st.composite
 def hjm_models(draw):
     """HJM models with 1-2 curve factors, 1-2 spread factors (one in kernel
-    mode), 1-2 tenors, with or without driver jumps and a spread-factor y0."""
+    mode), 0-2 tenors, with or without driver jumps and a spread-factor y0."""
     mode = draw(st.sampled_from(["none", "integrated-drift", "kernel"]))
     d, n = draw(st.integers(1, 2)), 1 if mode == "kernel" else draw(st.integers(1, 2))
-    k, m = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    k, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
 
     def vol():
         return ExponentialVolatility(floats(draw, (d,)), floats(draw, (d,), 0.0, 2.0))
@@ -657,6 +657,10 @@ class TestWrittenFilesLoadBack:
                 "atoms_x", "probabilities", "intensity_const", "intensity_linear", "atoms_y"])
 
     @given(hjm_models())
+    @example(model=LevyHjmModel(
+        driver=LevyTriplet(drift=[0.0], covariance=[[1.0]]), n_curve_factors=1,
+        ois_vol=ExponentialVolatility.flat(0.01), spread_vols=[], u_vectors=np.zeros((0, 0)),
+        tenors=[], forward_curve=0.02, forward_spread_curves=[]))
     def test_hjm_model(self, tmp_path_factory, model):
         path = tmp_path_factory.mktemp("rt") / "hjm.json"
         save_model_json(model, path)

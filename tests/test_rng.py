@@ -12,6 +12,7 @@ to a seeded stream makes a pin fail, so a stream change has to be made, and
 announced, on purpose.
 """
 
+import dataclasses
 import logging
 import re
 from contextlib import contextmanager
@@ -183,16 +184,13 @@ def test_rekeyed_stream_matches_fresh_generator(seed, indices, n_normals):
 
 
 @given(seed=seeds, lo=st.integers(0, 2 ** 40), n_paths=st.integers(1, 8),
-       cut=st.integers(0, 8), with_jumps=st.booleans())
-def test_driver_block_independent_of_path_split(seed, lo, n_paths, cut, with_jumps):
+       cut=st.integers(0, 8))
+def test_driver_block_independent_of_path_split(seed, lo, n_paths, cut):
     cut = min(cut, n_paths)
-    means = np.array([0.4, 1.5]) if with_jumps else None
-    normals, counts = rng.driver_increment_block(seed, lo, lo + n_paths, 3, 2, means)
-    head = rng.driver_increment_block(seed, lo, lo + cut, 3, 2, means)
-    tail = rng.driver_increment_block(seed, lo + cut, lo + n_paths, 3, 2, means)
-    assert np.array_equal(normals, np.concatenate([head[0], tail[0]]))
-    if with_jumps:
-        assert np.array_equal(counts, np.concatenate([head[1], tail[1]]))
+    normals = rng.driver_increment_block(seed, lo, lo + n_paths, 3, 2)
+    head = rng.driver_increment_block(seed, lo, lo + cut, 3, 2)
+    tail = rng.driver_increment_block(seed, lo + cut, lo + n_paths, 3, 2)
+    assert np.array_equal(normals, np.concatenate([head, tail]))
     # each row is its path's own stream
     gen = rng.path_generator(seed, lo + n_paths - 1)
     assert np.array_equal(normals[-1], gen.standard_normal((3, 2)))
@@ -707,17 +705,113 @@ def test_kernel_mode_builds_no_generator():
 
 
 # ---------------------------------------------------------------------------
+# HJM driver jumps read from stream-0 rows against a scalar reference of the
+# row layout
+
+# the first stream-0 column of the driver jumps, stated apart from the package
+DRIVER_COL = 4
+INCREMENTS = hjm._increments
+
+
+def driver_jump_model(sizes, intensities):
+    """One curve and one spread factor, correlated, with the given driver atoms."""
+    return LevyHjmModel(
+        driver=LevyTriplet(drift=[0.001, 0.0], covariance=[[1.0, 0.1], [0.1, 0.04]],
+                           jump_sizes=sizes, jump_intensities=intensities),
+        n_curve_factors=1, ois_vol=ExponentialVolatility.flat(0.01),
+        spread_vols=[ExponentialVolatility.flat(0.004)], u_vectors=[[1.0]], tenors=[T6M],
+        forward_curve=0.02, forward_spread_curves=[0.005], spread_factor_mode="integrated-drift")
+
+
+# (model, n_steps, dt): two atoms; a step mean of 15, drawn by the fallback;
+# an atom of zero intensity between two others
+DRIVER_JUMPS = {
+    "two": (driver_jump_model([[0.01, 0.0], [-0.02, 0.005]], [4.0, 2.5]), 6, 1 / 12),
+    "hot": (driver_jump_model([[0.001, 0.0], [0.0, -0.002]], [100.0, 50.0]), 3, 0.1),
+    "zero": (driver_jump_model([[0.01, 0.0], [0.5, 0.5], [-0.01, 0.002]], [3.0, 0.0, 2.0]),
+             6, 1 / 12),
+}
+
+
+def scalar_increments(model, seed, lo, hi, n_steps, dt):
+    """Reference ``hjm._increments``: the increments of the jump-free driver,
+    then a loop over the paths, each reading its stream-0 row column by
+    column from ``DRIVER_COL``: the step's count double, inverted at mean
+    Lambda * dt, then one atom double per jump from column DRIVER_COL +
+    n_steps, searched as ``Generator.choice`` does.  Returns the increments
+    and the number of jumps."""
+    driver = model.driver
+    plain = dataclasses.replace(model, driver=LevyTriplet(driver.drift, driver.covariance))
+    dx, none = INCREMENTS(plain, seed, lo, hi, n_steps, dt)
+    assert none is None
+    lam = float(driver.jump_intensities.sum())
+    jumps = 0
+    for path in range(lo, hi):
+        row, cursor = ScalarRow(seed, path), DRIVER_COL + n_steps
+        for step in range(n_steps):
+            u = row[DRIVER_COL + step]
+            for _ in range(scalar_poisson(seed, path, step, u, lam * dt)):
+                atom = scalar_choice(driver.jump_intensities / lam, row[cursor])
+                cursor += 1
+                dx[step, :, path - lo] += driver.jump_sizes[atom]
+                jumps += 1
+    return dx, jumps
+
+
+@settings(max_examples=20)
+@given(name=st.sampled_from(sorted(DRIVER_JUMPS)), lo=st.integers(0, 2 ** 40),
+       n_paths=st.integers(1, 9), seed=seeds)
+def test_driver_jumps_match_scalar_rows(name, lo, n_paths, seed):
+    model, n_steps, dt = DRIVER_JUMPS[name]
+    got, draws = hjm._increments(model, seed, lo, lo + n_paths, n_steps, dt)
+    want, jumps = scalar_increments(model, seed, lo, lo + n_paths, n_steps, dt)
+    assert np.array_equal(got, want)
+    assert draws.jumps == jumps
+    assert draws.live.all() == (name == "hot")
+
+
+def test_driver_jump_rows_skip_column_group_zero():
+    # column group 0 of path i's stream-0 row is block i of path 0's own
+    # stream, which the driver normals read
+    for model, n_steps, dt in DRIVER_JUMPS.values():
+        with mock.patch.object(rng, "uniform_rows", wraps=rng.uniform_rows) as read:
+            _, draws = hjm._increments(model, 5, 0, 40, n_steps, dt)
+        assert draws.jumps > 0 and read.call_count >= 2
+        for call in read.call_args_list:
+            seed, lo, hi, col_lo, col_hi, stream = call.args
+            assert stream == rng.DRIVER_STREAM and col_lo >= DRIVER_COL
+
+
+def test_kernel_mode_with_driver_jumps_matches_the_references():
+    # kernel jumps read stream 1 from column 0 and driver jumps stream 0 from
+    # column 4; each matches its own scalar reference in one simulation
+    jumpy = LevyTriplet(drift=[0.0, 0.0], covariance=np.diag([1.0, 0.0]),
+                        jump_sizes=[[0.01, 0.0], [-0.005, 0.0]], jump_intensities=[3.0, 2.0])
+    args = (dataclasses.replace(kernel_hjm_model(), driver=jumpy), 0.5, 1 / 8, 26, 95,
+            [0.5, 1.0])
+    with batch_counters("hjm") as batches:
+        got = simulate_hjm(*args, batch_size=4).pathset(0.5)
+    with mock.patch.object(hjm, "_increments", lambda *a: (scalar_increments(*a)[0], None)), \
+            mock.patch.object(hjm, "_kernel_step", ScalarKernelSteps(95, 4)):
+        want = simulate_hjm(*args, batch_size=4).pathset(0.5)
+    assert np.array_equal(got.numeraire, want.numeraire)
+    assert np.array_equal(got.bonds, want.bonds)
+    for tenor in (T3M, T6M):
+        assert np.array_equal(got.spreads[tenor], want.spreads[tenor])
+    assert sum(b["driver_jumps"] for b in batches) > 0
+    assert sum(b["kernel_jumps"] for b in batches) > 0
+
+
+# ---------------------------------------------------------------------------
 # pinned streams
 
 
 def test_pinned_driver_block():
-    normals, counts = rng.driver_increment_block(20240601, 3, 6, 4, 2, np.array([0.3, 1.7]))
+    normals = rng.driver_increment_block(20240601, 3, 6, 4, 2)
     assert normals[:, 0, :].ravel().tolist() == [
         0.5124465051368492, 0.5611800033227373, 2.1358755795592725,
         -0.34106330161293263, 0.002714434954281419, -0.050493089621893965]
     assert normals[2, 3, 1] == 0.7210834298113212
-    assert counts.reshape(3, -1).tolist() == [
-        [1, 1, 1, 5, 0, 1, 0, 1], [0, 2, 0, 1, 0, 2, 0, 2], [0, 1, 0, 3, 0, 3, 0, 3]]
 
 
 # Each entry: the numeraire, a pure function of the streams, and the spread at

@@ -26,6 +26,7 @@ transform of the weighted payoff.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -665,8 +666,20 @@ def _diffusion_factor(const, linear, pos_dims, x_block):
     mats = np.broadcast_to(const, (len(x_block), *const.shape)).copy()
     for k in range(pos_dims):
         mats += clipped[:, k, None, None] * linear[k]
+    if const.shape == (1, 1):
+        # LAPACK's 1x1 eigenvector is exactly 1.0, so this is eigh's result bit
+        # for bit, without a batched eigh call per step
+        return np.sqrt(np.clip(mats, 0.0, None))
     w, vecs = np.linalg.eigh(mats)
     return vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+
+
+def _apply_factor(factor, noise):
+    """Row b of the result is factor @ noise[b], for one (n, n) factor shared
+    by every row or a (rows, n, n) batch of them.  A shared factor gives the
+    bits of the batched product of its broadcast copies, with no copy made
+    (``noise @ factor.T`` rounds differently for n >= 2)."""
+    return np.einsum("...ij,...j->...i", factor, noise)
 
 
 class _JumpDraws(_rng.JumpRows):
@@ -791,14 +804,14 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                                                spec.pos_dims, x)
                     x_new = (
                         x + (spec.drift_const + x @ spec.drift_linear.T) * h
-                        + math.sqrt(h) * np.einsum("bij,bj->bi", factor, xi)
+                        + math.sqrt(h) * _apply_factor(factor, xi)
                     )
                 if diffusive_y:
                     eta = normals[:, step, d:]
-                    y_factor = (np.broadcast_to(fixed_y_factor, (m, n, n)) if gaussian
+                    y_factor = (fixed_y_factor if gaussian
                                 else _diffusion_factor(spec.y_diff_const, spec.y_diff_linear,
                                                        spec.pos_dims, x))
-                    y = y + math.sqrt(h) * np.einsum("bij,bj->bi", y_factor, eta)
+                    y = y + math.sqrt(h) * _apply_factor(y_factor, eta)
                 if draws is not None:
                     lam = np.clip(
                         spec.jumps.intensity_const + x @ spec.jumps.intensity_linear, 0.0, None
@@ -849,6 +862,16 @@ def _weighted_payoff_transform(spec, i, T, phi_b, psi_b, z, tol=None):
     )
 
 
+@functools.cache
+def _gauss_legendre():
+    """The _QUAD_NODES-node Gauss-Legendre nodes and weights on [-1, 1], as
+    read-only arrays, computed on the first call (an eigenproblem, and the
+    numpy.polynomial import, which importing this module does not pay)."""
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _caplet_contour_prices(spec, T, i, kappas, tail_tol=1e-12, tol=None):
     """Unit-notional caplet prices for several cap factors on one contour.
 
@@ -885,7 +908,7 @@ def _caplet_contour_prices(spec, T, i, kappas, tail_tol=1e-12, tol=None):
     panel_width = float(np.clip(2.5 / sigma, 8.0, 4000.0))
 
     log_strikes = np.log(kappas)
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes, weights = _gauss_legendre()
     # the contour factor 1/(zs (zs+1)) has poles a distance ``_DAMPING`` off
     # the axis, so panels near v = 0 are refined geometrically before
     # marching outward on the variance scale

@@ -11,15 +11,17 @@ or pricing errors, failed verify checks), 2 for configuration problems; in
 both failure cases a machine-readable error object is printed to stderr.
 
 Verbosity is controlled by the MULTICURVE_LOG environment variable (DEBUG,
-INFO, WARNING, ...).  Outputs carry no timestamps, and every stochastic
-report embeds its (seed, n_paths, dt) provenance, so a rerun with the same
-config and seed reproduces every artifact byte for byte.
+INFO, WARNING, ..., case-insensitive; any other value exits 2).  Outputs
+carry no timestamps, and every stochastic report embeds its (seed, n_paths,
+dt) provenance, so a rerun with the same config and seed reproduces every
+artifact byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import logging
 import math
@@ -772,7 +774,10 @@ def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built by the first ``main`` call and shared by
+    every later call in the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="multicurve",
         description="Multi-curve term-structure toolkit: curve bootstrap, "
@@ -797,9 +802,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("MULTICURVE_LOG", "WARNING").upper(),
-        format="%(name)s %(levelname)s %(message)s")
+    level = os.environ.get("MULTICURVE_LOG", "WARNING").upper()
+    levels = logging.getLevelNamesMapping()
+    if level not in levels:
+        _emit_error("config", f"MULTICURVE_LOG must be one of {', '.join(levels)}, "
+                              f"got {os.environ['MULTICURVE_LOG']!r}")
+        return 2
+    logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     try:
         options, base_dir = {}, Path.cwd()

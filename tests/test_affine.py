@@ -15,6 +15,8 @@ from multicurve.affine import (
     DampingOutOfDomain,
     QuadratureNonConvergence,
     RiccatiExplosion,
+    _apply_factor,
+    _diffusion_factor,
     _gaussian_terminal_law,
     _terminal_exponents,
     affine_bond,
@@ -420,6 +422,85 @@ def test_exact_draw_independent_of_batch_size_and_dt(spec, T, n_paths, batch_siz
     assert np.array_equal(whole.bonds, split.bonds)
     for tenor in spec.tenors:
         assert np.array_equal(whole.spreads[tenor], split.spreads[tenor])
+
+
+# ---------------------------------------------------------------------------
+# the stepped affine loop: bit-identical shortcuts and the ordering result
+
+# every special double, and any other, as a 1x1 diffusion argument
+edge_doubles = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0, math.inf, -math.inf,
+                     math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def eigh_factor(mats):
+    """The eigh formula of _diffusion_factor for any matrix size."""
+    w, vecs = np.linalg.eigh(mats)
+    return vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+
+
+@given(const=edge_doubles, loading=edge_doubles,
+       x=st.lists(edge_doubles, min_size=1, max_size=12), pos_dims=st.sampled_from([0, 1]))
+def test_one_by_one_diffusion_factor_is_the_eigh_factor_bit_for_bit(const, loading, x,
+                                                                    pos_dims):
+    x_block = np.array(x)[:, None]
+    mats = np.full((len(x), 1, 1), const)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pos_dims:
+            mats += np.clip(x_block, 0.0, None)[:, :, None] * loading
+        got = _diffusion_factor(np.array([[const]]), np.array([[[loading]]]), pos_dims,
+                                x_block)
+        want = eigh_factor(mats)
+    assert got.tobytes() == want.tobytes()
+
+
+@given(n=st.integers(1, 3), rows=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_factor_product_is_the_broadcast_product_bit_for_bit(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    factor, noise = rng.normal(size=(n, n)), rng.normal(size=(rows, n))
+    want = np.einsum("bij,bj->bi", np.broadcast_to(factor, (rows, n, n)), noise)
+    assert _apply_factor(factor, noise).tobytes() == want.tobytes()
+    factors = rng.normal(size=(rows, n, n))
+    want = np.einsum("bij,bj->bi", factors, noise)
+    assert _apply_factor(factors, noise).tobytes() == want.tobytes()
+
+
+@st.composite
+def ordered_integrated_specs(draw):
+    """Admissible integrated-mode specs under the ordering conditions: d 1-2
+    independent CIR factors with Feller ratio 2 kappa theta / sigma^2 of at
+    least 4 (so Euler paths keep off zero), n 1-2 spread factors whose drift
+    loads a nonnegative constant and the factors with nonnegative weights,
+    y0 >= 0, and two tenors with loadings 0 <= u_3M <= u_6M componentwise."""
+    d, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def vec(k, lo, hi):
+        return np.array([draw(small(lo, hi)) for _ in range(k)])
+
+    kappa, theta = vec(d, 0.3, 1.5), vec(d, 0.01, 0.06)
+    diffusion_linear = np.zeros((d, d, d))
+    diffusion_linear[np.arange(d), np.arange(d), np.arange(d)] = (
+        kappa * theta * vec(d, 0.05, 0.5))
+    u_low = vec(n, 0.0, 1.5)
+    return AffineModelSpec(
+        pos_dims=d, real_dims=0, drift_const=kappa * theta, drift_linear=-np.diag(kappa),
+        diffusion_const=np.zeros((d, d)), diffusion_linear=diffusion_linear,
+        rate_const=draw(small(0.0, 0.01)), rate_linear=vec(d, 0.3, 1.2), n_spread=n,
+        u_vectors=[u_low, u_low + vec(n, 0.0, 1.0)], tenors=(T3M, T6M),
+        y_mode="integrated", y_drift_const=vec(n, 0.0, 0.004),
+        y_drift_linear=vec(n * d, 0.0, 0.3).reshape(n, d),
+        x0=vec(d, 0.005, 0.06), y0=vec(n, 0.0, 0.01))
+
+
+@settings(max_examples=25)
+@given(spec=ordered_integrated_specs(), horizon=st.sampled_from([0.5, 1.0]),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_ordered_specs_give_spreads_above_one_ordered_by_tenor(spec, horizon, seed):
+    paths = simulate_affine(spec, horizon, 1 / 50, 64, seed, [horizon + 0.5, horizon + 1.0])
+    low, high = paths.spreads[T3M], paths.spreads[T6M]
+    assert np.all(low >= 1.0 - 1e-12)
+    assert np.all(high >= low - 1e-12)
 
 
 class TestTransform:

@@ -16,14 +16,20 @@ import numpy as np
 import pytest
 
 import multicurve
-from multicurve.affine import AffineModelSpec, affine_bond, affine_spread, caplet_price_fourier
+from multicurve.affine import (
+    AffineModelSpec,
+    _gauss_legendre,
+    affine_bond,
+    affine_spread,
+    caplet_price_fourier,
+)
 from multicurve.calibration import (
     CalibrationResult,
     black_implied_vol,
     VolQuote,
     VolQuoteSurface,
 )
-from multicurve.cli import ConfigError, RunConfig, _load_spread_curves, main
+from multicurve.cli import ConfigError, RunConfig, _build_parser, _load_spread_curves, main
 from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet
 from multicurve.marketio import (
     SchemaError,
@@ -698,20 +704,84 @@ class TestErrorHandling:
         cfg = write_json_config(tmp_path / "kern.json", {"targets": "targets.json"})
         assert run_cli("construct-kernel", "--config", cfg, "--out", tmp_path / "out") == 0
 
+    def test_unknown_log_level_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # checked on every call, also once earlier calls installed the handlers
+        monkeypatch.setenv("MULTICURVE_LOG", "verbose")
+        assert run_cli("verify", "--out", tmp_path / "out") == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert "MULTICURVE_LOG" in err["message"] and "'verbose'" in err["message"]
+        assert "DEBUG" in err["message"] and "WARNING" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestRepeatedCalls:
+    """In-process ``main`` calls share one parser and one quadrature rule, and
+    every call's exit code, output and artifacts are those of its first run."""
+
+    def run_sequence(self, cli_files, bootstrap_config, root, capsys):
+        price = write_json_config(cli_files / "rep_price.json", {
+            "product": "fra.json", "discount_curve": "disc.json",
+            "spread_curves": ["spread.json"]})
+        caplet = write_json_config(cli_files / "rep_caplet.json", {
+            "product": "caplet.json", "model": "affine.json"})
+        simulate = write_json_config(cli_files / "rep_sim.json", {
+            "model": "affine.json", "n_paths": 300, "dt": 0.05, "horizon": 0.5,
+            "maturities": [1.0], "dump_paths": 2})
+        calls = [
+            ("price", "--config", price, "--out", root / "price"),
+            ("price", "--config", caplet, "--out", root / "caplet"),
+            ("simulate", "--config", simulate, "--seed", 4, "--out", root / "sim"),
+            ("simulate", "--config", simulate, "--seeds", 4, "--out", root / "usage"),
+            ("simulate", "--config", simulate, "--out", root / "unseeded"),
+            ("bootstrap", "--config", bootstrap_config, "--out", root / "boot"),
+            ("price", "--config", price, "--out", root / "price_again"),
+        ]
+        results = []
+        for argv in calls:
+            try:
+                code = run_cli(*argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            files = {p.relative_to(argv[-1]).as_posix(): p.read_bytes()
+                     for p in sorted(argv[-1].rglob("*")) if p.is_file()}
+            results.append((code, out, err, files))
+        return results
+
+    def test_calls_repeat_their_first_results(self, cli_files, bootstrap_config, tmp_path,
+                                              capsys):
+        _build_parser.cache_clear()
+        first = self.run_sequence(cli_files, bootstrap_config, tmp_path / "a", capsys)
+        second = self.run_sequence(cli_files, bootstrap_config, tmp_path / "b", capsys)
+        assert [r[0] for r in first] == [0, 0, 0, 2, 2, 0, 0]
+        assert "unrecognized arguments: --seeds" in first[3][2]
+        assert json.loads(first[4][2])["error"]["kind"] == "config"
+        assert first[-1] == first[0]
+        assert second == first
+        assert _build_parser.cache_info().misses == 1
+        nodes, weights = _gauss_legendre()
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(64)
+        assert nodes.tobytes() == want_nodes.tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
+
 
 # run in a fresh interpreter: the exit code of main(argv) (None when argv is
-# empty) and the scipy modules loaded by then, as the last stdout line
+# empty) and the scipy and numpy.polynomial modules loaded by then, as the
+# last stdout line
 COLD_RUN = """\
 import json, sys
 from multicurve.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else None
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "scipy" or m.startswith("scipy."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                               or m.split(".")[:2] == ["numpy", "polynomial"])]))
 """
 
 
 def cold_run(*args):
-    """(exit code, set of loaded scipy modules) of ``main(args)`` in a new process."""
+    """(exit code, set of loaded scipy and numpy.polynomial modules) of
+    ``main(args)`` in a new process."""
     src = str(Path(multicurve.__file__).resolve().parents[1])
     env = {**os.environ, "MULTICURVE_LOG": "WARNING",
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -722,13 +792,15 @@ def cold_run(*args):
 
 
 class TestColdStart:
-    """scipy subpackages are imported by the first call that needs them.
+    """scipy subpackages, and numpy.polynomial for the caplet quadrature rule,
+    are imported by the first call that needs them.
 
     In-process tests cannot see a broken deferred import once another test
     module has imported scipy, so these run the CLI in fresh interpreters.
     """
 
     def test_import_loads_no_scipy(self):
+        # nor numpy.polynomial
         assert cold_run() == (None, set())
 
     def test_price_and_factor_simulation_load_no_scipy(self, cli_files, tmp_path):

@@ -674,14 +674,6 @@ def _diffusion_factor(const, linear, pos_dims, x_block):
     return vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
 
 
-def _apply_factor(factor, noise):
-    """Row b of the result is factor @ noise[b], for one (n, n) factor shared
-    by every row or a (rows, n, n) batch of them.  A shared factor gives the
-    bits of the batched product of its broadcast copies, with no copy made
-    (``noise @ factor.T`` rounds differently for n >= 2)."""
-    return np.einsum("...ij,...j->...i", factor, noise)
-
-
 class _JumpDraws(_rng.JumpRows):
     """One batch's normals and jumps, read from the stream-0 rows of a
     stepped model with jumps (layout in ``rng``)."""
@@ -804,14 +796,15 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                                                spec.pos_dims, x)
                     x_new = (
                         x + (spec.drift_const + x @ spec.drift_linear.T) * h
-                        + math.sqrt(h) * _apply_factor(factor, xi)
+                        + math.sqrt(h) * np.einsum("bij,bj->bi", factor, xi)
                     )
                 if diffusive_y:
                     eta = normals[:, step, d:]
                     y_factor = (fixed_y_factor if gaussian
                                 else _diffusion_factor(spec.y_diff_const, spec.y_diff_linear,
                                                        spec.pos_dims, x))
-                    y = y + math.sqrt(h) * _apply_factor(y_factor, eta)
+                    # bits of the broadcast batch, no copy (eta @ F.T rounds otherwise)
+                    y = y + math.sqrt(h) * np.einsum("...ij,...j->...i", y_factor, eta)
                 if draws is not None:
                     lam = np.clip(
                         spec.jumps.intensity_const + x @ spec.jumps.intensity_linear, 0.0, None

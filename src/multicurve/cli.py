@@ -770,6 +770,9 @@ _HANDLERS = {
 }
 
 
+_LOG_LEVELS = ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG", "NOTSET")
+
+
 def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
 
@@ -803,9 +806,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     level = os.environ.get("MULTICURVE_LOG", "WARNING").upper()
-    levels = logging.getLevelNamesMapping()
-    if level not in levels:
-        _emit_error("config", f"MULTICURVE_LOG must be one of {', '.join(levels)}, "
+    # a registered level name maps to its number, any other string to a string
+    if not isinstance(logging.getLevelName(level), int):
+        _emit_error("config", f"MULTICURVE_LOG must be one of {', '.join(_LOG_LEVELS)}, "
                               f"got {os.environ['MULTICURVE_LOG']!r}")
         return 2
     logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")

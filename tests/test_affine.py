@@ -15,7 +15,6 @@ from multicurve.affine import (
     DampingOutOfDomain,
     QuadratureNonConvergence,
     RiccatiExplosion,
-    _apply_factor,
     _diffusion_factor,
     _gaussian_terminal_law,
     _terminal_exponents,
@@ -459,11 +458,13 @@ def test_one_by_one_diffusion_factor_is_the_eigh_factor_bit_for_bit(const, loadi
 def test_shared_factor_product_is_the_broadcast_product_bit_for_bit(n, rows, seed):
     rng = np.random.default_rng(seed)
     factor, noise = rng.normal(size=(n, n)), rng.normal(size=(rows, n))
+    # the spread-factor product of simulate_affine's step loop, on a fixed
+    # factor and on a batch of them
     want = np.einsum("bij,bj->bi", np.broadcast_to(factor, (rows, n, n)), noise)
-    assert _apply_factor(factor, noise).tobytes() == want.tobytes()
+    assert np.einsum("...ij,...j->...i", factor, noise).tobytes() == want.tobytes()
     factors = rng.normal(size=(rows, n, n))
     want = np.einsum("bij,bj->bi", factors, noise)
-    assert _apply_factor(factors, noise).tobytes() == want.tobytes()
+    assert np.einsum("...ij,...j->...i", factors, noise).tobytes() == want.tobytes()
 
 
 @st.composite

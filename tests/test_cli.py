@@ -714,6 +714,16 @@ class TestErrorHandling:
         assert "DEBUG" in err["message"] and "WARNING" in err["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_log_level_check_needs_no_python_3_11_logging_api(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # Python 3.10 has no logging.getLevelNamesMapping
+        monkeypatch.delattr(logging, "getLevelNamesMapping", raising=False)
+        monkeypatch.setenv("MULTICURVE_LOG", "info")
+        assert run_cli("verify", "--out", tmp_path / "ok") == 0
+        monkeypatch.setenv("MULTICURVE_LOG", "verbose")
+        assert run_cli("verify", "--out", tmp_path / "bad") == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
 
 class TestRepeatedCalls:
     """In-process ``main`` calls share one parser and one quadrature rule, and

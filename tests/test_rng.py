@@ -845,6 +845,20 @@ def test_pinned_simulate_affine(name):
     assert paths.spreads[spec.tenors[-1]][:, 1].tolist() == spread
 
 
+def test_pinned_simulate_affine_stepped_gaussian_spread_pair():
+    # jumps send the two-spread Gaussian model through the step loop, which
+    # multiplies one fixed spread factor into the noise; recorded from the
+    # broadcast product, whose bits eta @ F.T misses on path 17's 6M spread
+    spec = dataclasses.replace(
+        SPECS["gauss"], jumps=AffineJumps(atoms_x=[[0.01], [-0.008]], probabilities=[0.6, 0.4],
+                                          intensity_const=6.0,
+                                          atoms_y=[[0.002, 0.0], [0.0, 0.001]]))
+    paths = simulate_affine(spec, 0.5, 0.1, 64, 97, [0.5, 1.0])
+    assert paths.numeraire[17] == 1.0070272460179668
+    assert paths.spreads[T3M][17].tolist() == [1.0166452639917396, 1.0226678787725691]
+    assert paths.spreads[T6M][17].tolist() == [1.0162426659307133, 1.023711270436059]
+
+
 def test_pinned_simulate_yperp():
     family = KernelFamily([0.5, 1.0], mass_cap=50.0, p_fn=lambda t: np.array([4.0, 12.0]))
     paths = simulate_yperp(family, horizon=0.5, dt=1 / 26, n_paths=6, seed=9)

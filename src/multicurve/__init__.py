@@ -51,7 +51,6 @@ from .hjm import (  # noqa: F401
     HjmSimulationResult,
     LevyHjmModel,
     LevyTriplet,
-    MusielaState,
     SimulationAborted,
     StateDependentVolatility,
     consistency_residual,
@@ -81,15 +80,12 @@ from .affine import (  # noqa: F401
     QuadratureNonConvergence,
     RiccatiAccuracyError,
     RiccatiExplosion,
-    RiccatiSolution,
     ShiftedCurves,
     affine_bond,
     affine_spread,
-    affine_transform,
     caplet_price_fourier,
     shifted_curves,
     simulate_affine,
-    solve_riccati,
 )
 from .calibration import (  # noqa: F401
     BlackDomainError,

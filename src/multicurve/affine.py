@@ -30,7 +30,7 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -196,15 +196,6 @@ class AffineModelSpec:
             and self.jumps is None
         )
 
-    def verify_exponent_domain(self, horizon: float) -> bool:
-        """Check (0, u_i, 1) arguments stay finite up to the horizon.
-
-        Raises RiccatiExplosion on failure, returns True otherwise.
-        """
-        U = np.vstack([np.zeros((1, self.n_spread)), self.u_vectors])
-        _terminal_exponents(self, np.zeros((len(U), self.dim)), U, 1.0, horizon)
-        return True
-
     def _validate_admissibility(self):
         d, p = self.dim, self.pos_dims
         _check_psd(self.diffusion_const, "diffusion_const")
@@ -359,9 +350,8 @@ def _batch_rates(coefficients, psi: np.ndarray, consts, weights):
     return out
 
 
-def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray,
-                        w: complex, horizon, tol: float | None = None,
-                        grid: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray, w: complex,
+                        horizon, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Batched (phi, psi) at the horizon by adaptive Dormand-Prince steps.
 
     V: (batch, d) initial psi rows; U: (batch, n) exponent loadings on Y; w:
@@ -370,8 +360,7 @@ def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray,
     1e-10 unless a caller relaxes it) and explosion check, and leaves the
     batch at its own horizon, so its result is the same in any batch.  Raises
     RiccatiExplosion when a row passes 1e12 and RiccatiAccuracyError when a
-    row's step size collapses.  A ``grid`` list of a one-row solve collects
-    (t, (phi, psi)) after every accepted step.
+    row's step size collapses.
     """
     tol = _RICCATI_TOL if tol is None else tol
     V = np.atleast_2d(np.asarray(V, dtype=complex))
@@ -421,8 +410,6 @@ def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray,
             y = np.where(ok[:, None], y_new, y)
             k1 = np.where(ok[:, None], ks[6], k1)
             t = np.where(ok, np.where(last, end, t + h), t)
-            if grid is not None and ok[0]:
-                grid.append((float(t[0]), y[0].copy()))
             # standard controller: safety 0.9, growth at most 10 (none after
             # a rejection), shrink at most 5, also when the error is NaN
             h = h * np.fmin(np.where(ok, 10.0, 1.0), np.fmax(0.2, 0.9 * err ** -0.2))
@@ -441,64 +428,8 @@ def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray,
     return out[:, 0], out[:, 1:]
 
 
-@dataclass
-class RiccatiSolution:
-    """Transform exponent path t -> (phi(t), psi(t)) for one argument."""
-
-    times: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-    argument: tuple
-
-    @property
-    def phi_terminal(self) -> complex:
-        return complex(self.phi[-1])
-
-    @property
-    def psi_terminal(self) -> np.ndarray:
-        return self.psi[-1]
-
-
-def solve_riccati(spec: AffineModelSpec, v, u, w, T: float) -> RiccatiSolution:
-    """Integrate the exponent ODEs for one argument, keeping the time grid.
-
-    phi and psi satisfy phi(0) = 0, psi(0) = v and drive the transform
-    E[exp(<v, X_T> + u.Y_T + w Z_T)] = exp(phi(T) + <psi(T), x0> + u.y0).
-    The grid holds t = 0 and every step the adaptive integration of
-    ``_terminal_exponents`` accepted, ending at T; raises RiccatiExplosion
-    when the solution norm passes 1e12.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    v = _vec_complex(v, spec.dim, "v")
-    u = _vec_complex(u, spec.n_spread, "u")
-    w = complex(w)
-    grid = [(0.0, np.concatenate([[0.0], v]))]
-    _terminal_exponents(spec, v[None, :], u[None, :], w, T, grid=grid)
-    rows = np.array([row for _, row in grid])
-    times = np.array([t for t, _ in grid])
-    return RiccatiSolution(times=times, phi=rows[:, 0], psi=rows[:, 1:], argument=(v, u, w))
-
-
-def _vec_complex(value, length, name):
-    out = np.atleast_1d(np.asarray(value, dtype=complex))
-    if length == 0 and out.size in (0, 1) and not np.any(out):
-        return np.zeros(0, dtype=complex)
-    if out.shape != (length,):
-        raise ValueError(f"{name} must have shape ({length},)")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transforms and curve formulas
-
-
-def affine_transform(spec: AffineModelSpec, v, u, w, T: float) -> complex:
-    """E[exp(<v, X_T> + u.Y_T + w Z_T)] evaluated at the spec's initial state."""
-    v = _vec_complex(v, spec.dim, "v")
-    u = _vec_complex(u, spec.n_spread, "u")
-    phi, psi = _terminal_exponents(spec, v[None, :], u[None, :], complex(w), T)
-    return complex(np.exp(phi[0] + psi[0] @ spec.x0 + u @ spec.y0))
 
 
 def _exponents(spec: AffineModelSpec, taus, u=0.0, tol=None):

@@ -811,7 +811,21 @@ def main(argv=None) -> int:
         _emit_error("config", f"MULTICURVE_LOG must be one of {', '.join(_LOG_LEVELS)}, "
                               f"got {os.environ['MULTICURVE_LOG']!r}")
         return 2
-    logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
+    # this call's level and stderr, on the package logger, for this call only
+    package_log = logging.getLogger("multicurve")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
+    saved_level = package_log.level
+    package_log.setLevel(level)
+    package_log.addHandler(handler)
+    try:
+        return _run(argv)
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(saved_level)
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         options, base_dir = {}, Path.cwd()

@@ -59,7 +59,6 @@ __all__ = [
     "ExponentialVolatility",
     "StateDependentVolatility",
     "LevyHjmModel",
-    "MusielaState",
     "HjmSimulationResult",
     "ois_drift",
     "spread_drift",
@@ -394,16 +393,6 @@ def spread_drift_adjustment(model: LevyHjmModel, i: int, tau) -> np.ndarray | fl
 # simulation engines
 
 
-@dataclass
-class MusielaState:
-    """Curve block of the grid engine in rolling time-to-maturity coordinates."""
-
-    theta: np.ndarray    # (n_paths, n_curves, n_nodes)
-    cell: float          # grid spacing, the step dt
-    valid_nodes: int     # leading nodes still inside the shrinking horizon
-    step_index: int
-
-
 def _integrate_rows(rows: np.ndarray, dx: float, tau: float) -> np.ndarray:
     """Trapezoid of curve rows (..., n_nodes) from 0 to tau, linear partial cell."""
     if tau < -1e-12:
@@ -534,7 +523,12 @@ class _FactorEngine:
 
 
 class _GridEngine:
-    """Literal curve-on-a-grid engine; reference scheme, any volatility type."""
+    """Literal curve-on-a-grid engine; reference scheme, any volatility type.
+
+    The curves are stored in rolling time-to-maturity coordinates as
+    ``theta`` (n_paths, n_curves, n_nodes); only the leading ``valid_nodes``
+    stay inside the shrinking horizon.
+    """
 
     def __init__(self, model: LevyHjmModel, n_paths: int, n_nodes: int,
                  alpha_rows: np.ndarray | None, dt: float):
@@ -543,44 +537,38 @@ class _GridEngine:
         self.alpha_rows = alpha_rows
         self.nodes = dt * np.arange(n_nodes + 1)
         curves = model.initial_curves()
-        theta = np.stack(
+        self.theta = np.stack(
             [np.broadcast_to(fn(self.nodes), (n_paths, n_nodes + 1)).copy() for fn in curves],
             axis=1,
         )
-        self.state = MusielaState(theta, dt, n_nodes + 1, 0)
+        self.valid_nodes = n_nodes + 1
         self.vols = model.curve_vols()
         self._static_g = None
         if not model.requires_grid_engine():
             # (n_curves, d, n_nodes + 1)
             self._static_g = np.stack([v.values(self.nodes).T for v in self.vols])
 
-    @property
-    def step_index(self) -> int:
-        return self.state.step_index
-
     def short_ends(self) -> np.ndarray:
-        return self.state.theta[:, :, 0].T.copy()
+        return self.theta[:, :, 0].T.copy()
 
     def apply_step(self, dx_step: np.ndarray) -> None:
-        st = self.state
-        new_valid = st.valid_nodes - 1
+        new_valid = self.valid_nodes - 1
         dx_curve = np.ascontiguousarray(dx_step[: self.model.n_curve_factors].T)
         if self._static_g is not None:
-            shifted = st.theta[:, :, 1 : 1 + new_valid]
+            shifted = self.theta[:, :, 1 : 1 + new_valid]
             drift = self.dt * self.alpha_rows[:, 1 : 1 + new_valid]
             noise = np.einsum("pc,icj->pij", dx_curve, self._static_g[:, :, 1 : 1 + new_valid])
-            st.theta[:, :, :new_valid] = shifted + drift[None, :, :] + noise
+            self.theta[:, :, :new_valid] = shifted + drift[None, :, :] + noise
         else:
             self._apply_step_state_dependent(dx_curve, new_valid)
-        st.theta[:, :, new_valid:] = np.nan
-        st.valid_nodes = new_valid
-        st.step_index += 1
+        self.theta[:, :, new_valid:] = np.nan
+        self.valid_nodes = new_valid
 
     def _path_loadings(self, p: int, curve: int, tau: np.ndarray) -> np.ndarray:
         vol = self.vols[curve]
         if isinstance(vol, ExponentialVolatility):
             return vol.values(tau).T
-        return vol.values_for_path(self.state.theta[p, curve, : len(tau)], tau)
+        return vol.values_for_path(self.theta[p, curve, : len(tau)], tau)
 
     def _apply_step_state_dependent(self, dx_curve: np.ndarray, new_valid: int) -> None:
         """Per-path stepping when any volatility reads the current curve.
@@ -589,9 +577,8 @@ class _GridEngine:
         loadings, so the drift is the same discrete functional of sigma that
         the deterministic precomputation uses.
         """
-        st = self.state
-        n_paths = st.theta.shape[0]
-        tau = self.nodes[: st.valid_nodes]
+        n_paths = self.theta.shape[0]
+        tau = self.nodes[: self.valid_nodes]
         model = self.model
         new_theta = np.empty((n_paths, len(self.vols), new_valid))
         for p in range(n_paths):
@@ -606,25 +593,23 @@ class _GridEngine:
                     g = self._path_loadings(p, i, tau)
                     big_i = _cumtrapz_loadings(g, self.dt)
                     u_block = np.broadcast_to(
-                        model.u_vectors[i - 1], (st.valid_nodes, model.n_spread_factors)
+                        model.u_vectors[i - 1], (self.valid_nodes, model.n_spread_factors)
                     )
                     beta = np.concatenate([big_i - big0, u_block], axis=1)
                     grad = model.driver.exponent_gradient(beta)[:, : model.n_curve_factors]
                     alpha = -np.sum((g - sig0).T * grad, axis=1) + alpha0
                 new_theta[p, i] = (
-                    st.theta[p, i, 1 : 1 + new_valid]
+                    self.theta[p, i, 1 : 1 + new_valid]
                     + self.dt * alpha[1 : 1 + new_valid]
                     + g[:, 1 : 1 + new_valid].T @ dx_curve[p]
                 )
-        st.theta[:, :, :new_valid] = new_theta
+        self.theta[:, :, :new_valid] = new_theta
 
     def curve_integrals(self, tau: float, curve: int) -> np.ndarray:
-        st = self.state
-        return _integrate_rows(st.theta[:, curve, : st.valid_nodes], self.dt, tau)
+        return _integrate_rows(self.theta[:, curve, : self.valid_nodes], self.dt, tau)
 
     def finite_mask(self) -> np.ndarray:
-        st = self.state
-        return np.all(np.isfinite(st.theta[:, :, : st.valid_nodes]), axis=(1, 2))
+        return np.all(np.isfinite(self.theta[:, :, : self.valid_nodes]), axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

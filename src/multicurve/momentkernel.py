@@ -325,17 +325,13 @@ class KernelFamily:
     so a cached kernel's support [-bucket, inf) is always inside the true
     [-y, inf) constraint, and static targets resolve to a single LP solve
     for a whole simulation.  Each kernel is solved on the default grid of
-    ``DEFAULT_GRID_SIZE`` (400) atoms.  ``p_fn(t)``
-    optionally supplies deterministic time-varying targets for ``solve``;
-    callers with their own target rows use ``solve_for`` directly.
-    ``lookups`` counts the calls of ``solve_with_exponent`` and ``lp_solves``
-    those that missed the cache and solved a kernel.
+    ``DEFAULT_GRID_SIZE`` (400) atoms.  ``lookups`` counts the calls of
+    ``solve_with_exponent`` and ``lp_solves`` those that missed the cache and
+    solved a kernel.
     """
 
-    def __init__(self, u: np.ndarray, mass_cap: float, p_fn: Callable[[float], np.ndarray] | None = None,
-                 objective: str = "min-total-mass"):
+    def __init__(self, u: np.ndarray, mass_cap: float, objective: str = "min-total-mass"):
         self.u = np.atleast_1d(np.asarray(u, dtype=float))
-        self.p_fn = p_fn
         self.mass_cap = float(mass_cap)
         self.objective = objective
         self._cache: dict[tuple, tuple[JumpKernel, np.ndarray]] = {}
@@ -346,9 +342,6 @@ class KernelFamily:
         if y <= 0:
             return 0.0
         return math.floor(y / FLOOR_BUCKET) * FLOOR_BUCKET
-
-    def solve_for(self, y: float, p: np.ndarray) -> JumpKernel:
-        return self.solve_with_exponent(y, p)[0]
 
     def solve_with_exponent(self, y: float, p: np.ndarray) -> tuple[JumpKernel, np.ndarray]:
         """Kernel plus its exponent evaluated at the family's own u vector."""
@@ -364,14 +357,6 @@ class KernelFamily:
         entry = (kernel, np.asarray(kernel.exponent(self.u)))
         self._cache[key] = entry
         return entry
-
-    def solve(self, t: float, y: float) -> JumpKernel:
-        return self.solve_for(y, self.targets_at(t))
-
-    def targets_at(self, t: float) -> np.ndarray:
-        if self.p_fn is None:
-            raise ValueError("solve(t, y) requires a p_fn; use solve_for for explicit targets")
-        return np.atleast_1d(np.asarray(self.p_fn(t), dtype=float))
 
     def solve_rows(self, y: np.ndarray, p: np.ndarray) -> tuple[list, np.ndarray]:
         """Kernels for many rows at once: levels ``y`` (n,), targets ``p`` (n, m).
@@ -458,17 +443,17 @@ class YperpPaths:
     dt: float
 
 
-def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int,
-                   seed: int) -> YperpPaths:
+def simulate_yperp(family: KernelFamily, targets: Callable[[float], np.ndarray],
+                   horizon: float, dt: float, n_paths: int, seed: int) -> YperpPaths:
     """Simulate the orthogonal jump factor from zero under state-frozen step intensities.
 
-    Each step is one ``kernel_jump_step`` over all paths, with the targets
-    ``family.p_fn(t)`` at the step start: the kernel is solved at (t, y),
-    the jump count is Poisson with the frozen total intensity, and each
-    jump draws its size from the current kernel's atoms (re-solving after
-    every jump so the support floor tracks the post-jump state).  The
-    compensator integral accumulates the frozen exponent Psi(u_i) * dt per
-    step.  Path i reads its count and atom doubles from its row on stream 1
+    Each step is one ``kernel_jump_step`` over all paths, with the
+    deterministic exponent targets ``targets(t)`` at the step start: the
+    kernel is solved at (t, y), the jump count is Poisson with the frozen
+    total intensity, and each jump draws its size from the current kernel's
+    atoms (re-solving after every jump so the support floor tracks the
+    post-jump state).  The compensator integral accumulates the frozen
+    exponent Psi(u_i) * dt per step.  Path i reads its count and atom doubles from its row on stream 1
     (``rng.JumpRows``), so its numbers do not depend on ``n_paths``.
     """
     n_steps = int(round(horizon / dt))
@@ -485,7 +470,7 @@ def simulate_yperp(family: KernelFamily, horizon: float, dt: float, n_paths: int
     y = np.zeros(n_paths)
     values[:, 0] = y
     for l in range(n_steps):
-        p = family.targets_at(times[l])
+        p = np.atleast_1d(np.asarray(targets(times[l]), dtype=float))
         psi, jumps = kernel_jump_step(family, draws, y, np.broadcast_to(p, (n_paths, len(p))), dt)
         comps[:, :, l + 1] = comps[:, :, l] + dt * psi
         counts += jumps

@@ -20,11 +20,9 @@ from multicurve.affine import (
     _terminal_exponents,
     affine_bond,
     affine_spread,
-    affine_transform,
     caplet_price_fourier,
     shifted_curves,
     simulate_affine,
-    solve_riccati,
 )
 from multicurve.products import caplet_price_mc, fra_value
 from multicurve.termstructure import DiscountCurve, SpreadTermStructure, Tenor
@@ -148,18 +146,30 @@ def gaussian_caplet_closed_form(T, strike, delta=0.5):
     )
 
 
+def one_row(spec, v, u, w, T):
+    """(phi, psi) at horizon T of the one argument (v, u, w)."""
+    phi, psi = _terminal_exponents(spec, [v], [u], w, T)
+    return phi[0], psi[0]
+
+
+def transform(spec, v, u, w, T):
+    """E[exp(<v, X_T> + u.Y_T + w Z_T)] at the spec's initial state."""
+    phi, psi = one_row(spec, v, u, w, T)
+    return complex(np.exp(phi + psi @ spec.x0 + np.asarray(u) @ spec.y0))
+
+
+def spread_rows(spec, horizon):
+    """(phi, psi) at the horizon of the (0, u_i, 1) arguments, the bond's
+    (u = 0) first."""
+    U = np.vstack([np.zeros((1, spec.n_spread)), spec.u_vectors])
+    return _terminal_exponents(spec, np.zeros((len(U), spec.dim)), U, 1.0, horizon)
+
+
 class TestRiccati:
     def test_zero_argument_stays_zero(self, cir_spec):
-        sol = solve_riccati(cir_spec, v=[0.0], u=[], w=0.0, T=3.0)
-        assert np.max(np.abs(sol.phi)) == 0.0
-        assert np.max(np.abs(sol.psi)) == 0.0
-
-    def test_initial_conditions_on_grid(self, cir_spec):
-        sol = solve_riccati(cir_spec, v=[-0.3], u=[], w=1.0, T=2.0)
-        assert sol.times[0] == 0.0
-        assert sol.times[-1] == pytest.approx(2.0, abs=1e-14)
-        assert sol.phi[0] == 0.0
-        assert sol.psi[0, 0] == pytest.approx(-0.3, abs=1e-15)
+        phi, psi = one_row(cir_spec, [0.0], [], 0.0, 3.0)
+        assert phi == 0.0
+        assert np.max(np.abs(psi)) == 0.0
 
     @pytest.mark.parametrize("T", [0.25, 1.0, 5.0, 10.0])
     def test_gaussian_short_rate_bond(self, vasicek_spec, T):
@@ -173,19 +183,19 @@ class TestRiccati:
 
     def test_gaussian_bond_slope_closed_form(self, vasicek_spec):
         T = 4.0
-        sol = solve_riccati(vasicek_spec, v=[0.0], u=[0.0], w=1.0, T=T)
+        _, psi = one_row(vasicek_spec, [0.0], [0.0], 1.0, T)
         expected = -(1 - math.exp(-VAS_KAPPA * T)) / VAS_KAPPA
-        assert sol.psi_terminal[0].real == pytest.approx(expected, abs=1e-10)
-        assert abs(sol.psi_terminal[0].imag) < 1e-14
+        assert psi[0].real == pytest.approx(expected, abs=1e-10)
+        assert abs(psi[0].imag) < 1e-14
 
     def test_flow_property(self, cir_spec):
         T, s = 3.0, 1.2
-        full = solve_riccati(cir_spec, v=[-0.3], u=[], w=1.0, T=T)
-        head = solve_riccati(cir_spec, v=[-0.3], u=[], w=1.0, T=s)
-        tail = solve_riccati(cir_spec, v=head.psi_terminal, u=[], w=1.0, T=T - s)
-        assert complex(head.phi_terminal + tail.phi_terminal) == pytest.approx(
-            complex(full.phi_terminal), abs=1e-8)
-        assert tail.psi_terminal[0] == pytest.approx(full.psi_terminal[0], abs=1e-8)
+        full_phi, full_psi = one_row(cir_spec, [-0.3], [], 1.0, T)
+        head_phi, head_psi = one_row(cir_spec, [-0.3], [], 1.0, s)
+        # the head's psi is the tail's initial argument
+        tail_phi, tail_psi = one_row(cir_spec, head_psi, [], 1.0, T - s)
+        assert complex(head_phi + tail_phi) == pytest.approx(complex(full_phi), abs=1e-8)
+        assert tail_psi[0] == pytest.approx(full_psi[0], abs=1e-8)
 
     def test_explosion_reports_blow_up_time(self):
         spec = AffineModelSpec(
@@ -197,12 +207,16 @@ class TestRiccati:
         )
         # quadratic growth dominates: explosion for v above 2 kappa / sigma^2
         with pytest.raises(RiccatiExplosion) as err:
-            solve_riccati(spec, v=[3.0], u=[], w=0.0, T=10.0)
+            one_row(spec, [3.0], [], 0.0, 10.0)
         assert 0.0 < err.value.blow_up_time <= 10.0
 
-    def test_nonpositive_horizon_rejected(self, cir_spec):
-        with pytest.raises(ValueError, match="T must be positive"):
-            solve_riccati(cir_spec, v=[0.0], u=[], w=0.0, T=0.0)
+    def test_horizon_must_be_nonnegative(self, cir_spec):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            one_row(cir_spec, [0.0], [], 0.0, -0.5)
+        # at horizon 0 the exponents are the initial condition (0, V)
+        phi, psi = _terminal_exponents(cir_spec, [[-0.3], [0.7]], [[], []], 1.0, [0.0, 0.0])
+        assert phi.tolist() == [0.0, 0.0]
+        assert psi.tolist() == [[-0.3], [0.7]]
 
     def test_solver_work_is_logged(self, cir_spec, caplog):
         with caplog.at_level(logging.DEBUG, logger="multicurve.affine"):
@@ -506,22 +520,23 @@ def test_ordered_specs_give_spreads_above_one_ordered_by_tenor(spec, horizon, se
 
 class TestTransform:
     def test_unit_at_zero_argument(self, vasicek_spec):
-        val = affine_transform(vasicek_spec, v=[0.0], u=[0.0], w=0.0, T=2.0)
+        val = transform(vasicek_spec, [0.0], [0.0], 0.0, 2.0)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_characteristic_function_bounded(self, vasicek_spec):
         for omega in (0.3, 2.0, 15.0):
-            val = affine_transform(vasicek_spec, v=[1j * omega], u=[0.0], w=0.0, T=1.5)
+            val = transform(vasicek_spec, [1j * omega], [0.0], 0.0, 1.5)
             assert abs(val) <= 1.0 + 1e-12
 
     def test_discount_weight_equals_bond(self, cir_spec):
         T = 3.0
-        val = affine_transform(cir_spec, v=[0.0], u=[], w=1.0, T=T)
+        val = transform(cir_spec, [0.0], [], 1.0, T)
         assert val.real == pytest.approx(affine_bond(cir_spec, [CIR_X0], T), rel=1e-12)
         assert abs(val.imag) < 1e-14
 
     def test_exponent_domain_check(self, integrated_spec):
-        assert integrated_spec.verify_exponent_domain(2.0) is True
+        phi, psi = spread_rows(integrated_spec, 2.0)
+        assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
         hot = AffineModelSpec(
             pos_dims=1, real_dims=0,
             drift_const=[0.0], drift_linear=[[-2.0]],
@@ -532,7 +547,7 @@ class TestTransform:
             x0=[0.04], y0=[0.0],
         )
         with pytest.raises(RiccatiExplosion):
-            hot.verify_exponent_domain(5.0)
+            spread_rows(hot, 5.0)
 
 
 class TestCurves:
@@ -772,7 +787,8 @@ class TestCapletFourier:
         )
         # the undamped exponent 1.6 is integrable over [0, 5] but the damped
         # contour pushes it past the square-root blow-up threshold
-        assert spec.verify_exponent_domain(5.0) is True
+        phi, psi = spread_rows(spec, 5.0)
+        assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
         with pytest.raises(DampingOutOfDomain):
             caplet_price_fourier(spec, 5.0, T6M, 0.02)
 

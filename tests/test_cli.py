@@ -5,9 +5,12 @@ stdout summary JSON, the stderr error objects, and the artifacts written
 under ``--out`` are all exercised exactly as a shell user would see them.
 """
 
+import contextlib
+import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -775,6 +778,23 @@ class TestRepeatedCalls:
         want_nodes, want_weights = np.polynomial.legendre.leggauss(64)
         assert nodes.tobytes() == want_nodes.tobytes()
         assert weights.tobytes() == want_weights.tobytes()
+
+
+    def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, tmp_path, monkeypatch):
+        (tmp_path / "targets.json").write_text(
+            json.dumps({"u": [0.5], "p": [0.3], "mass_cap": 50.0}))
+        cfg = write_json_config(tmp_path / "kern.json", {"targets": "targets.json"})
+        errs = []
+        for k, level in enumerate(["WARNING", "DEBUG", "WARNING"]):
+            monkeypatch.setenv("MULTICURVE_LOG", level)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run_cli("construct-kernel", "--config", cfg, "--out", tmp_path / str(k)) == 0
+            errs.append(err.getvalue())
+        # no log record at the default level: stderr carries only error objects
+        assert errs[0] == errs[2] == ""
+        assert re.search(r"^multicurve\.momentkernel DEBUG kernel lp: ", errs[1], re.MULTILINE)
+        package_log = logging.getLogger("multicurve")
+        assert (package_log.handlers, package_log.level) == ([], logging.NOTSET)
 
 
 # run in a fresh interpreter: the exit code of main(argv) (None when argv is

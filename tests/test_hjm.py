@@ -447,6 +447,36 @@ def discrete_gaussian_bond_mean(sigma, f0, t, tau, dt):
     return math.exp(mean + 0.5 * var)
 
 
+@pytest.mark.parametrize("method", ["factor", "grid"])
+@pytest.mark.parametrize("jumps", [None, ([[0.02], [-0.015]], [6.0, 4.0])],
+                         ids=["gaussian", "driver-jumps"])
+def test_one_factor_bonds_share_one_state_on_every_path(method, jumps):
+    # with one curve factor and volatility sigma e^(-kappa tau), every path has
+    # ln P(t, T) = a(t, T) - sigma B(T - t) U_t, B(tau) = (1 - e^(-kappa tau)) / kappa,
+    # so ln P(t, T2) - B(tau2) / B(tau1) ln P(t, T1) has no U term
+    sigma, kappa = 0.01, 0.8
+    model = make_model(ois_scale=sigma, forward=lambda T: 0.02 + 0.002 * T, jumps=jumps)
+    model.ois_vol = ExponentialVolatility([sigma], [kappa])
+
+    def B(tau):
+        return -math.expm1(-kappa * tau) / kappa
+
+    def relative_spread(dt, maturities):
+        """Cross-path spread of the combination over that of ln P(t, T1), at t = 1."""
+        res = simulate_hjm(model, 1.0, dt, 1000, 7, maturities, method=method)
+        log_bonds = np.log(res.pathset(1.0).bonds)
+        ratio = B(maturities[1] - 1.0) / B(maturities[0] - 1.0)
+        return np.std(log_bonds[:, 1] - ratio * log_bonds[:, 0]) / np.std(log_bonds[:, 0])
+
+    # on grid maturities the trapezoid of e^(-kappa x) is proportional to B, so
+    # only rounding is left
+    assert relative_spread(1 / 8, [1.5, 3.0]) < 1e-12
+    # off the grid the partial cells leave a spread that halves with dt
+    spreads = [relative_spread(dt, [1.3, 2.7]) for dt in (1 / 8, 1 / 16, 1 / 32)]
+    assert spreads[0] < 1e-3
+    assert min(math.log2(spreads[i] / spreads[i + 1]) for i in range(2)) >= 0.9
+
+
 class TestMartingaleProperty:
     def test_ho_lee_discounted_bond(self):
         model = make_model(ois_scale=0.01)
@@ -579,6 +609,37 @@ class TestOrderingAndFloor:
             assert np.all(s1 >= 1.0)
             assert np.all(s2 >= s1)
             assert np.all(s3 >= s2)
+
+
+@st.composite
+def kernel_mode_models(draw):
+    """Kernel-mode models with two or three tenors, ordered u in [0.5, 1.5],
+    and static spread curves whose levels a kernel of two or three positive
+    atoms matches, so that a matching kernel exists."""
+    m, k = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    # spaced u and atoms keep the LP rows apart
+    u = draw(st.floats(0.5, 1.0)) + np.cumsum(
+        [0.0] + draw(st.lists(st.floats(0.1, 0.25), min_size=m - 1, max_size=m - 1)))
+    atoms = draw(st.floats(0.02, 0.2)) + np.cumsum(
+        [0.0] + draw(st.lists(st.floats(0.05, 0.2), min_size=k - 1, max_size=k - 1)))
+    weights = np.array(draw(st.lists(st.floats(0.02, 1.0), min_size=k, max_size=k)))
+    model = make_model(ois_scale=0.01, spread_scales=(0.0,) * m, u=u[:, None],
+                       tenors=[T3M, T6M, T1Y][:m], cov_extra=(0.0,), mode="kernel",
+                       spreads=[float(weights @ np.expm1(ui * atoms)) for ui in u])
+    model.kernel_objective = "min-g-extra-mass"
+    return model
+
+
+@settings(max_examples=20)
+@given(model=kernel_mode_models(), n_paths=st.integers(30, 60), seed=st.integers(0, 2 ** 32))
+def test_kernel_mode_spreads_above_one_ordered_by_tenor(model, n_paths, seed):
+    res = simulate_hjm(model, horizon=1.0, dt=1 / 8, n_paths=n_paths, seed=seed,
+                       maturities=[1.0, 1.5, 2.0], observation_times=[0.5, 1.0])
+    for t in (0.5, 1.0):
+        spreads = [res.pathset(t).spreads[tenor] for tenor in model.tenors]
+        assert np.all(spreads[0] >= 1.0)
+        for low, high in zip(spreads, spreads[1:]):
+            assert np.all(high >= low)
 
 
 class TestStateDependentVolatility:

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from multicurve.momentkernel import (
     OBJECTIVES,
+    RESIDUAL_TOL,
     FeasibilityReport,
     JumpKernel,
     KernelFamily,
     KernelInfeasible,
+    KernelResidualError,
     MomentTargets,
     default_atom_grid,
     feasibility_check,
@@ -262,21 +264,34 @@ class TestRecoveryOrCertificate:
                 solve_jump_kernel(tg, objective)
 
 
+@pytest.mark.xfail(raises=KernelResidualError, strict=True,
+                   reason="min-g-extra-mass misses these feasible targets by 1e-7")
+def test_extra_mass_objective_meets_the_residual_tolerance_at_close_exponents():
+    # levels of a two-atom positive kernel at close exponents, from a
+    # kernel-mode spec; feasible, and min-total-mass matches them to 1e-14
+    targets = MomentTargets(np.array([0.5, 0.75, 0.859375]),
+                            np.array([0.035774311181468885, 0.05413382328587182,
+                                      0.062267287271593495]), mass_cap=50.0)
+    assert feasibility_check(targets).feasible
+    solve_jump_kernel(targets, "min-total-mass")
+    solve_jump_kernel(targets, "min-g-extra-mass")
+
+
 class TestKernelFamily:
     def test_cache_returns_same_object(self):
         fam = KernelFamily([0.5, 1.0], mass_cap=10.0)
         p = np.array([0.004, 0.012])
-        k1 = fam.solve_for(0.0, p)
-        k2 = fam.solve_for(0.0, p)
+        k1 = fam.solve_with_exponent(0.0, p)[0]
+        k2 = fam.solve_with_exponent(0.0, p)[0]
         assert k1 is k2
 
     def test_counts_lookups_and_solves(self):
         fam = KernelFamily([0.5, 1.0], mass_cap=10.0)
         assert (fam.lookups, fam.lp_solves) == (0, 0)
         p = np.array([0.004, 0.012])
-        fam.solve_for(0.0, p)
-        fam.solve_for(0.0, p)
-        fam.solve_for(0.5, p)
+        fam.solve_with_exponent(0.0, p)[0]
+        fam.solve_with_exponent(0.0, p)[0]
+        fam.solve_with_exponent(0.5, p)[0]
         assert (fam.lookups, fam.lp_solves) == (3, 2)
 
     def test_rows_solved_once_per_key(self):
@@ -294,32 +309,34 @@ class TestKernelFamily:
     def test_floor_bucketing_is_conservative(self):
         fam = KernelFamily([0.5], mass_cap=10.0)
         y = 0.03
-        kernel = fam.solve_for(y, np.array([-0.005]))
+        kernel = fam.solve_with_exponent(y, np.array([-0.005]))[0]
         assert kernel.targets.floor <= y
         assert np.min(kernel.atoms) >= -y
 
-    def test_solve_requires_p_fn(self):
-        fam = KernelFamily([0.5], mass_cap=10.0)
-        with pytest.raises(ValueError):
-            fam.solve(0.0, 0.0)
 
-    def test_solve_uses_p_fn(self):
-        fam = KernelFamily([0.5], mass_cap=10.0, p_fn=lambda t: np.array([0.01 + 0.001 * t]))
-        k0 = fam.solve(0.0, 0.0)
-        k1 = fam.solve(1.0, 0.0)
-        assert k0.exponent(0.5) == pytest.approx(0.010, abs=1e-8)
-        assert k1.exponent(0.5) == pytest.approx(0.011, abs=1e-8)
+def static_targets(t):
+    return np.array([0.02, 0.06])
 
 
 class TestSimulateYperp:
     @pytest.fixture
     def family(self):
-        return KernelFamily(
-            [0.5, 1.0], mass_cap=10.0, p_fn=lambda t: np.array([0.02, 0.06])
-        )
+        return KernelFamily([0.5, 1.0], mass_cap=10.0)
+
+    def test_compensator_follows_moving_targets(self):
+        # each step's increment is dt p(t_l) within the LP residual, also
+        # after a jump moved the kernel's floor
+        dt = 1 / 8
+        paths = simulate_yperp(KernelFamily([0.5], mass_cap=10.0), lambda t: 0.01 + 0.001 * t,
+                               horizon=1.0, dt=dt, n_paths=40, seed=3)
+        steps = np.diff(paths.compensators[:, 0, :], axis=1)
+        want = np.broadcast_to(dt * (0.01 + 0.001 * paths.times[:-1]), steps.shape)
+        np.testing.assert_allclose(steps, want, rtol=0, atol=dt * RESIDUAL_TOL)
+        assert paths.jump_counts.sum() > 0
 
     def test_compensated_exponential_is_martingale(self, family):
-        paths = simulate_yperp(family, horizon=1.0, dt=1 / 26, n_paths=3000, seed=17)
+        paths = simulate_yperp(family, static_targets, horizon=1.0, dt=1 / 26, n_paths=3000,
+                               seed=17)
         for i, u in enumerate([0.5, 1.0]):
             mart = np.exp(u * paths.values[:, -1] - paths.compensators[:, i, -1])
             err = abs(mart.mean() - 1.0)
@@ -327,26 +344,32 @@ class TestSimulateYperp:
             assert err <= 3.0 * se
 
     def test_paths_nonnegative_and_nondecreasing(self, family):
-        paths = simulate_yperp(family, horizon=1.0, dt=1 / 26, n_paths=500, seed=4)
+        paths = simulate_yperp(family, static_targets, horizon=1.0, dt=1 / 26, n_paths=500,
+                               seed=4)
         assert np.all(paths.values >= 0.0)
         assert np.all(np.diff(paths.values, axis=1) >= -1e-15)
 
     def test_compensator_matches_targets(self, family):
         # static targets: the compensator integral is p_i * t up to LP residual
-        paths = simulate_yperp(family, horizon=1.0, dt=1 / 26, n_paths=50, seed=4)
+        paths = simulate_yperp(family, static_targets, horizon=1.0, dt=1 / 26, n_paths=50,
+                               seed=4)
         np.testing.assert_allclose(paths.compensators[:, 0, -1], 0.02, atol=1e-7)
         np.testing.assert_allclose(paths.compensators[:, 1, -1], 0.06, atol=1e-7)
 
     def test_deterministic_in_seed(self):
         # high-intensity targets so jumps actually occur at this path count
-        fam = KernelFamily([0.5, 1.0], mass_cap=50.0, p_fn=lambda t: np.array([0.8, 2.4]))
-        a = simulate_yperp(fam, horizon=0.5, dt=1 / 26, n_paths=40, seed=9)
-        b = simulate_yperp(fam, horizon=0.5, dt=1 / 26, n_paths=40, seed=9)
+        fam = KernelFamily([0.5, 1.0], mass_cap=50.0)
+
+        def targets(t):
+            return np.array([0.8, 2.4])
+
+        a = simulate_yperp(fam, targets, horizon=0.5, dt=1 / 26, n_paths=40, seed=9)
+        b = simulate_yperp(fam, targets, horizon=0.5, dt=1 / 26, n_paths=40, seed=9)
         np.testing.assert_array_equal(a.values, b.values)
         assert a.jump_counts.sum() > 0
-        c = simulate_yperp(fam, horizon=0.5, dt=1 / 26, n_paths=40, seed=10)
+        c = simulate_yperp(fam, targets, horizon=0.5, dt=1 / 26, n_paths=40, seed=10)
         assert not np.array_equal(a.values, c.values)
 
     def test_horizon_must_be_whole_steps(self, family):
         with pytest.raises(ValueError):
-            simulate_yperp(family, horizon=0.51, dt=1 / 26, n_paths=10, seed=1)
+            simulate_yperp(family, static_targets, horizon=0.51, dt=1 / 26, n_paths=10, seed=1)

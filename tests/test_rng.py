@@ -517,9 +517,9 @@ class ScalarKernelSteps:
         return held, jumps
 
 
-def scalar_yperp(family, horizon, dt, n_paths, seed):
+def scalar_yperp(family, targets, horizon, dt, n_paths, seed):
     """Reference ``simulate_yperp``: the loop over paths, each reading its
-    stream-1 row column by column, with ``p_fn`` called at every solve."""
+    stream-1 row column by column, with ``targets`` called at every solve."""
     n_steps = int(round(horizon / dt))
     m = len(family.u)
     times = dt * np.arange(n_steps + 1)
@@ -531,7 +531,7 @@ def scalar_yperp(family, horizon, dt, n_paths, seed):
         y = 0.0
         values[ipath, 0] = y
         for l in range(n_steps):
-            kernel = family.solve(times[l], y)
+            kernel = family.solve_with_exponent(y, targets(times[l]))[0]
             lam = kernel.total_intensity
             comps[ipath, :, l + 1] = comps[ipath, :, l] + dt * np.asarray(kernel.exponent(family.u))
             n_jumps = scalar_poisson(seed, ipath, l, row[l], lam * dt if lam > 0 else 0.0,
@@ -540,7 +540,7 @@ def scalar_yperp(family, horizon, dt, n_paths, seed):
                 y += float(kernel.atoms[scalar_choice(kernel.weights / lam, row[cursor])])
                 cursor += 1
                 counts[ipath] += 1
-                kernel = family.solve(times[l], y)
+                kernel = family.solve_with_exponent(y, targets(times[l]))[0]
                 lam = kernel.total_intensity
                 if lam <= 0:
                     break
@@ -636,11 +636,11 @@ KERNEL_YPERP = {
 
 
 def yperp_and_scalar(name, n_paths, seed):
-    p_fn, fake, cap, horizon, dt = KERNEL_YPERP[name]
+    targets, fake, cap, horizon, dt = KERNEL_YPERP[name]
     with kernels(fake):
-        got = simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=cap, p_fn=p_fn),
+        got = simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=cap), targets,
                              horizon, dt, n_paths, seed)
-        values, comps, counts = scalar_yperp(KernelFamily([0.5, 1.0], mass_cap=cap, p_fn=p_fn),
+        values, comps, counts = scalar_yperp(KernelFamily([0.5, 1.0], mass_cap=cap), targets,
                                              horizon, dt, n_paths, seed)
     assert np.array_equal(got.values, values)
     assert np.array_equal(got.compensators, comps)
@@ -660,9 +660,9 @@ def test_simulate_yperp_matches_scalar_rows(name, n_paths, seed):
 def test_simulate_yperp_is_prefix_invariant(name, n_paths, head, seed):
     # the first k paths of an N-path run are a k-path run, bit for bit
     head = min(head, n_paths)
-    p_fn, fake, cap, horizon, dt = KERNEL_YPERP[name]
+    targets, fake, cap, horizon, dt = KERNEL_YPERP[name]
     with kernels(fake):
-        whole, part = (simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=cap, p_fn=p_fn),
+        whole, part = (simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=cap), targets,
                                       horizon, dt, n, seed) for n in (n_paths, head))
     assert np.array_equal(whole.values[:head], part.values)
     assert np.array_equal(whole.compensators[:head], part.compensators)
@@ -699,7 +699,7 @@ def test_simulate_yperp_draw_branches(name, refilled, live):
 def test_kernel_mode_builds_no_generator():
     with mock.patch.object(rng, "path_generator", wraps=rng.path_generator) as made:
         simulate_hjm(kernel_hjm_model(), 0.5, 1 / 8, 30, 95, [0.5, 1.0], batch_size=12)
-        simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=50.0, p_fn=lambda t: np.array([4.0, 12.0])),
+        simulate_yperp(KernelFamily([0.5, 1.0], mass_cap=50.0), lambda t: np.array([4.0, 12.0]),
                        0.5, 1 / 26, 30, 9)
     assert made.call_count == 0
 
@@ -860,8 +860,9 @@ def test_pinned_simulate_affine_stepped_gaussian_spread_pair():
 
 
 def test_pinned_simulate_yperp():
-    family = KernelFamily([0.5, 1.0], mass_cap=50.0, p_fn=lambda t: np.array([4.0, 12.0]))
-    paths = simulate_yperp(family, horizon=0.5, dt=1 / 26, n_paths=6, seed=9)
+    family = KernelFamily([0.5, 1.0], mass_cap=50.0)
+    paths = simulate_yperp(family, lambda t: np.array([4.0, 12.0]), horizon=0.5, dt=1 / 26,
+                           n_paths=6, seed=9)
     assert paths.values[:, -1].tolist() == [
         2.6925211905858855, 1.342207152716012, 1.342207152716012,
         4.042835228455759, 2.651560480069623, 2.6925211905858855]

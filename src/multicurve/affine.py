@@ -605,29 +605,6 @@ def _diffusion_factor(const, linear, pos_dims, x_block):
     return vecs * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
 
 
-class _JumpDraws(_rng.JumpRows):
-    """One batch's normals and jumps, read from the stream-0 rows of a
-    stepped model with jumps (layout in ``rng``)."""
-
-    def __init__(self, spec: AffineModelSpec, seed: int, lo: int, hi: int,
-                 n_steps: int, n_noise: int, horizon: float):
-        jumps = spec.jumps
-        self.atoms_x, self.atoms_y = jumps.atoms_x, jumps.atoms_y
-        self.cdf = _rng.choice_cdf(jumps.probabilities)
-        n_normals = n_steps * n_noise
-        # one atom double per jump, sized from the intensity at x0
-        expected = max(jumps.intensity_const + spec.x0 @ jumps.intensity_linear, 0.0) * horizon
-        width = math.ceil(expected + 4.0 * math.sqrt(expected)) + 8
-        super().__init__(seed, lo, hi, -(-n_normals // 4) * 4, n_steps, width)
-        self.normals = _rng.normal_rows(seed, lo, hi, n_normals).reshape(hi - lo, n_steps, n_noise)
-
-    def add_jumps(self, means: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-        """Draw one step's jumps with the given Poisson means; add them to x and y."""
-        for rows, atom in self.rounds(means, self.cdf):
-            x[rows] += self.atoms_x[atom]
-            y[rows] += self.atoms_y[atom]
-
-
 def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                     n_paths: int, seed: int, maturities: Sequence[float],
                     batch_size: int = 4096) -> PathSet:
@@ -649,15 +626,15 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
 
     Every path's numbers depend only on (seed, path index), whatever the
     batch (addresses in ``rng``): the exact draw reads its d + n + 1 normals
-    from its stream-0 row (``rng.normal_rows``), a stepped model with jumps
-    its normals and then its jumps from that row (``_JumpDraws``), and a
-    stepped jump-free model one normal block from the path's own stream
-    (``rng.driver_increment_block``).  One DEBUG record per batch on
-    ``multicurve.affine`` gives its paths, steps (1 for an exact draw),
-    jumps, the paths that outgrew the batch's atom buffer
-    (``refilled_paths``) or drew a count of mean 10 or more
-    (``live_paths``), and the seconds spent drawing the normals
-    (``draw_s``) and stepping the state, with the jump draws (``step_s``).
+    from its stream-0 row (``rng.normal_rows``); a stepped model reads one
+    normal block from the path's own stream (``rng.driver_increment_block``)
+    and its jumps, if any, from its stream-0 row from
+    ``rng.DRIVER_JUMP_COLUMN``, as HJM driver jumps do (``rng.JumpRows``).
+    One DEBUG record per batch on ``multicurve.affine`` gives its paths,
+    steps (1 for an exact draw), jumps, the paths that outgrew the batch's
+    atom buffer (``refilled_paths``) or drew a count of mean 10 or more
+    (``live_paths``), and the seconds spent drawing the normals (``draw_s``)
+    and stepping the state, with the jump draws (``step_s``).
     """
     if dt <= 0 or horizon <= 0:
         raise ValueError("horizon and dt must be positive")
@@ -679,6 +656,12 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
         step_sizes[-1] = horizon - dt * (n_steps - 1)
         diffusive_y = spec.y_mode == "diffusive"
         n_noise = d + (n if diffusive_y else 0)
+        jumps = spec.jumps
+        if jumps is not None:
+            cdf = _rng.choice_cdf(jumps.probabilities)
+            # one atom double per jump, sized from the intensity at x0
+            width = _rng.atom_width(
+                max(jumps.intensity_const + spec.x0 @ jumps.intensity_linear, 0.0) * horizon)
         if gaussian:
             ou_factors = {
                 float(h): _linear_sde_factors(spec.drift_linear, spec.drift_const,
@@ -706,11 +689,9 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
             state = mean + np.einsum("bj,ij->bi", normals, noise)
             x, y, z = state[:, :d], state[:, d:d + n], state[:, -1]
         else:
-            if spec.jumps is None:
-                normals = _rng.driver_increment_block(seed, lo, hi, n_steps, n_noise)
-            else:
-                draws = _JumpDraws(spec, seed, lo, hi, n_steps, n_noise, horizon)
-                normals = draws.normals
+            normals = _rng.driver_increment_block(seed, lo, hi, n_steps, n_noise)
+            if jumps is not None:
+                draws = _rng.JumpRows(seed, lo, hi, _rng.DRIVER_JUMP_COLUMN, n_steps, width)
             draw_s = time.perf_counter() - started
             x = np.tile(spec.x0, (m, 1))
             y = np.tile(spec.y0, (m, 1))
@@ -737,10 +718,10 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                     # bits of the broadcast batch, no copy (eta @ F.T rounds otherwise)
                     y = y + math.sqrt(h) * np.einsum("...ij,...j->...i", y_factor, eta)
                 if draws is not None:
-                    lam = np.clip(
-                        spec.jumps.intensity_const + x @ spec.jumps.intensity_linear, 0.0, None
-                    )
-                    draws.add_jumps(lam * h, x_new, y)
+                    lam = np.clip(jumps.intensity_const + x @ jumps.intensity_linear, 0.0, None)
+                    for rows, atom in draws.rounds(lam * h, cdf):
+                        x_new[rows] += jumps.atoms_x[atom]
+                        y[rows] += jumps.atoms_y[atom]
                 x = x_new
                 rate_new = spec.rate_const + x @ spec.rate_linear
                 z -= 0.5 * h * (rate + rate_new)
@@ -750,10 +731,10 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                 qx = qx_new
         x_out[lo:hi], y_out[lo:hi], z_out[lo:hi] = x, y, z
         step_s = time.perf_counter() - started - draw_s
-        jumps, refilled, live = ((0, 0, 0) if draws is None else
+        drawn, refilled, live = ((0, 0, 0) if draws is None else
                                  (draws.jumps, int(draws.refilled.sum()), int(draws.live.sum())))
         log.debug("affine batch: paths=%d steps=%d jumps=%d refilled_paths=%d live_paths=%d "
-                  "draw_s=%.6f step_s=%.6f", m, n_steps, jumps, refilled, live, draw_s, step_s)
+                  "draw_s=%.6f step_s=%.6f", m, n_steps, drawn, refilled, live, draw_s, step_s)
 
     bonds, spreads = _model_curves(spec, x_out, y_out, maturities - horizon)
     return PathSet(

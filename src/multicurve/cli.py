@@ -27,7 +27,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +124,6 @@ class RunConfig:
     base_dir: Path
     out_dir: Path
     seed: int | None = None
-    extras: dict = field(default_factory=dict)
 
     def option(self, key: str, kind: str, default=REQUIRED, minimum: int | None = None):
         """Config value ``key`` read as ``kind`` by the file reading rules

@@ -435,9 +435,8 @@ def _increments(model: LevyHjmModel, seed: int, lo: int, hi: int, n_steps: int,
         return dx, None
     cdf, sizes = _rng.choice_cdf(lam / total), model.driver.jump_sizes.T
     # one atom double per jump, sized from the mean count per path
-    expected = total * n_steps * dt
     draws = _rng.JumpRows(seed, lo, hi, _rng.DRIVER_JUMP_COLUMN, n_steps,
-                          math.ceil(expected + 4.0 * math.sqrt(expected)) + 8)
+                          _rng.atom_width(total * n_steps * dt))
     means = np.full(hi - lo, total * dt)
     for step in dx:
         for rows, atom in draws.rounds(means, cdf):

@@ -11,17 +11,15 @@ Rows are counter-addressed.  All paths of a draw share one Philox keyed by
 yields 4 doubles per value, so path i's doubles 4k..4k+3 sit at counter (i,
 k, 0, 0) and one ``random`` call per group of 4 columns reads them for a
 whole batch (``uniform_rows``).  A column depends only on (seed, stream,
-path, column), whatever the batch or how many columns are read.  Four
+path, column), whatever the batch or how many columns are read.  Three
 draws read rows:
 
 - the exact terminal draw of a jump-free Gaussian affine model: one row of
   d + n + 1 normals per path on stream 0 (``normal_rows``);
-- a stepped affine model with jumps, of n_steps S and q normals per step,
-  on stream 0: S q normals from columns [0, S q), then its jumps from the
-  next multiple of 4;
-- the driver jumps of an HJM model, on stream 0 from ``DRIVER_JUMP_COLUMN``
-  (4): the stream-0 row key is path 0's per-path key, so column group 0 of
-  path i is block i of path 0's per-path stream, which HJM normals read;
+- the driver jumps of a stepped affine model or of an HJM model, on stream
+  0 from ``DRIVER_JUMP_COLUMN`` (4): the stream-0 row key is path 0's
+  per-path key, so column group 0 of path i is block i of path 0's
+  per-path stream, which the stepped normals read;
 - the kernel-mode orthogonal jump factor of ``momentkernel`` (HJM kernel
   mode and ``simulate_yperp``), on stream 1 from column 0, because one HJM
   model can have both kernel mode and driver jumps.
@@ -32,13 +30,13 @@ of mean 10 or more, or a non-finite one, is drawn by a Philox under the
 rows' key at counter (0, path, step, 1), which no row and no per-path
 stream reaches.
 
-Per-path streams serve only the long normal blocks of the HJM engines and
-of stepped jump-free affine models (``driver_increment_block``, stream 0):
-there the normals cost more than the re-key, and ``ndtri`` costs more per
-value than numpy's ziggurat (5.1 s against 3.0 s for 100k paths x 365
-steps x 2 normals).  ``PathStreams`` re-keys one Philox generator per path
-by setting its state (counter zero, the path's key, an empty buffer), which
-draws what a fresh generator would at a fraction of its cost.
+Per-path streams serve every stepped normal block, of the HJM engines and
+of stepped affine models with or without jumps (``driver_increment_block``,
+stream 0): there the normals cost more than the re-key, and ``ndtri`` costs
+more per value than numpy's ziggurat (5.1 s against 3.0 s for 100k paths x
+365 steps x 2 normals).  ``PathStreams`` re-keys one Philox generator per
+path by setting its state (counter zero, the path's key, an empty buffer),
+which draws what a fresh generator would at a fraction of its cost.
 ``path_generator`` builds such a fresh generator; only the tests and the
 benchmark's tracing call it.
 
@@ -47,6 +45,8 @@ importing this module loads no scipy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -226,6 +226,12 @@ def poisson_counts(seed: int, path_lo: int, step: int, doubles: np.ndarray,
         bitgen.state = state
         counts[row] = gen.poisson(means[row])
     return counts
+
+
+def atom_width(expected: float) -> int:
+    """Atom columns a driver-jump ``JumpRows`` reads up front for paths of
+    ``expected`` jumps on average; a path that outgrows them refills."""
+    return math.ceil(expected + 4.0 * math.sqrt(expected)) + 8
 
 
 class JumpRows:

@@ -1,18 +1,23 @@
 """Random streams: key bounds, re-keyed streams, counter-addressed rows,
 batch invariance, pins.
 
+Stepped normals, affine and HJM alike, come from per-path streams; driver
+jumps, affine and HJM alike, read stream-0 rows from ``DRIVER_COL`` and are
+checked against one scalar reference, ``ScalarJumpRows``.
+
 The pinned values at the end were recorded from the per-path generators that
 predate ``PathStreams``, except three groups that read counter-addressed
 rows and were recorded from them: the ``gauss`` entry of ``PINNED_AFFINE``
-(an exact Gaussian affine draw, ``normal_rows``), its ``jump`` entry (a
-stepped affine model with jumps: its normals, one Poisson double per step
-and its atom doubles on stream 0) and the two kernel-mode pins (the
-orthogonal jump factor's count and atom doubles on stream 1).  Any change
-to a seeded stream makes a pin fail, so a stream change has to be made, and
-announced, on purpose.
+(an exact Gaussian affine draw, ``normal_rows``), its ``jump`` entry and the
+stepped two-spread pin (stepped affine models with jumps: per-path normals,
+and one Poisson double per step and the atom doubles on stream 0 from
+``DRIVER_COL``) and the two kernel-mode pins (the orthogonal jump factor's
+count and atom doubles on stream 1).  Any change to a seeded stream makes a
+pin fail, so a stream change has to be made, and announced, on purpose.
 """
 
 import dataclasses
+import functools
 import logging
 import re
 from contextlib import contextmanager
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import poisson
 
-from multicurve import affine, hjm, momentkernel, rng
+from multicurve import hjm, momentkernel, rng
 from multicurve.affine import AffineJumps, AffineModelSpec, simulate_affine
 from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet, simulate_hjm
 from multicurve.momentkernel import JumpKernel, KernelFamily, simulate_yperp
@@ -320,8 +325,11 @@ def test_simulate_affine_independent_of_batch_size(name, n_paths, batch_size, se
 
 
 # ---------------------------------------------------------------------------
-# affine jump draws read from counter-addressed rows against a scalar
-# reference of the row layout
+# driver jump draws read from stream-0 rows against one scalar reference of
+# the row layout: affine jumps here, HJM driver jumps below
+
+# the first stream-0 column of the driver jumps, stated apart from the package
+DRIVER_COL = 4
 
 
 class ScalarRow:
@@ -361,35 +369,32 @@ def scalar_choice(probabilities, u):
     return int(cdf.searchsorted(u, side="right"))
 
 
-class ScalarJumps:
-    """Reference jump draws: each path's row read column by column, its
-    normals by the mirror form, and a loop over paths at every step: the
-    step's Poisson double, then one atom double per jump searched as
-    ``Generator.choice`` does."""
+class ScalarJumpRows:
+    """Reference ``rng.JumpRows`` of a driver-jump draw: a loop over the
+    paths at every step, each reading its stream-0 row column by column from
+    ``DRIVER_COL``: the step's count double at DRIVER_COL + step, inverted,
+    then one atom double per jump from column DRIVER_COL + n_steps, searched
+    in ``probabilities`` as ``Generator.choice`` does.  ``rounds`` yields
+    one (path row, atom) pair per jump, in draw order; the cdf it is given
+    goes unread.  Bind ``probabilities`` (``functools.partial``) to stand in
+    for ``rng.JumpRows``."""
 
-    refilled = np.zeros(0, dtype=bool)
-    live = np.zeros(0, dtype=bool)
-
-    def __init__(self, spec, seed, lo, hi, n_steps, n_noise, horizon):
-        self.spec, self.seed, self.lo, self.jumps, self.step = spec, seed, lo, 0, 0
+    def __init__(self, probabilities, seed, lo, hi, count_col, n_steps, width,
+                 stream=rng.DRIVER_STREAM):
+        assert (count_col, stream) == (DRIVER_COL, rng.DRIVER_STREAM)
+        self.probabilities, self.seed, self.lo, self.jumps, self.step = probabilities, seed, lo, 0, 0
         self.rows = [ScalarRow(seed, p) for p in range(lo, hi)]
-        n_normals = n_steps * n_noise
-        self.count_col = -(-n_normals // 4) * 4
-        self.cursor = [self.count_col + n_steps] * (hi - lo)
-        self.normals = np.array([
-            mirror_normals(np.array([row[c] for c in range(n_normals)])).reshape(n_steps, n_noise)
-            for row in self.rows])
+        self.cursor = [DRIVER_COL + n_steps] * (hi - lo)
+        self.refilled = self.live = np.zeros(hi - lo, dtype=bool)
 
-    def add_jumps(self, means, x, y):
-        jmp = self.spec.jumps
+    def rounds(self, means, cdf):
         for i, row in enumerate(self.rows):
-            u = row[self.count_col + self.step]
+            u = row[DRIVER_COL + self.step]
             for _ in range(scalar_poisson(self.seed, self.lo + i, self.step, u, means[i])):
-                atom = scalar_choice(jmp.probabilities, row[self.cursor[i]])
+                atom = scalar_choice(self.probabilities, row[self.cursor[i]])
                 self.cursor[i] += 1
-                x[i] += jmp.atoms_x[atom]
-                y[i] += jmp.atoms_y[atom]
                 self.jumps += 1
+                yield i, atom
         self.step += 1
 
 
@@ -424,7 +429,8 @@ def replayed_and_scalar(spec, horizon, dt, n_paths, seed, batch_size):
     args = (spec, horizon, dt, n_paths, seed, [horizon, horizon + 1.0])
     with batch_counters() as batches:
         got = simulate_affine(*args, batch_size=batch_size)
-    with mock.patch.object(affine, "_JumpDraws", ScalarJumps), batch_counters() as reference:
+    scalar = functools.partial(ScalarJumpRows, spec.jumps.probabilities)
+    with mock.patch.object(rng, "JumpRows", scalar), batch_counters() as reference:
         want = simulate_affine(*args, batch_size=batch_size)
     assert np.array_equal(got.numeraire, want.numeraire)
     assert np.array_equal(got.bonds, want.bonds)
@@ -708,8 +714,6 @@ def test_kernel_mode_builds_no_generator():
 # HJM driver jumps read from stream-0 rows against a scalar reference of the
 # row layout
 
-# the first stream-0 column of the driver jumps, stated apart from the package
-DRIVER_COL = 4
 INCREMENTS = hjm._increments
 
 
@@ -735,27 +739,20 @@ DRIVER_JUMPS = {
 
 def scalar_increments(model, seed, lo, hi, n_steps, dt):
     """Reference ``hjm._increments``: the increments of the jump-free driver,
-    then a loop over the paths, each reading its stream-0 row column by
-    column from ``DRIVER_COL``: the step's count double, inverted at mean
-    Lambda * dt, then one atom double per jump from column DRIVER_COL +
-    n_steps, searched as ``Generator.choice`` does.  Returns the increments
-    and the number of jumps."""
+    plus the jumps of ``ScalarJumpRows`` at mean Lambda * dt with atom
+    probabilities lambda_j / Lambda.  Returns the increments and the number
+    of jumps."""
     driver = model.driver
     plain = dataclasses.replace(model, driver=LevyTriplet(driver.drift, driver.covariance))
     dx, none = INCREMENTS(plain, seed, lo, hi, n_steps, dt)
     assert none is None
     lam = float(driver.jump_intensities.sum())
-    jumps = 0
-    for path in range(lo, hi):
-        row, cursor = ScalarRow(seed, path), DRIVER_COL + n_steps
-        for step in range(n_steps):
-            u = row[DRIVER_COL + step]
-            for _ in range(scalar_poisson(seed, path, step, u, lam * dt)):
-                atom = scalar_choice(driver.jump_intensities / lam, row[cursor])
-                cursor += 1
-                dx[step, :, path - lo] += driver.jump_sizes[atom]
-                jumps += 1
-    return dx, jumps
+    draws = ScalarJumpRows(driver.jump_intensities / lam, seed, lo, hi, DRIVER_COL, n_steps, None)
+    means = np.full(hi - lo, lam * dt)
+    for step in range(n_steps):
+        for i, atom in draws.rounds(means, None):
+            dx[step, :, i] += driver.jump_sizes[atom]
+    return dx, draws.jumps
 
 
 @settings(max_examples=20)
@@ -770,16 +767,30 @@ def test_driver_jumps_match_scalar_rows(name, lo, n_paths, seed):
     assert draws.live.all() == (name == "hot")
 
 
-def test_driver_jump_rows_skip_column_group_zero():
+def hjm_driver_jumps(model, n_steps, dt):
+    return hjm._increments(model, 5, 0, 40, n_steps, dt)[1].jumps
+
+
+def affine_driver_jumps(spec, horizon, dt):
+    with batch_counters() as batches:
+        simulate_affine(spec, horizon, dt, 40, 5, [horizon])
+    return sum(b["jumps"] for b in batches)
+
+
+@pytest.mark.parametrize("draw, args", [
+    *(pytest.param(hjm_driver_jumps, args, id=f"hjm-{name}")
+      for name, args in DRIVER_JUMPS.items()),
+    *(pytest.param(affine_driver_jumps, (JUMP_SPECS[name], *JUMP_GRIDS[name]), id=f"affine-{name}")
+      for name in JUMP_SPECS)])
+def test_driver_jump_rows_skip_column_group_zero(draw, args):
     # column group 0 of path i's stream-0 row is block i of path 0's own
-    # stream, which the driver normals read
-    for model, n_steps, dt in DRIVER_JUMPS.values():
-        with mock.patch.object(rng, "uniform_rows", wraps=rng.uniform_rows) as read:
-            _, draws = hjm._increments(model, 5, 0, 40, n_steps, dt)
-        assert draws.jumps > 0 and read.call_count >= 2
-        for call in read.call_args_list:
-            seed, lo, hi, col_lo, col_hi, stream = call.args
-            assert stream == rng.DRIVER_STREAM and col_lo >= DRIVER_COL
+    # stream, which the stepped normals read, affine and HJM alike
+    with mock.patch.object(rng, "uniform_rows", wraps=rng.uniform_rows) as read:
+        jumps = draw(*args)
+    assert jumps > 0 and read.call_count >= 2
+    for call in read.call_args_list:
+        seed, lo, hi, col_lo, col_hi, stream = call.args
+        assert stream == rng.DRIVER_STREAM and col_lo >= DRIVER_COL
 
 
 def test_kernel_mode_with_driver_jumps_matches_the_references():
@@ -829,10 +840,10 @@ PINNED_AFFINE = {
         [1.0075325722618662, 0.9954955443376224, 1.0081702094857792,
          1.0100797678780884, 1.004482699877749]),
     "jump": (
-        [1.0091769765944487, 1.0104345872259883, 1.0188212585866334,
-         1.0099652492041908, 1.013328572757405],
-        [1.0151130386392007, 1.025098121344518, 1.016077082309869,
-         1.0137320614008438, 1.0215995987689719]),
+        [1.0157010673588422, 1.005724807993729, 1.0079285003142138,
+         1.014173320146336, 1.020219026292372],
+        [1.013286539990878, 1.0023371091959048, 1.011560646953539,
+         1.0211859765488553, 1.0233682813030012]),
 }
 
 
@@ -848,15 +859,16 @@ def test_pinned_simulate_affine(name):
 def test_pinned_simulate_affine_stepped_gaussian_spread_pair():
     # jumps send the two-spread Gaussian model through the step loop, which
     # multiplies one fixed spread factor into the noise; recorded from the
-    # broadcast product, whose bits eta @ F.T misses on path 17's 6M spread
+    # broadcast product, whose bits eta @ F.T misses on path 96's 6M spread
+    # (the first path where they differ)
     spec = dataclasses.replace(
         SPECS["gauss"], jumps=AffineJumps(atoms_x=[[0.01], [-0.008]], probabilities=[0.6, 0.4],
                                           intensity_const=6.0,
                                           atoms_y=[[0.002, 0.0], [0.0, 0.001]]))
-    paths = simulate_affine(spec, 0.5, 0.1, 64, 97, [0.5, 1.0])
-    assert paths.numeraire[17] == 1.0070272460179668
-    assert paths.spreads[T3M][17].tolist() == [1.0166452639917396, 1.0226678787725691]
-    assert paths.spreads[T6M][17].tolist() == [1.0162426659307133, 1.023711270436059]
+    paths = simulate_affine(spec, 0.5, 0.1, 100, 97, [0.5, 1.0])
+    assert paths.numeraire[96] == 1.0039447822860885
+    assert paths.spreads[T3M][96].tolist() == [0.9990515722266929, 1.0033068792024022]
+    assert paths.spreads[T6M][96].tolist() == [1.0033854443617765, 1.0085856354476244]
 
 
 def test_pinned_simulate_yperp():

@@ -9,6 +9,10 @@ of the state; the transform exponents solve generalized Riccati ODEs that are
 assembled here from the model coefficients and integrated, a batch of
 arguments at a time, by an adaptive Dormand-Prince pair that steps each row
 on its own, so a row's exponents do not depend on the batch it is solved in.
+A jump-free model without positive factors skips the ODE: its state is
+jointly Gaussian, and its exponents are read from the Gaussian moment
+generating function of the terminal law (Duffie, Filipovic and
+Schachermayer, Ann. Appl. Probab. 13, 2003), one law per distinct horizon.
 
 Two spread-factor conventions are supported.  In "integrated" mode Y is the
 running integral of an affine function of X (nonnegative when the function
@@ -44,6 +48,9 @@ log = logging.getLogger(__name__)
 
 EXPLOSION_THRESHOLD = 1e12
 _RICCATI_TOL = 1e-10
+# largest 1-norm of drift_linear * dt that one Van Loan exponential covers
+# (its covariance loses about eps * exp(span) to cancellation)
+_VAN_LOAN_SPAN = 8.0
 # the caplet contour: z = 1 + damping + i v, Gauss-Legendre panels of
 # _QUAD_NODES nodes, at most _MAX_PANELS of them
 _DAMPING = 0.75
@@ -352,26 +359,36 @@ def _batch_rates(coefficients, psi: np.ndarray, consts, weights):
 
 def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray, w: complex,
                         horizon, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (phi, psi) at the horizon by adaptive Dormand-Prince steps.
+    """Batched (phi, psi) at the horizon, exactly for jump-free Gaussian
+    specs and by adaptive Dormand-Prince steps otherwise.
 
     V: (batch, d) initial psi rows; U: (batch, n) exponent loadings on Y; w:
-    shared Z loading; horizon: scalar or (batch,) array.  Each row has its
-    own step size, error norm (against tol * (1 + |y|) per component; tol is
-    1e-10 unless a caller relaxes it) and explosion check, and leaves the
-    batch at its own horizon, so its result is the same in any batch.  Raises
-    RiccatiExplosion when a row passes 1e12 and RiccatiAccuracyError when a
-    row's step size collapses.
+    shared Z loading; horizon: finite, nonnegative scalar or (batch,) array.
+    Rows at horizon 0 return (0, V).  A spec without positive factors and
+    jumps takes its exponents from the Gaussian law of (X, Y, Z) at each
+    distinct horizon (``_law_exponents``; tol has no effect there).  Every
+    other spec steps each row with its own step size, error norm (against
+    tol * (1 + |y|) per component; tol is 1e-10 unless a caller relaxes it)
+    and explosion check until it leaves the batch at its own horizon.  Either
+    way a row's result is the same in any batch.  Raises RiccatiExplosion
+    when a row passes 1e12 and RiccatiAccuracyError when a row's step size
+    collapses.
     """
     tol = _RICCATI_TOL if tol is None else tol
     V = np.atleast_2d(np.asarray(V, dtype=complex))
     U = np.atleast_2d(np.asarray(U, dtype=complex))
     rows = len(V)
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (rows,))
+    if not np.all(np.isfinite(horizon)):
+        raise ValueError("horizon must be finite")
     if np.any(horizon < 0):
         raise ValueError("horizon must be nonnegative")
-    coefficients, consts, weights = _solve_constants(spec, U, w)
     out = np.zeros((rows, 1 + spec.dim), dtype=complex)
     out[:, 1:] = V
+    if spec.pos_dims == 0 and spec.jumps is None:
+        _law_exponents(spec, U, w, horizon, out)
+        return out[:, 0], out[:, 1:]
+    coefficients, consts, weights = _solve_constants(spec, U, w)
     idx = np.flatnonzero(horizon > 0)
     y, end, consts = out[idx], horizon[idx], consts[idx]
     weights = None if weights is None else weights[idx]
@@ -426,6 +443,38 @@ def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray, w: 
     log.debug("riccati solve: rows=%d accepted_steps=%d rejected_steps=%d",
               rows, accepted, rejected)
     return out[:, 0], out[:, 1:]
+
+
+def _law_exponents(spec: AffineModelSpec, U: np.ndarray, w: complex, horizon: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Overwrite the (phi, psi) rows of out, which hold (0, V), at positive
+    horizons with the exponents of the Gaussian terminal law.
+
+    With theta = (V, U, w) and (X, Y, Z)_h = transition @ state + shift +
+    factor @ xi, psi is the X block of transition^T theta and phi is
+    theta.shift + 1/2 sum_k (factor^T theta)_k^2 (the non-conjugate square:
+    the moment generating function at complex theta).  Products are einsums
+    over rows, so a row's exponents do not depend on its batch.
+    """
+    d = spec.dim
+    theta = np.concatenate([out[:, 1:], U, np.full((len(out), 1), w, dtype=complex)], axis=1)
+    positive = horizon > 0
+    horizons = np.unique(horizon[positive])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in horizons:
+            idx = np.flatnonzero(horizon == h)
+            transition, shift, factor = _gaussian_terminal_law(spec, float(h))
+            rows = theta[idx]
+            noise = np.einsum("bi,ik->bk", rows, factor)
+            out[idx, 0] = (np.einsum("bi,i->b", rows, shift)
+                           + 0.5 * np.einsum("bk,bk->b", noise, noise))
+            out[idx, 1:] = np.einsum("bi,ij->bj", rows, transition[:, :d])
+    blown = positive & ~(np.abs(out).max(axis=1) <= EXPLOSION_THRESHOLD)
+    if np.any(blown):
+        # the law gives no crossing time: report the row's horizon
+        raise RiccatiExplosion(f"transform exponent exceeded {EXPLOSION_THRESHOLD:g}",
+                               blow_up_time=float(horizon[blown][0]))
+    log.debug("gaussian law exponents: rows=%d horizons=%d", len(out), len(horizons))
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +596,15 @@ def _linear_sde_factors(drift_linear: np.ndarray, drift_const: np.ndarray,
     from the exponential of the drift matrix augmented by its constant, the
     covariance integral from Van Loan's block exponential (Van Loan 1978,
     "Computing integrals involving the matrix exponential", IEEE TAC 23(3)).
+    A dt whose drift span exceeds _VAN_LOAN_SPAN is split into 2^k equal
+    substeps whose law is composed k times.
     """
     from scipy.linalg import expm
 
     d = len(drift_const)
+    span = float(np.abs(drift_linear).sum(axis=0).max()) * dt
+    halvings = math.ceil(math.log2(span / _VAN_LOAN_SPAN)) if span > _VAN_LOAN_SPAN else 0
+    dt = dt / 2.0 ** halvings
     aug = np.zeros((d + 1, d + 1))
     aug[:d, :d] = drift_linear * dt
     aug[:d, d] = drift_const * dt
@@ -562,6 +616,10 @@ def _linear_sde_factors(drift_linear: np.ndarray, drift_const: np.ndarray,
     block[d:, d:] = drift_linear.T * dt
     e_block = expm(block)
     cov = e_block[d:, d:].T @ e_block[:d, d:]
+    for _ in range(halvings):
+        mean_shift = transition @ mean_shift + mean_shift
+        cov = transition @ cov @ transition.T + cov
+        transition = transition @ transition
     cov = 0.5 * (cov + cov.T)
     w, vecs = np.linalg.eigh(cov)
     noise_factor = vecs * np.sqrt(np.clip(w, 0.0, None))
@@ -569,13 +627,15 @@ def _linear_sde_factors(drift_linear: np.ndarray, drift_const: np.ndarray,
 
 
 def _gaussian_terminal_law(spec: AffineModelSpec, horizon: float):
-    """Mean and noise factor of the state (X, Y, Z) at the horizon of a
-    jump-free model without positive factors.
+    """(transition, shift, noise_factor) of the state (X, Y, Z) over the
+    horizon of a jump-free model without positive factors.
 
     X is then Ornstein-Uhlenbeck, Y's drift is affine in X with constant
     diffusion (none in integrated mode) and Z = -integral of r is linear in
     X, so the whole state solves one linear SDE and is jointly Gaussian:
-    (X, Y, Z)_T = mean + noise_factor @ xi with d + n + 1 standard normals.
+    (X, Y, Z)_T = transition @ (x, y, z) + shift + noise_factor @ xi with
+    d + n + 1 standard normals.  The exact draw and the transform exponents
+    both read it.
     """
     d, n = spec.dim, spec.n_spread
     size = d + n + 1
@@ -587,8 +647,7 @@ def _gaussian_terminal_law(spec: AffineModelSpec, horizon: float):
     diffusion = np.zeros((size, size))
     diffusion[:d, :d] = spec.diffusion_const
     diffusion[d:d + n, d:d + n] = spec.y_diff_const
-    transition, shift, factor = _linear_sde_factors(drift, const, diffusion, horizon)
-    return transition @ np.concatenate([spec.x0, spec.y0, [0.0]]) + shift, factor
+    return _linear_sde_factors(drift, const, diffusion, horizon)
 
 
 def _diffusion_factor(const, linear, pos_dims, x_block):
@@ -648,7 +707,8 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     gaussian = spec.pos_dims == 0
     law = None
     if gaussian and spec.jumps is None:
-        law = _gaussian_terminal_law(spec, horizon)
+        transition, shift, noise = _gaussian_terminal_law(spec, horizon)
+        law = transition @ np.concatenate([spec.x0, spec.y0, [0.0]]) + shift, noise
         n_steps = 1
     else:
         n_steps = math.ceil(horizon / dt - 1e-12)

@@ -383,8 +383,8 @@ horizons = st.sampled_from([0.25, 1.0, 3.0])
 
 
 def terminal_moments(spec, T):
-    mean, noise = _gaussian_terminal_law(spec, T)
-    return mean, noise @ noise.T
+    transition, shift, noise = _gaussian_terminal_law(spec, T)
+    return transition @ np.concatenate([spec.x0, spec.y0, [0.0]]) + shift, noise @ noise.T
 
 
 @given(spec=gaussian_specs(), T=horizons, tau=st.sampled_from([0.5, 1.0]), data=st.data())
@@ -435,6 +435,67 @@ def test_exact_draw_independent_of_batch_size_and_dt(spec, T, n_paths, batch_siz
     assert np.array_equal(whole.bonds, split.bonds)
     for tenor in spec.tenors:
         assert np.array_equal(whole.spreads[tenor], split.spreads[tenor])
+
+
+def with_null_jump(spec):
+    """The spec with a jump of intensity 0 added: the same model, whose
+    exponents come from the Riccati ODE instead of the Gaussian law."""
+    ode = copy.deepcopy(spec)
+    ode.jumps = AffineJumps(atoms_x=[[0.0] * spec.dim], probabilities=[1.0],
+                            intensity_const=0.0)
+    ode.__post_init__()
+    return ode
+
+
+complex_parts = small(-4.0, 4.0)
+
+
+@settings(max_examples=30)
+@given(spec=gaussian_specs(), data=st.data())
+def test_law_exponents_match_the_riccati_ode(spec, data):
+    # complex (V, U, w) rows at mixed horizons, long ones included: the law
+    # splits a horizon whose drift span passes one Van Loan exponential
+    rows = data.draw(st.integers(1, 4))
+    parts = data.draw(st.lists(complex_parts, min_size=2 * rows * (spec.dim + spec.n_spread),
+                               max_size=2 * rows * (spec.dim + spec.n_spread)))
+    flat = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    V, U = flat[:rows * spec.dim].reshape(rows, spec.dim), \
+        flat[rows * spec.dim:].reshape(rows, spec.n_spread)
+    w = complex(data.draw(small(-1.0, 2.0)), data.draw(small(-1.0, 1.0)))
+    T = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0, 40.0]),
+                                    min_size=rows, max_size=rows)))
+    phi, psi = _terminal_exponents(spec, V, U, w, T)
+    want_phi, want_psi = _terminal_exponents(with_null_jump(spec), V, U, w, T, tol=1e-12)
+    np.testing.assert_allclose(phi, want_phi, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(psi, want_psi, rtol=0, atol=1e-9)
+
+
+def test_law_exponents_are_logged(caplog):
+    spec = ROW_SPECS["gauss2"]
+    with caplog.at_level(logging.DEBUG, logger="multicurve.affine"):
+        _terminal_exponents(spec, np.zeros((3, 2)), np.zeros((3, 1)), 1.0, [0.5, 1.0, 0.5])
+    records = [r.getMessage() for r in caplog.records if r.name == "multicurve.affine"]
+    assert len(records) == 1
+    assert re.fullmatch(r"gaussian law exponents: rows=\d+ horizons=\d+", records[0])
+
+
+def test_law_explosion_reports_the_horizon():
+    # the law gives no crossing time, so the row's horizon stands in for it
+    with pytest.raises(RiccatiExplosion) as err:
+        _terminal_exponents(ROW_SPECS["gauss2"], [[0.0, 0.0], [2e12, 0.0]], [[0.0], [0.0]],
+                            1.0, [0.5, 2.0])
+    assert err.value.blow_up_time == 2.0
+
+
+@pytest.mark.parametrize("name", ["gauss2", "cir_jumps"])
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+def test_non_finite_horizon_rejected(name, horizon):
+    spec = ROW_SPECS[name]
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        affine_bond(spec, spec.x0, horizon)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        _terminal_exponents(spec, np.zeros((2, spec.dim)), np.zeros((2, 1)), 1.0,
+                            [0.5, horizon])
 
 
 # ---------------------------------------------------------------------------

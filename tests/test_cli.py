@@ -844,6 +844,27 @@ class TestColdStart:
         assert cold_run("simulate", "--config", simulate, "--seed", 9,
                         "--out", tmp_path / "b") == (0, set())
 
+    def test_fourier_caplet_loads_linalg_for_gaussian_models_only(self, cli_files, tmp_path):
+        # the Gaussian exponents come from the terminal law (expm); a CIR
+        # model's from the Riccati ODE, which needs no scipy
+        save_model_json(AffineModelSpec(
+            pos_dims=1, real_dims=0, drift_const=[0.8 * 0.04], drift_linear=[[-0.8]],
+            diffusion_const=[[0.0]], diffusion_linear=[[[0.22 ** 2]]], rate_const=0.0,
+            rate_linear=[1.0], n_spread=1, u_vectors=[[1.0]], tenors=(T6M,),
+            y_mode="diffusive", y_drift_const=[0.001], y_drift_linear=[[0.1]],
+            y_diff_const=[[0.02 ** 2]], x0=[0.03], y0=[0.004]), cli_files / "cold_cir.json")
+        gauss = write_json_config(cli_files / "cold_caplet.json", {
+            "product": "caplet.json", "model": "affine.json"})
+        cir = write_json_config(cli_files / "cold_cir_caplet.json", {
+            "product": "caplet.json", "model": "cold_cir.json"})
+        code, loaded = cold_run("price", "--config", gauss, "--out", tmp_path / "a")
+        subpackages = {m.split(".")[1] for m in loaded if m.startswith("scipy.")}
+        assert code == 0
+        assert {sub for sub in subpackages if not sub.startswith("_")} - {"version"} == {"linalg"}
+        code, loaded = cold_run("price", "--config", cir, "--out", tmp_path / "b")
+        assert code == 0
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
     def test_bootstrap_imports_brentq(self, bootstrap_config, tmp_path):
         code, loaded = cold_run("bootstrap", "--config", bootstrap_config, "--out", tmp_path)
         assert code == 0

@@ -826,13 +826,14 @@ def test_pinned_driver_block():
 
 
 # Each entry: the numeraire, a pure function of the streams, and the spread at
-# maturity 1.0, which also carries the Riccati exponents at tau = 0.5, so a
-# change of the Riccati solver moves it too.
+# maturity 1.0, which also carries the transform exponents at tau = 0.5, so a
+# change of the Riccati solver (or, for ``gauss``, of the Gaussian law) moves it
+# too.
 PINNED_AFFINE = {
     "gauss": (
         [1.0087311881389431, 1.009487641477064, 1.012895959462351,
          1.0090412387381544, 1.0102344992858512],
-        [0.9969500318321515, 1.0135649550031633, 1.0167029858933843,
+        [0.9969500318321514, 1.0135649550031633, 1.0167029858933845,
          0.9997612300773745, 1.006038946211138]),
     "cir": (
         [1.0207874641381323, 1.003230690197184, 1.0178656776651829,

@@ -693,10 +693,12 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     steps (1 for an exact draw), jumps, the paths that outgrew the batch's
     atom buffer (``refilled_paths``) or drew a count of mean 10 or more
     (``live_paths``), and the seconds spent drawing the normals (``draw_s``)
-    and stepping the state, with the jump draws (``step_s``).
+    and stepping the state, with the jump draws (``step_s``).  A horizon or
+    dt that is not positive and finite raises ValueError naming it.
     """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("horizon and dt must be positive")
+    for name, value in (("horizon", horizon), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if dt > horizon:
         raise ValueError("dt exceeds the horizon")
     maturities = np.asarray(sorted(float(m) for m in maturities), dtype=float)
@@ -840,15 +842,16 @@ def _gauss_legendre():
 def _caplet_contour_prices(spec, T, i, kappas, tail_tol=1e-12, tol=None):
     """Unit-notional caplet prices for several cap factors on one contour.
 
-    The damped transform values are strike independent, so one batch of
-    Riccati solves per quadrature panel prices every ``kappa =
-    1 + delta K > 0`` at once.  Raises DampingOutOfDomain when the damped
-    moment explodes before T and QuadratureNonConvergence when the tail
-    stays above ``tail_tol`` after ``_MAX_PANELS`` panels.
+    The damped transform values are strike independent, so each group of
+    panels (the plan, then 1, 2, 4, ... tail panels) is one batch of Riccati
+    solves for every finite ``kappa = 1 + delta K > 0`` (ValueError
+    otherwise), logged in one DEBUG record.  Raises DampingOutOfDomain when
+    the damped moment explodes before T and QuadratureNonConvergence when
+    the tail stays above ``tail_tol`` after ``_MAX_PANELS`` panels.
     """
     kappas = np.asarray(kappas, dtype=float)
-    if np.any(kappas <= 0.0):
-        raise ValueError("contour pricing requires cap factors above zero")
+    if not np.all(np.isfinite(kappas) & (kappas > 0.0)):
+        raise ValueError("contour pricing requires finite cap factors above zero")
     delta = float(spec.tenors[i])
     phi_b, psi_b = _exponents(spec, delta, tol=tol)
     phi_b, psi_b = float(phi_b[0]), psi_b[0]
@@ -887,39 +890,27 @@ def _caplet_contour_prices(spec, T, i, kappas, tail_tol=1e-12, tol=None):
     plan = edges + [edges[-1] + k * panel_width for k in (1, 2, 3)]
     plan = plan[:_MAX_PANELS + 1]
 
-    def panel_sum(width, zs, vals):
-        integrand = (np.exp(-np.outer(log_strikes, zs)) * vals).real
-        return 0.5 * width * (integrand @ weights), np.max(np.abs(integrand))
-
-    halves = 0.5 * np.diff(np.asarray(plan))
-    v_all = np.concatenate([
-        plan[j] + halves[j] * (nodes + 1.0) for j in range(len(halves))
-    ])
-    zs_all = _DAMPING + 1j * v_all
-    vals_all = transform(1.0 + zs_all) / (zs_all * (zs_all + 1.0))
+    # one Riccati batch per group: the plan, then 1, 2, 4, ... tail panels;
+    # from the last planned panel on, the first one below tail_tol stops it
+    panels = list(zip(plan[:-1], np.diff(plan)))
+    n_plan = len(panels)
+    panels += [(plan[-1] + k * panel_width, panel_width) for k in range(_MAX_PANELS - n_plan)]
     totals = np.zeros(len(kappas))
-    tail_max = math.inf
-    for j in range(len(halves)):
-        sl = slice(j * _QUAD_NODES, (j + 1) * _QUAD_NODES)
-        contrib, tail_max = panel_sum(
-            plan[j + 1] - plan[j], zs_all[sl], vals_all[sl])
-        totals += contrib
-    converged = tail_max < tail_tol
-    panels_used = len(halves)
-    while not converged and panels_used < _MAX_PANELS:
-        a = plan[-1] + (panels_used - len(halves)) * panel_width
-        v = a + 0.5 * panel_width * (nodes + 1.0)
-        zs = _DAMPING + 1j * v
+    lo, hi = 0, n_plan
+    while lo < len(panels):
+        group = panels[lo:hi]
+        zs = _DAMPING + 1j * np.concatenate([a + 0.5 * w * (nodes + 1.0) for a, w in group])
         vals = transform(1.0 + zs) / (zs * (zs + 1.0))
-        contrib, tail_max = panel_sum(panel_width, zs, vals)
-        totals += contrib
-        converged = tail_max < tail_tol
-        panels_used += 1
-    if not converged:
-        raise QuadratureNonConvergence(
-            f"integrand tail above {tail_tol:g} after {_MAX_PANELS} panels"
-        )
-    return totals / math.pi
+        rows = zip(group, zs.reshape(-1, _QUAD_NODES), vals.reshape(-1, _QUAD_NODES))
+        for used, ((_, width), z, val) in enumerate(rows, start=lo + 1):
+            integrand = (np.exp(-np.outer(log_strikes, z)) * val).real
+            totals += 0.5 * width * (integrand @ weights)
+            if used >= n_plan and np.max(np.abs(integrand)) < tail_tol:
+                log.debug("caplet contour: strikes=%d panels=%d solved_panels=%d",
+                          len(kappas), used, lo + len(group))
+                return totals / math.pi
+        lo, hi = hi, 2 * hi - n_plan + 1
+    raise QuadratureNonConvergence(f"integrand tail above {tail_tol:g} after {_MAX_PANELS} panels")
 
 
 def caplet_price_fourier(spec: AffineModelSpec, T: float, tenor: Tenor | int,
@@ -932,9 +923,13 @@ def caplet_price_fourier(spec: AffineModelSpec, T: float, tenor: Tenor | int,
     z = 1 + 0.75 + i v (damping 0.75).  Gauss-Legendre panels of 64 nodes,
     their width scaled to the payoff-log variance (which a second difference
     of the log transform at real arguments estimates cheaply), are added
-    until the integrand tail falls below 1e-12, at most 64 panels.  A spec
-    without any noise is priced by the exact positive-part formula instead.
+    until the integrand tail falls below 1e-12, at most 64 panels; the panels
+    past the plan are solved in groups of 1, 2, 4, ...  A spec without any
+    noise is priced by the exact positive-part formula instead.  A
+    non-finite ``fixed_rate`` raises ValueError.
     """
+    if not math.isfinite(fixed_rate):
+        raise ValueError(f"fixed_rate must be finite, got {fixed_rate}")
     i = spec.tenor_index(tenor)
     delta = float(spec.tenors[i])
     kappa = 1.0 + delta * fixed_rate

@@ -620,8 +620,8 @@ class HjmSimulationResult:
     """Snapshots by observation time plus run diagnostics.
 
     diagnostics keys: consistency_series (max abs short-end mismatch per
-    step), consistency_max, aborted (paths dropped for NaN/overflow), seed,
-    dt, method, n_paths.
+    step, over the paths that stay finite), consistency_max, aborted (paths
+    dropped for NaN/overflow), seed, dt, method, n_paths.
     """
 
     snapshots: dict[float, PathSet]
@@ -682,8 +682,12 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     steps, driver and kernel jumps, the paths that widened an atom buffer
     (``refilled_paths``) or drew a count of mean 10 or more
     (``live_paths``), the kernel lookups and LP solves, the aborted paths
-    and the seconds per stage.
+    and the seconds per stage.  A horizon or dt that is not positive and
+    finite raises ValueError naming it.
     """
+    for name, value in (("horizon", horizon), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if observation_times is None:
         observation_times = [horizon]
     observation_times = sorted(float(t) for t in observation_times)
@@ -778,10 +782,8 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
                 gap = np.abs(held_psi - ends[1:])
                 resid = gap.max()
                 if not np.isfinite(resid):
-                    with np.errstate(invalid="ignore"):
-                        resid = np.nanmax(gap) if np.any(np.isfinite(gap)) else np.nan
-                if np.isfinite(resid):
-                    consistency[l - 1] = max(consistency[l - 1], resid)
+                    resid = np.max(gap, where=np.isfinite(gap), initial=0.0)
+                consistency[l - 1] = max(consistency[l - 1], resid)
             if l == n_steps:
                 break
 

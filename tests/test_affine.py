@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from multicurve import affine as affine_module
 from multicurve.affine import (
     AffineJumps,
     AffineModelSpec,
     DampingOutOfDomain,
     QuadratureNonConvergence,
     RiccatiExplosion,
+    _caplet_contour_prices,
     _diffusion_factor,
     _gaussian_terminal_law,
     _terminal_exponents,
@@ -24,6 +26,7 @@ from multicurve.affine import (
     shifted_curves,
     simulate_affine,
 )
+from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet, simulate_hjm
 from multicurve.products import caplet_price_mc, fra_value
 from multicurve.termstructure import DiscountCurve, SpreadTermStructure, Tenor
 
@@ -861,6 +864,101 @@ class TestCapletFourier:
     def test_unknown_tenor_rejected(self, vasicek_spec):
         with pytest.raises(ValueError, match="not part of the model"):
             caplet_price_fourier(vasicek_spec, 1.0, T3M, 0.03)
+
+    @pytest.mark.parametrize("strike", [math.nan, math.inf, -math.inf])
+    def test_non_finite_strike_rejected(self, strike):
+        # before any transform: NaN used to march all 64 panels, -inf priced inf
+        spec = ROW_SPECS["cir_jumps"]
+        with pytest.raises(ValueError, match="fixed_rate must be finite"):
+            caplet_price_fourier(spec, 1.0, T6M, strike)
+        with pytest.raises(ValueError, match="finite cap factors"):
+            _caplet_contour_prices(spec, 1.0, 0, [1.01, 1.0 + 0.5 * strike])
+
+
+def marching_cir_spec():
+    """CIR short rate with an integrated spread factor: its contour integrand
+    decays slowly, so the contour marches tail panels well past its plan."""
+    return AffineModelSpec(
+        pos_dims=1, real_dims=0, drift_const=[0.8 * 0.04], drift_linear=[[-0.8]],
+        diffusion_const=[[0.0]], diffusion_linear=[[[0.22 ** 2]]], rate_const=0.0,
+        rate_linear=[1.0], n_spread=1, u_vectors=[[0.7]], tenors=(T6M,),
+        y_mode="integrated", y_drift_linear=[[0.3]], x0=[0.03], y0=[0.001])
+
+
+MARCH_KAPPAS = 1.0 + 0.5 * np.array([0.0, 0.02, 0.04, 0.08])
+
+
+def test_marching_contour_prices_pinned():
+    # stops at panel 27 of 38 solved: 7 planned, then tail groups of 1, 2, 4, 8, 16
+    prices = _caplet_contour_prices(marching_cir_spec(), 0.5, 0, MARCH_KAPPAS,
+                                    tail_tol=1e-11, tol=1e-8)
+    assert [float(p).hex() for p in prices] == [
+        "0x1.52b2d1beb4527p-6", "0x1.6f6abc9f6c1e8p-7",
+        "0x1.334758ca52756p-8", "0x1.1222fb9243b11p-11"]
+
+
+def test_march_solves_at_most_max_panels(monkeypatch):
+    # the cap falls between the plan (7 panels) and the stop panel (27):
+    # groups of 7, 1, 2 and then 2 of the 4 tail panels, never more
+    rows = []
+    solve = affine_module._terminal_exponents
+
+    def counted(spec, V, *args, **kwargs):
+        rows.append(len(V))
+        return solve(spec, V, *args, **kwargs)
+
+    monkeypatch.setattr(affine_module, "_terminal_exponents", counted)
+    monkeypatch.setattr(affine_module, "_MAX_PANELS", 12)
+    with pytest.raises(QuadratureNonConvergence):
+        _caplet_contour_prices(marching_cir_spec(), 0.5, 0, MARCH_KAPPAS,
+                               tail_tol=1e-11, tol=1e-8)
+    assert sum(rows) <= 5 + 64 * 12
+
+
+def test_contour_logs_its_panels(vasicek_spec, caplog):
+    with caplog.at_level(logging.DEBUG, logger="multicurve.affine"):
+        caplet_price_fourier(vasicek_spec, 1.0, T6M, 0.03)
+        _caplet_contour_prices(marching_cir_spec(), 0.5, 0, MARCH_KAPPAS,
+                               tail_tol=1e-11, tol=1e-8)
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "multicurve.affine" and r.getMessage().startswith("caplet contour")]
+    assert len(records) == 2
+    for message, strikes in zip(records, (1, len(MARCH_KAPPAS))):
+        match = re.fullmatch(r"caplet contour: strikes=(\d+) panels=(\d+) solved_panels=(\d+)",
+                             message)
+        assert match and int(match[1]) == strikes
+        assert int(match[2]) <= int(match[3])
+
+
+def hjm_guard_model():
+    return LevyHjmModel(
+        driver=LevyTriplet(drift=[0.0, 0.0], covariance=np.diag([1e-4, 1e-4])),
+        n_curve_factors=1, ois_vol=ExponentialVolatility.flat(0.01),
+        spread_vols=[ExponentialVolatility.flat(0.005)], u_vectors=np.array([[1.0]]),
+        tenors=[T6M], forward_curve=0.02, forward_spread_curves=[0.005],
+        spread_factor_mode="integrated-drift")
+
+
+SIMULATORS = {
+    "gauss2": lambda **kw: simulate_affine(ROW_SPECS["gauss2"], **kw),
+    "cir_jumps": lambda **kw: simulate_affine(ROW_SPECS["cir_jumps"], **kw),
+    "hjm": lambda **kw: simulate_hjm(hjm_guard_model(), **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+@pytest.mark.parametrize("arg", ["horizon", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_horizon_or_dt_rejected(name, arg, value, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking horizon and dt")
+
+    for draw in ("normal_rows", "driver_increment_block", "JumpRows"):
+        monkeypatch.setattr(f"multicurve.rng.{draw}", no_draw)
+    kw = dict(horizon=0.5, dt=0.125, n_paths=4, seed=1, maturities=[1.0])
+    kw[arg] = value
+    with pytest.raises(ValueError, match=f"^{arg} must be positive and finite"):
+        SIMULATORS[name](**kw)
 
 
 class TestSpecValidation:

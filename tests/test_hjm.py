@@ -376,6 +376,8 @@ def test_simulate_hjm_independent_of_batch_size(name, n_paths, batch_size, seed)
     whole = simulate_hjm(model, batch_size=n_paths, **kw)
     split = simulate_hjm(model, batch_size=batch_size, **kw)
     assert whole.diagnostics["aborted"] == split.diagnostics["aborted"]
+    assert np.array_equal(whole.diagnostics["consistency_series"],
+                          split.diagnostics["consistency_series"])
     for t in (0.5, 1.0):
         a, b = whole.pathset(t), split.pathset(t)
         assert np.array_equal(a.maturities, b.maturities)
@@ -383,6 +385,26 @@ def test_simulate_hjm_independent_of_batch_size(name, n_paths, batch_size, seed)
         assert np.array_equal(a.bonds, b.bonds)
         for tenor in model.tenors:
             assert np.array_equal(a.spreads[tenor], b.spreads[tenor])
+
+
+def test_consistency_series_skips_only_overflowing_paths():
+    # a rare driver jump of 1e308 sends one path's short ends to +inf; the
+    # step's residual is still the largest one over the paths that stay finite
+    model = LevyHjmModel(
+        driver=LevyTriplet(drift=[0.0, 0.0], covariance=np.diag([1e-4, 1e-4]),
+                           jump_sizes=[[1e308, 0.0]], jump_intensities=[0.002]),
+        n_curve_factors=1, ois_vol=ExponentialVolatility.flat(10.0),
+        spread_vols=[ExponentialVolatility.flat(10.0)], u_vectors=np.array([[1.0]]),
+        tenors=[T6M], forward_curve=0.02, forward_spread_curves=[0.005],
+        spread_factor_mode="integrated-drift")
+    kw = dict(horizon=0.5, dt=1 / 20, n_paths=2000, seed=3, maturities=[1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = simulate_hjm(model, batch_size=2000, **kw)
+        split = simulate_hjm(model, batch_size=500, **kw)
+    assert whole.diagnostics["aborted"] == split.diagnostics["aborted"] == 1
+    series = whole.diagnostics["consistency_series"]
+    assert np.all(series > 0.0)
+    assert np.array_equal(series, split.diagnostics["consistency_series"])
 
 
 def test_pinned_simulate_hjm_factor():

@@ -20,9 +20,6 @@ from .termstructure import (  # noqa: F401
     bootstrap_spread_curve,
     fra_rate,
     fra_rate_from_curves,
-    instantaneous_forward,
-    ois_discount,
-    simple_ois_forward,
 )
 
 from .termstructure import (  # noqa: F401

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .products import PathSet
+from .products import EmptyPathSet, PathSet
 from .rng import path_generator  # noqa: F401 - bench/trace.py wraps this name; no module calls it
 from .termstructure import Tenor
 
@@ -683,6 +683,11 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     diffusion factor does not depend on the state and is factored once per
     call rather than at every step.
 
+    The call is a setup, a batch function and a merge.  ``batch(lo, hi)``
+    returns the terminal (X, Y, Z) of paths [lo, hi) and writes nothing
+    outside itself; ``rng.map_batches`` splits the paths, and the merge
+    joins the states in path order and reads the curves off them.
+
     Every path's numbers depend only on (seed, path index), whatever the
     batch (addresses in ``rng``): the exact draw reads its d + n + 1 normals
     from its stream-0 row (``rng.normal_rows``); a stepped model reads one
@@ -694,14 +699,20 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     atom buffer (``refilled_paths``) or drew a count of mean 10 or more
     (``live_paths``), and the seconds spent drawing the normals (``draw_s``)
     and stepping the state, with the jump draws (``step_s``).  A horizon or
-    dt that is not positive and finite raises ValueError naming it.
+    dt that is not positive and finite, or a maturity that is not finite,
+    raises ValueError naming it, and fewer than one path ``EmptyPathSet``,
+    both before any draw.
     """
     for name, value in (("horizon", horizon), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if dt > horizon:
         raise ValueError("dt exceeds the horizon")
+    if n_paths < 1:
+        raise EmptyPathSet(f"n_paths must be at least 1, got {n_paths}")
     maturities = np.asarray(sorted(float(m) for m in maturities), dtype=float)
+    if not np.isfinite(maturities).all():
+        raise ValueError(f"maturities must be finite, got {maturities}")
     if len(maturities) == 0 or maturities[0] < horizon - 1e-12:
         raise ValueError("maturities must lie at or beyond the horizon")
 
@@ -735,12 +746,7 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                 fixed_y_factor = _diffusion_factor(spec.y_diff_const, spec.y_diff_linear,
                                                    0, np.zeros((1, d)))[0]
 
-    x_out = np.empty((n_paths, d))
-    y_out = np.empty((n_paths, n))
-    z_out = np.empty(n_paths)
-
-    for lo in range(0, n_paths, batch_size):
-        hi = min(lo + batch_size, n_paths)
+    def batch(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = hi - lo
         draws = None
         started = time.perf_counter()
@@ -791,13 +797,14 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
                 qx_new = spec.y_drift_const + x @ spec.y_drift_linear.T
                 y = y + 0.5 * h * (qx + qx_new)
                 qx = qx_new
-        x_out[lo:hi], y_out[lo:hi], z_out[lo:hi] = x, y, z
         step_s = time.perf_counter() - started - draw_s
         drawn, refilled, live = ((0, 0, 0) if draws is None else
                                  (draws.jumps, int(draws.refilled.sum()), int(draws.live.sum())))
         log.debug("affine batch: paths=%d steps=%d jumps=%d refilled_paths=%d live_paths=%d "
                   "draw_s=%.6f step_s=%.6f", m, n_steps, drawn, refilled, live, draw_s, step_s)
+        return x, y, z
 
+    x_out, y_out, z_out = map(np.concatenate, zip(*_rng.map_batches(batch, n_paths, batch_size)))
     bonds, spreads = _model_curves(spec, x_out, y_out, maturities - horizon)
     return PathSet(
         time=horizon,

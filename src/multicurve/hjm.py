@@ -28,13 +28,15 @@ linearly interpolated partial cell at off-grid maturities) and accumulate the
 bank account with left-endpoint rectangles, so the two engines agree node for
 node.
 
-One step loop drives both engines, a batch of paths at a time.  A batch's
-driver increments are one step-major block (n_steps, dim, n_paths), and the
-loop state keeps the path axis last: short ends (n_curves, n_paths), spread
-factor (n, n_paths), log bank account (n_paths,).  Every per-step operation
-therefore runs over contiguous rows of paths; the grid engine and the
-kernel-mode jump step take transposed views at their boundary.  Sums keep
-the order of a path-major loop, so the values do not depend on the layout.
+``simulate_hjm`` is a setup, one batch function of a path range and a
+merge in path order; ``rng.map_batches`` splits the paths.  The batch
+function's one step loop drives both engines.  A batch's driver increments
+are one step-major block (n_steps, dim, n_paths), and the loop state keeps
+the path axis last: short ends (n_curves, n_paths), spread factor (n,
+n_paths), log bank account (n_paths,).  Every per-step operation therefore
+runs over contiguous rows of paths; the grid engine and the kernel-mode
+jump step take transposed views at their boundary.  Sums keep the order of
+a path-major loop, so the values do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from . import rng as _rng
 from .momentkernel import OBJECTIVES, KernelFamily, kernel_jump_step
-from .products import PathSet
+from .products import EmptyPathSet, PathSet
 from .termstructure import Tenor
 
 __all__ = [
@@ -674,6 +676,12 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     ``zero_drift`` suppresses the no-arbitrage curve drifts (negative-control
     diagnostic: discounted prices should then fail their martingale checks).
 
+    The call is a setup, a batch function and a merge.  ``batch(lo, hi)``
+    returns the snapshot parts of the good paths in [lo, hi), its per-step
+    consistency maxima and its dropped paths, and writes nothing outside
+    itself but the kernel family's cache and counters; ``rng.map_batches``
+    splits the paths, and the merge joins the parts in path order.
+
     Path i's numbers depend only on (seed, i), whatever ``batch_size``
     (addresses in ``rng``): its driver normals come from its own stream 0
     (``rng.driver_increment_block``), its driver jumps from its stream-0
@@ -683,17 +691,25 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     (``refilled_paths``) or drew a count of mean 10 or more
     (``live_paths``), the kernel lookups and LP solves, the aborted paths
     and the seconds per stage.  A horizon or dt that is not positive and
-    finite raises ValueError naming it.
+    finite, or a maturity or observation time that is not finite, raises
+    ValueError naming it, and fewer than one path ``EmptyPathSet``, all
+    before any draw.
     """
     for name, value in (("horizon", horizon), ("dt", dt)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if n_paths < 1:
+        raise EmptyPathSet(f"n_paths must be at least 1, got {n_paths}")
     if observation_times is None:
         observation_times = [horizon]
     observation_times = sorted(float(t) for t in observation_times)
+    if not all(map(math.isfinite, observation_times)):
+        raise ValueError(f"observation_times must be finite, got {observation_times}")
     if not observation_times or abs(observation_times[-1] - horizon) > 1e-12:
         raise ValueError("the last observation time must equal the horizon")
     maturities = np.sort(np.asarray(maturities, dtype=float))
+    if not np.isfinite(maturities).all():
+        raise ValueError(f"maturities must be finite, got {maturities}")
     if len(maturities) == 0 or maturities[-1] < horizon - 1e-12:
         raise ValueError("need at least one maturity at or beyond the horizon")
 
@@ -743,12 +759,7 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         else None
     )
 
-    consistency = np.zeros(n_steps)
-    aborted = 0
-    snap_parts: dict[float, list] = {t: [] for t in observation_times}
-
-    for lo in range(0, n_paths, batch_size):
-        hi = min(lo + batch_size, n_paths)
+    def batch(lo: int, hi: int) -> tuple[dict, np.ndarray, int]:
         nb = hi - lo
         started = time.perf_counter()
         dx_block, driver_draws = _increments(model, seed, lo, hi, n_steps, dt)
@@ -765,25 +776,25 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         log_bank = np.zeros(nb)
         y = np.repeat(model.y0[:, None], nb, axis=1)  # (n, nb)
         held_psi = None  # factor exponent at each u_i selected over the previous step
+        consistency = np.zeros(n_steps)
         kernel_jumps = 0
         snapshot_s = 0.0
-        local_snaps: dict[float, tuple] = {}
+        snaps: dict[float, tuple] = {}
 
         started = time.perf_counter()
         for l in range(n_steps + 1):
             ends = engine.short_ends()  # (n_curves, nb)
             if l in obs_steps:
                 snap_started = time.perf_counter()
-                local_snaps[obs_steps[l]] = _snapshot(
-                    engine, model, obs_steps[l], maturities, log_bank, y
-                )
+                t_obs = obs_steps[l]
+                snaps[t_obs] = _snapshot(engine, model, t_obs, maturities, log_bank, y)
                 snapshot_s += time.perf_counter() - snap_started
             if held_psi is not None and model.n_tenors:
                 gap = np.abs(held_psi - ends[1:])
                 resid = gap.max()
                 if not np.isfinite(resid):
                     resid = np.max(gap, where=np.isfinite(gap), initial=0.0)
-                consistency[l - 1] = max(consistency[l - 1], resid)
+                consistency[l - 1] = resid
             if l == n_steps:
                 break
 
@@ -807,7 +818,6 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
 
         good = engine.finite_mask() & np.isfinite(log_bank) & np.all(np.isfinite(y), axis=0)
         dropped = int(np.count_nonzero(~good))
-        aborted += dropped
         drawn = [d for d in (driver_draws, draws) if d is not None]
         refilled = int(np.any([d.refilled for d in drawn], axis=0).sum())
         live = int(np.any([d.live for d in drawn], axis=0).sum())
@@ -818,12 +828,13 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
                   "draw_s=%.6f step_s=%.6f snapshot_s=%.6f", nb, n_steps,
                   0 if driver_draws is None else driver_draws.jumps, kernel_jumps, refilled,
                   live, lookups, solves, dropped, draw_s, step_s, snapshot_s)
-        for t_obs, (keep, numeraire, bonds, spreads) in local_snaps.items():
-            snap_parts[t_obs].append(
-                (keep, numeraire[good], bonds[good],
-                 {ten: arr[good] for ten, arr in spreads.items()})
-            )
+        parts = {t_obs: (keep, numeraire[good], bonds[good],
+                         {ten: arr[good] for ten, arr in spreads.items()})
+                 for t_obs, (keep, numeraire, bonds, spreads) in snaps.items()}
+        return parts, consistency, dropped
 
+    snap_parts, consistency, dropped = zip(*_rng.map_batches(batch, n_paths, batch_size))
+    aborted = sum(dropped)
     if aborted > ABORT_FRACTION * n_paths:
         raise SimulationAborted(
             f"{aborted} of {n_paths} paths hit NaN or overflow "
@@ -831,20 +842,21 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
         )
 
     snapshots = {}
-    for t_obs, parts in snap_parts.items():
-        keep = parts[0][0]
+    for t_obs in snap_parts[0]:
+        parts = [batch_parts[t_obs] for batch_parts in snap_parts]
         snapshots[t_obs] = PathSet(
             time=t_obs,
-            maturities=keep,
+            maturities=parts[0][0],
             numeraire=np.concatenate([p[1] for p in parts]),
             bonds=np.vstack([p[2] for p in parts]),
             spreads={ten: np.vstack([p[3][ten] for p in parts]) for ten in model.tenors},
             seed=seed,
             dt=dt,
         )
+    consistency = np.max(consistency, axis=0)
     diagnostics = {
         "consistency_series": consistency,
-        "consistency_max": float(np.max(consistency)) if n_steps else 0.0,
+        "consistency_max": float(consistency.max()),
         "aborted": aborted,
         "seed": seed,
         "dt": dt,

@@ -90,6 +90,7 @@ class MomentTargets:
     floor: current factor level y >= 0; support is restricted to [-floor, inf).
     p_extra: optional pinned value for the g_{m+1} mass; default is
     min(mass_cap, 1.05 * minimal achievable mass).
+    A non-finite p, floor, mass_cap or p_extra raises ValueError naming it.
     """
 
     u: np.ndarray
@@ -105,6 +106,10 @@ class MomentTargets:
         object.__setattr__(self, "p", p)
         if len(u) == 0 or len(u) != len(p):
             raise ValueError("u and p must be nonempty and equally long")
+        for name in ("p", "floor", "mass_cap", "p_extra"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if not np.all(u > 0) or np.any(np.diff(u) <= 0):
             raise ValueError("u must be strictly increasing and positive")
         if self.mass_cap <= 0:

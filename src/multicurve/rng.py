@@ -100,6 +100,14 @@ class PathStreams:
         return self._gen
 
 
+def map_batches(batch, n_paths: int, batch_size: int) -> list:
+    """``batch(lo, hi)`` over [0, batch_size), [batch_size, 2 * batch_size),
+    ... up to ``n_paths``: the one place the simulators split their paths.
+    The results come in path order, and the batches run in it, because HJM
+    kernel mode shares one ``KernelFamily`` cache across its batches."""
+    return [batch(lo, min(lo + batch_size, n_paths)) for lo in range(0, n_paths, batch_size)]
+
+
 def driver_increment_block(seed: int, path_lo: int, path_hi: int, n_steps: int,
                            n_normals: int) -> np.ndarray:
     """The (n_paths, n_steps, n_normals) standard normals of paths [path_lo,

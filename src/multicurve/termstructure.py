@@ -42,9 +42,6 @@ __all__ = [
     "NoSolution",
     "NonIncreasingMaturities",
     "NegativeSpreadWarning",
-    "ois_discount",
-    "simple_ois_forward",
-    "instantaneous_forward",
     "fra_rate",
     "fra_rate_from_curves",
     "bootstrap_ois_curve",
@@ -121,10 +118,6 @@ class Tenor:
             raise ValueError(f"tenor {text!r} has a zero denominator") from None
 
 
-def _as_float(delta) -> float:
-    return float(delta)
-
-
 def _check_times(times: np.ndarray, what: str) -> None:
     if times.ndim != 1 or len(times) == 0:
         raise ValueError(f"{what} needs at least one pillar")
@@ -192,7 +185,7 @@ class DiscountCurve:
 
     def simple_forward(self, T, delta) -> float:
         """Simply compounded OIS forward L_D(0; T, T+delta)."""
-        d = _as_float(delta)
+        d = float(delta)
         if d <= 0:
             raise ValueError("tenor must be positive")
         return (self.discount(T) / self.discount(T + d) - 1.0) / d
@@ -259,25 +252,13 @@ class SpreadTermStructure:
         return out if np.ndim(T) else float(out[0])
 
 
-def ois_discount(curve: DiscountCurve, T) -> float:
-    return curve.discount(T)
-
-
-def instantaneous_forward(curve: DiscountCurve, T) -> float:
-    return curve.instantaneous_forward(T)
-
-
-def simple_ois_forward(curve: DiscountCurve, T, delta) -> float:
-    return curve.simple_forward(T, delta)
-
-
 def fra_rate(spread: float, ois_forward: float, delta) -> float:
     """FRA (forward Libor) rate from a spread and the matching OIS forward.
 
     L = (S * (1 + delta * L_D) - 1) / delta, the inverse of the spread
     definition S = (1 + delta L) / (1 + delta L_D).
     """
-    d = _as_float(delta)
+    d = float(delta)
     return (spread * (1.0 + d * ois_forward) - 1.0) / d
 
 

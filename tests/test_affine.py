@@ -27,7 +27,7 @@ from multicurve.affine import (
     simulate_affine,
 )
 from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet, simulate_hjm
-from multicurve.products import caplet_price_mc, fra_value
+from multicurve.products import EmptyPathSet, caplet_price_mc, fra_value
 from multicurve.termstructure import DiscountCurve, SpreadTermStructure, Tenor
 
 T3M = Tenor.parse("3M")
@@ -946,19 +946,44 @@ SIMULATORS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIMULATORS))
-@pytest.mark.parametrize("arg", ["horizon", "dt"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_non_finite_horizon_or_dt_rejected(name, arg, value, monkeypatch):
+# each argument with one entry replaced by a non-finite value
+NON_FINITE_ARGS = {
+    "horizon": lambda value: value,
+    "dt": lambda value: value,
+    "maturities": lambda value: [1.0, value],
+    "observation_times": lambda value: [value, 0.5],
+}
+
+
+def no_draws(monkeypatch, what):
     def no_draw(*args, **kwargs):
-        raise AssertionError("drew before checking horizon and dt")
+        raise AssertionError(f"drew before checking {what}")
 
     for draw in ("normal_rows", "driver_increment_block", "JumpRows"):
         monkeypatch.setattr(f"multicurve.rng.{draw}", no_draw)
+
+
+@pytest.mark.parametrize("arg, name", [
+    pytest.param(arg, name, id=f"{arg}-{name}") for arg in NON_FINITE_ARGS
+    for name in sorted(SIMULATORS) if arg != "observation_times" or name == "hjm"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_horizon_or_dt_rejected(name, arg, value, monkeypatch):
+    # horizon and dt must also be positive; maturities and observation times
+    # need only be finite here, and every check runs before any draw
+    no_draws(monkeypatch, arg)
     kw = dict(horizon=0.5, dt=0.125, n_paths=4, seed=1, maturities=[1.0])
-    kw[arg] = value
-    with pytest.raises(ValueError, match=f"^{arg} must be positive and finite"):
+    kw[arg] = NON_FINITE_ARGS[arg](value)
+    expected = "positive and finite" if arg in ("horizon", "dt") else "finite"
+    with pytest.raises(ValueError, match=f"^{arg} must be {expected}"):
         SIMULATORS[name](**kw)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_empty_run_rejected_before_any_draw(name, n_paths, monkeypatch):
+    no_draws(monkeypatch, "n_paths")
+    with pytest.raises(EmptyPathSet, match="^n_paths must be at least 1"):
+        SIMULATORS[name](horizon=0.5, dt=0.125, n_paths=n_paths, seed=1, maturities=[1.0])
 
 
 class TestSpecValidation:

@@ -1,6 +1,7 @@
 """Tests for the exponential-moment kernel construction and the jump-factor simulator."""
 
 import logging
+import math
 import re
 
 import numpy as np
@@ -62,6 +63,16 @@ class TestMomentTargets:
             MomentTargets(u=[1.0], p=[0.1], mass_cap=0.0)
         with pytest.raises(ValueError):
             MomentTargets(u=[1.0], p=[0.1], mass_cap=1.0, floor=-0.1)
+
+    @pytest.mark.parametrize("field", ["p", "floor", "mass_cap", "p_extra"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_named(self, field, value):
+        # unchecked, a NaN floor, cap or pinned mass ends in KernelInfeasible
+        # and a non-finite p in scipy's linprog input message
+        kw = dict(u=[0.5, 1.0], p=[0.01, 0.03], mass_cap=10.0, floor=0.0, p_extra=None)
+        kw[field] = [0.01, value] if field == "p" else value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MomentTargets(**kw)
 
 
 class TestAtomGrid:

@@ -814,6 +814,65 @@ def test_kernel_mode_with_driver_jumps_matches_the_references():
 
 
 # ---------------------------------------------------------------------------
+# batch order: both simulators take their path ranges from rng.map_batches and
+# carry no state from one batch to the next
+
+
+def reversed_batches(batch, n_paths, batch_size):
+    """``rng.map_batches`` that runs the ranges last to first and returns the
+    results in path order."""
+    ranges = [(lo, min(lo + batch_size, n_paths)) for lo in range(0, n_paths, batch_size)]
+    return [batch(lo, hi) for lo, hi in ranges[::-1]][::-1]
+
+
+def hjm_run(model, method):
+    return lambda: simulate_hjm(model, horizon=0.5, dt=1 / 8, n_paths=11, seed=61,
+                                maturities=[0.5, 1.0], observation_times=[0.25, 0.5],
+                                method=method, batch_size=4)
+
+
+def affine_run(spec):
+    return lambda: simulate_affine(spec, 0.3, 0.1, 11, 61, [0.3, 0.8], batch_size=4)
+
+
+JUMP_FREE_HJM = driver_jump_model(np.zeros((0, 2)), [])
+# 11 paths in batches of 4, 4 and 3
+ORDER_CASES = {
+    "hjm-factor": hjm_run(JUMP_FREE_HJM, "factor"),
+    "hjm-driver-jumps": hjm_run(DRIVER_JUMPS["two"][0], "factor"),
+    "hjm-grid": hjm_run(JUMP_FREE_HJM, "grid"),
+    "affine-exact": affine_run(SPECS["gauss"]),
+    "affine-stepped-jumps": affine_run(SPECS["jump"]),
+    "affine-euler-cir": affine_run(SPECS["cir"]),
+}
+
+
+def run_arrays(result):
+    """Every array of a PathSet, or of each snapshot and the diagnostics of an
+    HJM result, by name."""
+    if hasattr(result, "snapshots"):
+        out = {"consistency_series": result.diagnostics["consistency_series"],
+               "aborted": np.array(result.diagnostics["aborted"])}
+        for t, paths in result.snapshots.items():
+            out.update({f"{t}/{k}": v for k, v in run_arrays(paths).items()})
+        return out
+    out = {"maturities": result.maturities, "numeraire": result.numeraire, "bonds": result.bonds}
+    out.update({f"spread {tenor}": s for tenor, s in result.spreads.items()})
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_batches_run_in_reverse_order_give_the_same_bits(name):
+    want = run_arrays(ORDER_CASES[name]())
+    with mock.patch.object(rng, "map_batches", wraps=reversed_batches) as split:
+        got = run_arrays(ORDER_CASES[name]())
+    assert split.call_count == 1 and split.call_args.args[1:] == (11, 4)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(got[key], value), key
+
+
+# ---------------------------------------------------------------------------
 # pinned streams
 
 

@@ -24,9 +24,6 @@ from multicurve.termstructure import (
     bootstrap_spread_curve,
     fra_rate,
     fra_rate_from_curves,
-    instantaneous_forward,
-    ois_discount,
-    simple_ois_forward,
 )
 
 
@@ -72,7 +69,7 @@ class TestTenor:
 
 class TestDiscountCurve:
     def test_anchored_at_one(self, two_pillar_curve):
-        assert ois_discount(two_pillar_curve, 0.0) == 1.0
+        assert two_pillar_curve.discount(0.0) == 1.0
 
     def test_pillars_reproduced(self, two_pillar_curve):
         assert two_pillar_curve.discount(1.0) == pytest.approx(0.98, abs=1e-15)
@@ -87,17 +84,17 @@ class TestDiscountCurve:
 
     def test_simple_forward_frozen(self, two_pillar_curve):
         # (0.98/0.95 - 1) / 1
-        assert simple_ois_forward(two_pillar_curve, 1.0, 1.0) == pytest.approx(
+        assert two_pillar_curve.simple_forward(1.0, 1.0) == pytest.approx(
             0.98 / 0.95 - 1.0, abs=1e-15
         )
 
     def test_instantaneous_forward_piecewise(self, two_pillar_curve):
         f01 = -math.log(0.98)
         f12 = math.log(0.98 / 0.95)
-        assert instantaneous_forward(two_pillar_curve, 0.4) == pytest.approx(f01, abs=1e-15)
-        assert instantaneous_forward(two_pillar_curve, 1.5) == pytest.approx(f12, abs=1e-15)
+        assert two_pillar_curve.instantaneous_forward(0.4) == pytest.approx(f01, abs=1e-15)
+        assert two_pillar_curve.instantaneous_forward(1.5) == pytest.approx(f12, abs=1e-15)
         # right-continuous at the pillar
-        assert instantaneous_forward(two_pillar_curve, 1.0) == pytest.approx(f12, abs=1e-15)
+        assert two_pillar_curve.instantaneous_forward(1.0) == pytest.approx(f12, abs=1e-15)
 
     def test_forward_integrates_back_to_discount(self, two_pillar_curve):
         # exp(-int_0^T f) == B(0,T) on a dense grid

@@ -14,7 +14,8 @@ endpoint of each step):
 
 * ``grid``: the literal scheme; curves stored on a grid whose cell is the
   step and shifted by one cell each step.  Works with state-dependent
-  volatilities.  Memory per path is the whole curve.
+  volatilities, stepping every path of a batch at once.  Memory per path is
+  the whole curve.
 * ``factor``: for exponential volatilities s * exp(-a * (T - t)) the noise
   term of every curve node is g(tau) times a scalar recursion per (curve,
   driver component) pair, and drift terms are deterministic lookups, so each
@@ -27,6 +28,9 @@ Both integrate bonds from curves by the trapezoid rule on the grid (with a
 linearly interpolated partial cell at off-grid maturities) and accumulate the
 bank account with left-endpoint rectangles, so the two engines agree node for
 node.
+
+The HJM drift condition has one home, ``_drifts``, read at closed-form vol
+integrals and, by the state-dependent grid step, at running trapezoids.
 
 ``simulate_hjm`` is a setup, one batch function of a path range and a
 merge in path order; ``rng.map_batches`` splits the paths.  The batch
@@ -338,10 +342,43 @@ class LevyHjmModel:
         return any(isinstance(v, StateDependentVolatility) for v in self.curve_vols())
 
 
-def _pad_curve_block(model: LevyHjmModel, block: np.ndarray) -> np.ndarray:
-    """Embed per-tau curve-block vectors (..., d) into driver dimension."""
-    pad_shape = block.shape[:-1] + (model.n_spread_factors,)
-    return np.concatenate([block, np.zeros(pad_shape)], axis=-1)
+def _drifts(model: LevyHjmModel, sig, big, tenors=()) -> tuple[np.ndarray, list]:
+    """The HJM drift condition, on loadings sig[c] and running integrals
+    big[c] of curve c (0 the discount curve, i + 1 tenor i), each shaped
+    (..., n_tau, d) with any leading batch axes.
+
+    Returns alpha_0 = -sigma_0 . grad Psi(-Sigma_0), the discount-curve drift,
+    and for each tenor i in ``tenors`` the adjustment
+    -(sigma_i - sigma_0) . grad Psi(Sigma_i - Sigma_0, u_i) that spread curve
+    i's drift adds to it.  Only the curve block of grad Psi enters.
+    """
+    d, gradient = model.n_curve_factors, model.driver.exponent_gradient
+    zeros = np.zeros(big[0].shape[:-1] + (model.n_spread_factors,))
+    grad0 = gradient(np.concatenate([-big[0], zeros], axis=-1))
+    alpha0 = -np.sum(sig[0] * grad0[..., :d], axis=-1)
+    adjustments = []
+    for i in tenors:
+        u_block = np.broadcast_to(model.u_vectors[i], zeros.shape)
+        grad = gradient(np.concatenate([big[i + 1] - big[0], u_block], axis=-1))[..., :d]
+        adjustments.append(-np.sum((sig[i + 1] - sig[0]) * grad, axis=-1))
+    return alpha0, adjustments
+
+
+def _closed_form_drifts(model: LevyHjmModel, tau, tenors=()) -> tuple:
+    """``_drifts`` on the closed-form loadings and integrals at tau, floats
+    for a scalar tau; the discount curve and the curves of ``tenors`` must be
+    exponential."""
+    vols = model.curve_vols()
+    tenors = [range(model.n_tenors)[i] for i in tenors]
+    curves = [0, *(i + 1 for i in tenors)]
+    if not all(isinstance(vols[c], ExponentialVolatility) for c in curves):
+        raise TypeError("closed-form drift requires deterministic exponential volatility")
+    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    alpha0, adjustments = _drifts(model, {c: vols[c].values(tau_arr) for c in curves},
+                                  {c: vols[c].integrals(tau_arr) for c in curves}, tenors)
+    if np.ndim(tau):
+        return alpha0, adjustments
+    return float(alpha0[0]), [float(adj[0]) for adj in adjustments]
 
 
 def ois_drift(model: LevyHjmModel, tau) -> np.ndarray | float:
@@ -350,14 +387,7 @@ def ois_drift(model: LevyHjmModel, tau) -> np.ndarray | float:
     Equals -sigma(tau) . grad Psi(-Sigma(tau)) with Sigma the running vol
     integral, i.e. the tau-derivative of tau -> Psi(-Sigma(tau)).
     """
-    if not isinstance(model.ois_vol, ExponentialVolatility):
-        raise TypeError("closed-form drift requires deterministic exponential volatility")
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    sig = model.ois_vol.values(tau_arr)
-    big = model.ois_vol.integrals(tau_arr)
-    grad = model.driver.exponent_gradient(_pad_curve_block(model, -big))
-    out = -np.sum(sig * grad[:, : model.n_curve_factors], axis=1)
-    return out if np.ndim(tau) else float(out[0])
+    return _closed_form_drifts(model, tau)[0]
 
 
 def spread_drift(model: LevyHjmModel, i: int, tau) -> np.ndarray | float:
@@ -367,7 +397,8 @@ def spread_drift(model: LevyHjmModel, i: int, tau) -> np.ndarray | float:
     spread volatility equal to the discount volatility the adjustment
     vanishes and the spread curve inherits the discount-curve drift.
     """
-    return spread_drift_adjustment(model, i, tau) + ois_drift(model, tau)
+    alpha0, (adjustment,) = _closed_form_drifts(model, tau, [i])
+    return adjustment + alpha0
 
 
 def spread_drift_adjustment(model: LevyHjmModel, i: int, tau) -> np.ndarray | float:
@@ -377,18 +408,7 @@ def spread_drift_adjustment(model: LevyHjmModel, i: int, tau) -> np.ndarray | fl
     the vol-integral difference with u_i; identically zero when curve i
     carries the same volatility as the discount curve.
     """
-    for vol in (model.ois_vol, model.spread_vols[i]):
-        if not isinstance(vol, ExponentialVolatility):
-            raise TypeError("closed-form drift requires deterministic exponential volatility")
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    big_i = model.spread_vols[i].integrals(tau_arr)
-    big_0 = model.ois_vol.integrals(tau_arr)
-    u_block = np.broadcast_to(model.u_vectors[i], (len(tau_arr), model.n_spread_factors))
-    beta = np.concatenate([big_i - big_0, u_block], axis=1)
-    grad = model.driver.exponent_gradient(beta)[:, : model.n_curve_factors]
-    dsig = model.spread_vols[i].values(tau_arr) - model.ois_vol.values(tau_arr)
-    out = -np.sum(dsig * grad, axis=1)
-    return out if np.ndim(tau) else float(out[0])
+    return _closed_form_drifts(model, tau, [i])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +428,6 @@ def _integrate_rows(rows: np.ndarray, dx: float, tau: float) -> np.ndarray:
         right = left + frac * (rows[..., q + 1] - left)
         out = out + 0.5 * frac * dx * (left + right)
     return out
-
-
-def _cumtrapz_loadings(g: np.ndarray, dx: float) -> np.ndarray:
-    """Running trapezoid integral of loadings g (d, n_nodes) -> (n_nodes, d)."""
-    inner = np.cumsum(0.5 * (g[:, 1:] + g[:, :-1]) * dx, axis=1)
-    return np.concatenate([np.zeros((g.shape[0], 1)), inner], axis=1).T
 
 
 def _increments(model: LevyHjmModel, seed: int, lo: int, hi: int, n_steps: int,
@@ -565,46 +579,30 @@ class _GridEngine:
         self.theta[:, :, new_valid:] = np.nan
         self.valid_nodes = new_valid
 
-    def _path_loadings(self, p: int, curve: int, tau: np.ndarray) -> np.ndarray:
-        vol = self.vols[curve]
-        if isinstance(vol, ExponentialVolatility):
-            return vol.values(tau).T
-        return vol.values_for_path(self.theta[p, curve, : len(tau)], tau)
-
     def _apply_step_state_dependent(self, dx_curve: np.ndarray, new_valid: int) -> None:
-        """Per-path stepping when any volatility reads the current curve.
+        """Step every path at once when any volatility reads the current curve.
 
-        Vol integrals are running trapezoids of the frozen step-start
-        loadings, so the drift is the same discrete functional of sigma that
-        the deterministic precomputation uses.
+        Each path's step-start loadings come from one call per curve, path
+        after path; their running trapezoids stand in for the closed-form
+        vol integrals, so the drift (``_drifts``) is within O(dt^2) of the
+        precomputed one when the loadings are deterministic.
         """
-        n_paths = self.theta.shape[0]
-        tau = self.nodes[: self.valid_nodes]
-        model = self.model
-        new_theta = np.empty((n_paths, len(self.vols), new_valid))
-        for p in range(n_paths):
-            sig0 = self._path_loadings(p, 0, tau)
-            big0 = _cumtrapz_loadings(sig0, self.dt)  # (valid, d)
-            grad0 = model.driver.exponent_gradient(_pad_curve_block(model, -big0))
-            alpha0 = -np.sum(sig0.T * grad0[:, : model.n_curve_factors], axis=1)
-            for i, vol in enumerate(self.vols):
-                if i == 0:
-                    g, alpha = sig0, alpha0
-                else:
-                    g = self._path_loadings(p, i, tau)
-                    big_i = _cumtrapz_loadings(g, self.dt)
-                    u_block = np.broadcast_to(
-                        model.u_vectors[i - 1], (self.valid_nodes, model.n_spread_factors)
-                    )
-                    beta = np.concatenate([big_i - big0, u_block], axis=1)
-                    grad = model.driver.exponent_gradient(beta)[:, : model.n_curve_factors]
-                    alpha = -np.sum((g - sig0).T * grad, axis=1) + alpha0
-                new_theta[p, i] = (
-                    self.theta[p, i, 1 : 1 + new_valid]
-                    + self.dt * alpha[1 : 1 + new_valid]
-                    + g[:, 1 : 1 + new_valid].T @ dx_curve[p]
-                )
-        self.theta[:, :, :new_valid] = new_theta
+        tau, dt = self.nodes[: self.valid_nodes], self.dt
+        fixed = {c: vol.values(tau) for c, vol in enumerate(self.vols)
+                 if isinstance(vol, ExponentialVolatility)}
+        # (n_paths, n_curves, valid, d)
+        sig = np.stack([[fixed[c] if c in fixed else vol.values_for_path(theta[c], tau).T
+                         for c, vol in enumerate(self.vols)]
+                        for theta in self.theta[:, :, : len(tau)]])
+        big = np.zeros(sig.shape)
+        np.cumsum(0.5 * (sig[..., 1:, :] + sig[..., :-1, :]) * dt, axis=-2, out=big[..., 1:, :])
+        alpha0, adjustments = _drifts(self.model, sig.swapaxes(0, 1), big.swapaxes(0, 1),
+                                      range(self.model.n_tenors))
+        alpha = np.stack([alpha0, *(adj + alpha0 for adj in adjustments)], axis=1)
+        cells = slice(1, 1 + new_valid)
+        self.theta[:, :, :new_valid] = (
+            self.theta[:, :, cells] + dt * alpha[:, :, cells]
+            + (sig[:, :, cells] @ dx_curve[:, None, :, None])[..., 0])
 
     def curve_integrals(self, tau: float, curve: int) -> np.ndarray:
         return _integrate_rows(self.theta[:, curve, : self.valid_nodes], self.dt, tau)
@@ -637,10 +635,8 @@ class HjmSimulationResult:
 
 
 def _precompute_alpha_rows(model: LevyHjmModel, nodes: np.ndarray) -> np.ndarray:
-    rows = [np.atleast_1d(ois_drift(model, nodes))]
-    for i in range(model.n_tenors):
-        rows.append(np.atleast_1d(spread_drift(model, i, nodes)))
-    return np.stack(rows)
+    alpha0, adjustments = _closed_form_drifts(model, nodes, range(model.n_tenors))
+    return np.stack([alpha0, *(adj + alpha0 for adj in adjustments)])
 
 
 def _short_end_table(model: LevyHjmModel, alpha_rows: np.ndarray, dt: float,

@@ -104,7 +104,10 @@ def map_batches(batch, n_paths: int, batch_size: int) -> list:
     """``batch(lo, hi)`` over [0, batch_size), [batch_size, 2 * batch_size),
     ... up to ``n_paths``: the one place the simulators split their paths.
     The results come in path order, and the batches run in it, because HJM
-    kernel mode shares one ``KernelFamily`` cache across its batches."""
+    kernel mode shares one ``KernelFamily`` cache across its batches.  A
+    ``batch_size`` below 1 raises ValueError naming it, before any batch."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     return [batch(lo, min(lo + batch_size, n_paths)) for lo in range(0, n_paths, batch_size)]
 
 

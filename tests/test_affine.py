@@ -986,6 +986,16 @@ def test_empty_run_rejected_before_any_draw(name, n_paths, monkeypatch):
         SIMULATORS[name](horizon=0.5, dt=0.125, n_paths=n_paths, seed=1, maturities=[1.0])
 
 
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_batch_size_below_one_rejected_before_any_draw(name, batch_size, monkeypatch):
+    # rng.map_batches checks it for both simulators
+    no_draws(monkeypatch, "batch_size")
+    with pytest.raises(ValueError, match="^batch_size must be at least 1"):
+        SIMULATORS[name](horizon=0.5, dt=0.125, n_paths=4, seed=1, maturities=[1.0],
+                         batch_size=batch_size)
+
+
 class TestSpecValidation:
     def base_kwargs(self):
         return dict(

@@ -16,6 +16,7 @@ from multicurve.hjm import (
     LevyTriplet,
     SimulationAborted,
     StateDependentVolatility,
+    _precompute_alpha_rows,
     consistency_residual,
     ois_drift,
     simulate_hjm,
@@ -698,6 +699,131 @@ class TestStateDependentVolatility:
         with pytest.raises(ValueError, match="growth bound"):
             simulate_hjm(model, horizon=0.25, dt=1 / 8, n_paths=2, seed=2,
                          maturities=[1.0])
+
+
+def two_factor_jump_model():
+    """Two correlated curve factors with driver jumps, two tenors on one
+    spread factor with an integrated drift, and unequal exponential vols."""
+    trip = LevyTriplet(drift=[0.001, -0.002, 0.0],
+                       covariance=[[1.0, 0.3, 0.0], [0.3, 0.8, 0.0], [0.0, 0.0, 0.04]],
+                       jump_sizes=[[0.02, -0.01, 0.05], [-0.015, 0.01, 0.0]],
+                       jump_intensities=[3.0, 2.0])
+    return LevyHjmModel(
+        driver=trip, n_curve_factors=2,
+        ois_vol=ExponentialVolatility(scales=[0.008, 0.005], decays=[0.3, 1.2]),
+        spread_vols=[ExponentialVolatility(scales=[0.004, 0.002], decays=[0.5, 0.0]),
+                     ExponentialVolatility(scales=[0.006, 0.001], decays=[0.1, 2.0])],
+        u_vectors=[[1.0], [1.5]], tenors=[T3M, T6M],
+        forward_curve=lambda T: 0.02 + 0.001 * T,
+        forward_spread_curves=[0.003, lambda T: 0.005 + 0.0005 * np.sin(T)],
+        spread_factor_mode="integrated-drift")
+
+
+def state_dependent_model():
+    """``two_factor_jump_model`` with curve-reading vols on the discount curve
+    and the 6M spread curve; the 3M spread curve keeps its exponential vol."""
+    model = two_factor_jump_model()
+    ois, spread = model.ois_vol, model.spread_vols[1]
+    model.ois_vol = StateDependentVolatility(
+        func=lambda theta, tau: ois.values(tau).T * (1.0 + 2.0 * np.abs(theta)),
+        n_components=2, growth_bound=0.02)
+    model.spread_vols[1] = StateDependentVolatility(
+        func=lambda theta, tau: spread.values(tau).T + 0.01 * np.abs(theta),
+        n_components=2, growth_bound=0.02)
+    return model
+
+
+def curve_blind(model):
+    """``model`` with every vol wrapped as a StateDependentVolatility that
+    ignores the curve and returns the same exponential loadings."""
+    def wrap(vol):
+        return StateDependentVolatility(func=lambda theta, tau: vol.values(tau).T,
+                                        n_components=vol.n_components,
+                                        growth_bound=float(vol.scales.max()))
+
+    model.ois_vol = wrap(model.ois_vol)
+    model.spread_vols = [wrap(vol) for vol in model.spread_vols]
+    return model
+
+
+def test_pinned_drifts_and_state_dependent_grid():
+    model = two_factor_jump_model()
+    tau = np.array([0.0, 0.35, 2.0])
+    assert ois_drift(model, tau).tolist() == [
+        -0.00018800000000000002, -0.00015523331174959823, -6.97667392955998e-05]
+    assert ois_drift(model, 1.1) == -0.00010757278415922343
+    assert spread_drift(model, 0, tau).tolist() == [
+        -9.230933554359641e-05, -4.902433393513108e-05, 3.339122675009794e-05]
+    assert spread_drift(model, 1, 1.1) == -0.0001154840799333268
+    assert spread_drift_adjustment(model, 0, tau).tolist() == [
+        9.569066445640361e-05, 0.00010620897781446716, 0.00010315796604569774]
+    assert spread_drift_adjustment(model, 1, tau).tolist() == [
+        1.4000000000000001e-05, 5.82384209277385e-06, -2.503849432816047e-05]
+    assert spread_drift_adjustment(model, 1, 1.1) == -7.911295774103373e-06
+    assert _precompute_alpha_rows(model, 0.3 * np.arange(4)).tolist() == [
+        [-0.00018800000000000002, -0.00015931859737627636, -0.00013690191199571325,
+         -0.00011837312475240533],
+        [-9.230933554359641e-05, -5.4291329229636215e-05, -2.6359121930719274e-05,
+         -5.717070133858112e-06],
+        [-0.000174, -0.00015248357916172528, -0.00013578417411570166,
+         -0.00012264613504932732]]
+
+    # two batches (2 + 1 paths) of the grid engine with curve-reading vols
+    res = simulate_hjm(state_dependent_model(), horizon=0.5, dt=1 / 8, n_paths=3, seed=7,
+                       maturities=[0.75, 1.5], observation_times=[0.25, 0.5], batch_size=2)
+    early, late = res.pathset(0.25), res.pathset(0.5)
+    assert early.bonds[:, 1].tolist() == [
+        0.9628562307689214, 0.9758057885302843, 0.9727259093345955]
+    assert early.spreads[T3M][:, 0].tolist() == [
+        1.1048716376056442, 1.002249645505147, 1.2864501609984305]
+    assert late.bonds.tolist() == [
+        [0.9883429184210866, 0.9580678592452623], [0.9953944521155352, 0.9806486189683387],
+        [0.9934475017107036, 0.974746149385583]]
+    assert late.numeraire.tolist() == [
+        1.014815307298788, 1.009900521904384, 1.0105453862927993]
+    assert late.spreads[T3M].tolist() == [
+        [1.2457502934537994, 1.2587892234719795], [1.1372586346643672, 1.1389333164967457],
+        [1.358459122657559, 1.364041278980929]]
+    assert late.spreads[T6M].tolist() == [
+        [1.3896571990697177, 1.410718144800672], [1.213382759884461, 1.2181401681319812],
+        [1.5831649935558372, 1.5928083040470982]]
+    assert res.diagnostics["consistency_series"].tolist() == [
+        0.009496163654972054, 0.012563613890845395, 0.012565012421085094,
+        0.012359313726397658]
+
+
+def test_closed_form_drifts_require_exponential_vols_only_on_the_curves_they_read():
+    model = state_dependent_model()
+    for drift in (lambda: ois_drift(model, 0.5), lambda: spread_drift(model, 0, 0.5),
+                  lambda: spread_drift_adjustment(model, 0, 0.5)):
+        with pytest.raises(TypeError, match="exponential volatility"):
+            drift()
+    # with an exponential discount vol only the 6M curve still reads the state
+    model.ois_vol = two_factor_jump_model().ois_vol
+    tau = np.array([0.0, 0.35, 2.0])
+    for drift in (ois_drift, lambda m, t: spread_drift(m, 0, t),
+                  lambda m, t: spread_drift_adjustment(m, 0, t)):
+        assert np.array_equal(drift(model, tau), drift(two_factor_jump_model(), tau))
+    for drift in (spread_drift, spread_drift_adjustment):
+        with pytest.raises(TypeError, match="exponential volatility"):
+            drift(model, 1, 0.5)
+
+
+def test_state_dependent_drift_is_second_order_close_to_the_closed_form():
+    # curve-blind loadings give the grid engine the exponential model's noise
+    # on the same draws, but a drift from running trapezoids of the loadings
+    # where the exponential model's comes from closed-form integrals: the
+    # pathwise gap is the trapezoids' O(dt^2) error
+    gaps = []
+    for dt in (1 / 8, 1 / 16, 1 / 32):
+        kw = dict(horizon=0.5, dt=dt, n_paths=4, seed=5, maturities=[1.0, 2.0], method="grid")
+        exact = simulate_hjm(two_factor_jump_model(), **kw).pathset(0.5)
+        blind = simulate_hjm(curve_blind(two_factor_jump_model()), **kw).pathset(0.5)
+        pairs = [(blind.bonds, exact.bonds),
+                 *((blind.spreads[t], exact.spreads[t]) for t in (T3M, T6M))]
+        gaps.append(max(np.max(np.abs(np.log(b / a))) for b, a in pairs))
+        assert gaps[-1] <= 2e-6 * dt**2
+    assert all(math.log2(gaps[k] / gaps[k + 1]) >= 1.8 for k in range(2))
 
 
 class TestGuards:

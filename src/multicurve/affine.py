@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
+from ._checks import checked
 from .products import EmptyPathSet, PathSet
 from .rng import path_generator  # noqa: F401 - bench/trace.py wraps this name; no module calls it
 from .termstructure import Tenor
@@ -97,8 +98,9 @@ class AffineJumps:
     atoms_y: np.ndarray | None = None
 
     def __post_init__(self):
-        self.atoms_x = np.atleast_2d(np.asarray(self.atoms_x, dtype=float))
-        self.probabilities = np.atleast_1d(np.asarray(self.probabilities, dtype=float))
+        self.atoms_x = np.atleast_2d(checked(self.atoms_x, "atoms_x"))
+        self.probabilities = np.atleast_1d(checked(self.probabilities, "probabilities"))
+        self.intensity_const = checked(self.intensity_const, "intensity_const")
         if len(self.probabilities) != len(self.atoms_x):
             raise ValueError("one probability per jump atom required")
         if np.any(self.probabilities < 0) or abs(self.probabilities.sum() - 1.0) > 1e-12:
@@ -141,32 +143,28 @@ class AffineModelSpec:
         d, p, n = self.dim, self.pos_dims, self.n_spread
         if p < 0 or self.real_dims < 0 or d == 0:
             raise ValueError("state dimensions must be nonnegative with dim >= 1")
-        self.drift_const = _vec(self.drift_const, d, "drift_const")
-        self.drift_linear = _mat(self.drift_linear, (d, d), "drift_linear")
-        self.diffusion_const = _mat(self.diffusion_const, (d, d), "diffusion_const")
-        if self.diffusion_linear is None:
-            self.diffusion_linear = np.zeros((d, d, d))
-        self.diffusion_linear = np.asarray(self.diffusion_linear, dtype=float)
-        if self.diffusion_linear.shape != (d, d, d):
-            raise ValueError(f"diffusion_linear must have shape {(d, d, d)}")
-        self.rate_linear = _vec(self.rate_linear, d, "rate_linear")
-        self.u_vectors = (np.zeros((0, n)) if self.u_vectors is None
-                          else np.atleast_2d(np.asarray(self.u_vectors, dtype=float)))
+        self.drift_const = checked(self.drift_const, "drift_const", shape=(d,))
+        self.drift_linear = checked(self.drift_linear, "drift_linear", shape=(d, d))
+        self.diffusion_const = checked(self.diffusion_const, "diffusion_const", shape=(d, d))
+        self.diffusion_linear = checked(self.diffusion_linear, "diffusion_linear",
+                                        shape=(d, d, d), default=0.0)
+        self.rate_const = checked(self.rate_const, "rate_const")
+        self.rate_linear = checked(self.rate_linear, "rate_linear", shape=(d,))
+        self.u_vectors = np.atleast_2d(checked(
+            np.zeros((0, n)) if self.u_vectors is None else self.u_vectors, "u_vectors"))
         if self.u_vectors.shape[1] != n:
             raise ValueError(f"u_vectors must have {n} columns")
         self.tenors = list(self.tenors)
         if len(self.tenors) != len(self.u_vectors):
             raise ValueError("one tenor per spread loading vector required")
-        self.y_drift_const = _vec(self.y_drift_const, n, "y_drift_const", default=0.0)
-        self.y_drift_linear = _mat(self.y_drift_linear, (n, d), "y_drift_linear", default=0.0)
-        self.y_diff_const = _mat(self.y_diff_const, (n, n), "y_diff_const", default=0.0)
-        if self.y_diff_linear is None:
-            self.y_diff_linear = np.zeros((d, n, n))
-        self.y_diff_linear = np.asarray(self.y_diff_linear, dtype=float)
-        if self.y_diff_linear.shape != (d, n, n):
-            raise ValueError(f"y_diff_linear must have shape {(d, n, n)}")
-        self.x0 = _vec(self.x0, d, "x0", default=0.0)
-        self.y0 = _vec(self.y0, n, "y0", default=0.0)
+        self.y_drift_const = checked(self.y_drift_const, "y_drift_const", shape=(n,), default=0.0)
+        self.y_drift_linear = checked(self.y_drift_linear, "y_drift_linear", shape=(n, d),
+                                      default=0.0)
+        self.y_diff_const = checked(self.y_diff_const, "y_diff_const", shape=(n, n), default=0.0)
+        self.y_diff_linear = checked(self.y_diff_linear, "y_diff_linear", shape=(d, n, n),
+                                     default=0.0)
+        self.x0 = checked(self.x0, "x0", shape=(d,), default=0.0)
+        self.y0 = checked(self.y0, "y0", shape=(n,), default=0.0)
         if self.y_mode not in ("integrated", "diffusive"):
             raise ValueError(f"unknown y_mode {self.y_mode!r}")
         if self.y_mode == "integrated" and (
@@ -233,11 +231,10 @@ class AffineModelSpec:
             j = self.jumps
             if j.atoms_x.shape[1] != d:
                 raise ValueError("jump atoms must have one X column per state dimension")
-            j.atoms_y = (np.zeros((len(j.atoms_x), self.n_spread)) if j.atoms_y is None
-                         else np.atleast_2d(np.asarray(j.atoms_y, dtype=float)))
-            if j.atoms_y.shape != (len(j.atoms_x), self.n_spread):
-                raise ValueError("jump atoms must have one Y column per spread factor")
-            j.intensity_linear = _vec(j.intensity_linear, d, "intensity_linear", default=0.0)
+            j.atoms_y = checked(j.atoms_y, "atoms_y", shape=(len(j.atoms_x), self.n_spread),
+                                default=0.0)
+            j.intensity_linear = checked(j.intensity_linear, "intensity_linear", shape=(d,),
+                                         default=0.0)
             if j.intensity_const < 0 or np.any(j.intensity_linear[:p] < 0):
                 raise InadmissibleSpec("jump intensity must be nonnegative on the state space")
             if np.any(j.intensity_linear[p:] != 0.0):
@@ -251,28 +248,6 @@ class AffineModelSpec:
             _check_psd(self.y_diff_linear[k], f"y_diff_linear[{k}]")
         if np.any(self.x0[:p] < 0):
             raise InadmissibleSpec("x0 must respect the positive components")
-
-
-def _vec(value, length, name, default=None):
-    if value is None:
-        if default is None:
-            raise ValueError(f"{name} is required")
-        return np.full(length, float(default))
-    out = np.atleast_1d(np.asarray(value, dtype=float))
-    if out.shape != (length,):
-        raise ValueError(f"{name} must have shape ({length},)")
-    return out
-
-
-def _mat(value, shape, name, default=None):
-    if value is None:
-        if default is None:
-            raise ValueError(f"{name} is required")
-        return np.full(shape, float(default))
-    out = np.atleast_2d(np.asarray(value, dtype=float))
-    if out.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}")
-    return out
 
 
 def _check_psd(m: np.ndarray, name: str):
@@ -378,11 +353,7 @@ def _terminal_exponents(spec: AffineModelSpec, V: np.ndarray, U: np.ndarray, w: 
     V = np.atleast_2d(np.asarray(V, dtype=complex))
     U = np.atleast_2d(np.asarray(U, dtype=complex))
     rows = len(V)
-    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (rows,))
-    if not np.all(np.isfinite(horizon)):
-        raise ValueError("horizon must be finite")
-    if np.any(horizon < 0):
-        raise ValueError("horizon must be nonnegative")
+    horizon = np.broadcast_to(checked(horizon, "horizon", "finite and nonnegative"), (rows,))
     out = np.zeros((rows, 1 + spec.dim), dtype=complex)
     out[:, 1:] = V
     if spec.pos_dims == 0 and spec.jumps is None:
@@ -497,7 +468,7 @@ def affine_bond(spec: AffineModelSpec, x, tau):
     Scalar tau gives a float; an array of taus gives an array.  Strictly
     positive by construction (exponential of a real affine form).
     """
-    x = _vec(x, spec.dim, "x")
+    x = checked(x, "x", shape=(spec.dim,))
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     phi, psi = _exponents(spec, tau_arr)
     out = np.exp(phi + psi @ x)
@@ -506,8 +477,8 @@ def affine_bond(spec: AffineModelSpec, x, tau):
 
 def affine_spread(spec: AffineModelSpec, x, y, tau, i: int):
     """Multiplicative spread S^i(t, t + tau) at driver state x, spread state y."""
-    x = _vec(x, spec.dim, "x")
-    y = _vec(y, spec.n_spread, "y")
+    x = checked(x, "x", shape=(spec.dim,))
+    y = checked(y, "y", shape=(spec.n_spread,))
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     phi_b, psi_b = _exponents(spec, tau_arr)
     phi_s, psi_s = _exponents(spec, tau_arr, spec.u_vectors[i])
@@ -559,7 +530,7 @@ def shifted_curves(spec: AffineModelSpec, market_disc, market_spreads,
     """
     if T < t:
         raise ValueError("T must not precede t")
-    x = _vec(x, spec.dim, "x")
+    x = checked(x, "x", shape=(spec.dim,))
     tau = T - t
     # rows solve independently: equal times give equal exponents, so t = 0
     # cancels bitwise
@@ -570,7 +541,7 @@ def shifted_curves(spec: AffineModelSpec, market_disc, market_spreads,
     spread = None
     if tenor is not None:
         i = spec.tenor_index(tenor)
-        y = _vec(y, spec.n_spread, "y")
+        y = checked(y, "y", shape=(spec.n_spread,))
         u = spec.u_vectors[i]
         phi_s, psi_s = _exponents(spec, [tau, T], u)
         model_now = math.exp(u @ y + phi_s[0] - phi[2] + (psi_s[0] - psi[2]) @ x)
@@ -703,16 +674,13 @@ def simulate_affine(spec: AffineModelSpec, horizon: float, dt: float,
     raises ValueError naming it, and fewer than one path ``EmptyPathSet``,
     both before any draw.
     """
-    for name, value in (("horizon", horizon), ("dt", dt)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    horizon = checked(horizon, "horizon", "positive and finite")
+    dt = checked(dt, "dt", "positive and finite")
     if dt > horizon:
         raise ValueError("dt exceeds the horizon")
-    if n_paths < 1:
+    if checked(n_paths, "n_paths") < 1:
         raise EmptyPathSet(f"n_paths must be at least 1, got {n_paths}")
-    maturities = np.asarray(sorted(float(m) for m in maturities), dtype=float)
-    if not np.isfinite(maturities).all():
-        raise ValueError(f"maturities must be finite, got {maturities}")
+    maturities = np.sort(checked(maturities, "maturities"))
     if len(maturities) == 0 or maturities[0] < horizon - 1e-12:
         raise ValueError("maturities must lie at or beyond the horizon")
 
@@ -856,9 +824,7 @@ def _caplet_contour_prices(spec, T, i, kappas, tail_tol=1e-12, tol=None):
     the damped moment explodes before T and QuadratureNonConvergence when
     the tail stays above ``tail_tol`` after ``_MAX_PANELS`` panels.
     """
-    kappas = np.asarray(kappas, dtype=float)
-    if not np.all(np.isfinite(kappas) & (kappas > 0.0)):
-        raise ValueError("contour pricing requires finite cap factors above zero")
+    kappas = checked(kappas, "cap factors", "positive and finite")
     delta = float(spec.tenors[i])
     phi_b, psi_b = _exponents(spec, delta, tol=tol)
     phi_b, psi_b = float(phi_b[0]), psi_b[0]
@@ -935,8 +901,7 @@ def caplet_price_fourier(spec: AffineModelSpec, T: float, tenor: Tenor | int,
     noise is priced by the exact positive-part formula instead.  A
     non-finite ``fixed_rate`` raises ValueError.
     """
-    if not math.isfinite(fixed_rate):
-        raise ValueError(f"fixed_rate must be finite, got {fixed_rate}")
+    fixed_rate = checked(fixed_rate, "fixed_rate")
     i = spec.tenor_index(tenor)
     delta = float(spec.tenors[i])
     kappa = 1.0 + delta * fixed_rate

@@ -54,6 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
+from ._checks import checked
 from .momentkernel import OBJECTIVES, KernelFamily, kernel_jump_step
 from .products import EmptyPathSet, PathSet
 from .termstructure import Tenor
@@ -108,14 +109,15 @@ class LevyTriplet:
     jump_intensities: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.drift, dtype=float))
-        c = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        xi = np.asarray(self.jump_sizes, dtype=float)
+        b = np.atleast_1d(checked(self.drift, "drift"))
+        c = np.atleast_2d(checked(self.covariance, "covariance"))
+        xi = np.asarray(checked(self.jump_sizes, "jump_sizes"))
         if xi.ndim == 1:
             xi = xi[:, None]
         if xi.size == 0:
             xi = np.zeros((0, len(b)))
-        lam = np.atleast_1d(np.asarray(self.jump_intensities, dtype=float))
+        lam = np.atleast_1d(checked(self.jump_intensities, "jump_intensities",
+                                    "finite and nonnegative"))
         object.__setattr__(self, "drift", b)
         object.__setattr__(self, "covariance", c)
         object.__setattr__(self, "jump_sizes", xi)
@@ -129,8 +131,6 @@ class LevyTriplet:
             raise ValueError("jump sizes must have one column per driver dimension")
         if xi.shape[0] != len(lam):
             raise ValueError("one intensity per jump atom required")
-        if not np.all(np.isfinite(lam) & (lam >= 0)):
-            raise ValueError("jump intensities must be finite and nonnegative")
 
     @property
     def dim(self) -> int:
@@ -183,14 +183,12 @@ class ExponentialVolatility:
     decays: np.ndarray
 
     def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.scales, dtype=float))
-        a = np.atleast_1d(np.asarray(self.decays, dtype=float))
+        s = np.atleast_1d(checked(self.scales, "scales"))
+        a = np.atleast_1d(checked(self.decays, "decays", "finite and nonnegative"))
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "decays", a)
         if s.shape != a.shape:
             raise ValueError("scales and decays must have matching shapes")
-        if np.any(a < 0):
-            raise ValueError("decays must be nonnegative")
 
     @classmethod
     def flat(cls, scale: float, n_components: int = 1) -> "ExponentialVolatility":
@@ -248,10 +246,10 @@ class StateDependentVolatility:
 # model
 
 
-def _as_curve_fn(obj) -> Callable[[np.ndarray], np.ndarray]:
+def _as_curve_fn(obj, name: str) -> Callable[[np.ndarray], np.ndarray]:
     if callable(obj):
         return lambda x: np.asarray(obj(np.asarray(x, dtype=float)), dtype=float)
-    level = float(obj)
+    level = checked(obj, name)
     return lambda x: np.full_like(np.asarray(x, dtype=float), level)
 
 
@@ -289,15 +287,11 @@ class LevyHjmModel:
     y0: np.ndarray | None = None
 
     def __post_init__(self):
-        self.u_vectors = np.atleast_2d(np.asarray(self.u_vectors, dtype=float))
         self.tenors = list(self.tenors)
         d, n = self.n_curve_factors, self.n_spread_factors
         if d < 0 or n < 0:
             raise ValueError("driver dimension smaller than n_curve_factors")
-        if self.u_vectors.shape != (self.n_tenors, n):
-            raise ValueError(
-                f"u_vectors must be ({self.n_tenors}, {n}), got {self.u_vectors.shape}"
-            )
+        self.u_vectors = checked(self.u_vectors, "u_vectors", shape=(self.n_tenors, n))
         if len(self.spread_vols) != self.n_tenors or len(self.forward_spread_curves) != self.n_tenors:
             raise ValueError("one volatility and one initial curve per tenor required")
         for vol in (self.ois_vol, *self.spread_vols):
@@ -309,14 +303,11 @@ class LevyHjmModel:
             raise ValueError("kernel mode requires exactly one spread-factor dimension")
         if self.kernel_objective not in OBJECTIVES:
             raise ValueError(f"unknown kernel_objective {self.kernel_objective!r}")
-        if self.y0 is None:
-            self.y0 = np.zeros(n)
-        else:
-            self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-            if self.y0.shape != (n,):
-                raise ValueError(f"y0 must have shape ({n},)")
-        self._f0 = _as_curve_fn(self.forward_curve)
-        self._eta0 = [_as_curve_fn(c) for c in self.forward_spread_curves]
+        self.y0 = checked(self.y0, "y0", shape=(n,), default=0.0)
+        self.kernel_mass_cap = checked(self.kernel_mass_cap, "kernel_mass_cap",
+                                       "positive and finite")
+        self._f0 = _as_curve_fn(self.forward_curve, "forward_curve")
+        self._eta0 = [_as_curve_fn(c, "forward_spread_curves") for c in self.forward_spread_curves]
 
     @property
     def n_spread_factors(self) -> int:
@@ -691,21 +682,16 @@ def simulate_hjm(model: LevyHjmModel, horizon: float, dt: float, n_paths: int, s
     ValueError naming it, and fewer than one path ``EmptyPathSet``, all
     before any draw.
     """
-    for name, value in (("horizon", horizon), ("dt", dt)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if n_paths < 1:
+    horizon = checked(horizon, "horizon", "positive and finite")
+    dt = checked(dt, "dt", "positive and finite")
+    if checked(n_paths, "n_paths") < 1:
         raise EmptyPathSet(f"n_paths must be at least 1, got {n_paths}")
     if observation_times is None:
         observation_times = [horizon]
-    observation_times = sorted(float(t) for t in observation_times)
-    if not all(map(math.isfinite, observation_times)):
-        raise ValueError(f"observation_times must be finite, got {observation_times}")
+    observation_times = np.sort(checked(observation_times, "observation_times")).tolist()
     if not observation_times or abs(observation_times[-1] - horizon) > 1e-12:
         raise ValueError("the last observation time must equal the horizon")
-    maturities = np.sort(np.asarray(maturities, dtype=float))
-    if not np.isfinite(maturities).all():
-        raise ValueError(f"maturities must be finite, got {maturities}")
+    maturities = np.sort(checked(maturities, "maturities"))
     if len(maturities) == 0 or maturities[-1] < horizon - 1e-12:
         raise ValueError("need at least one maturity at or beyond the horizon")
 

@@ -34,6 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
+from ._checks import checked
+from .products import EmptyPathSet
 
 __all__ = [
     "MomentTargets",
@@ -101,21 +103,18 @@ class MomentTargets:
 
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
+        p = np.atleast_1d(checked(self.p, "p"))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "p", p)
         if len(u) == 0 or len(u) != len(p):
             raise ValueError("u and p must be nonempty and equally long")
-        for name in ("p", "floor", "mass_cap", "p_extra"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value}")
+        checked(self.floor, "floor", "finite and nonnegative")
+        if checked(self.mass_cap, "mass_cap") <= 0:
+            raise ValueError("mass_cap must be positive")
+        if self.p_extra is not None:
+            checked(self.p_extra, "p_extra")
         if not np.all(u > 0) or np.any(np.diff(u) <= 0):
             raise ValueError("u must be strictly increasing and positive")
-        if self.mass_cap <= 0:
-            raise ValueError("mass_cap must be positive")
-        if self.floor < 0:
-            raise ValueError("floor must be nonnegative")
 
     @property
     def m(self) -> int:
@@ -459,8 +458,15 @@ def simulate_yperp(family: KernelFamily, targets: Callable[[float], np.ndarray],
     atoms (re-solving after every jump so the support floor tracks the
     post-jump state).  The compensator integral accumulates the frozen
     exponent Psi(u_i) * dt per step.  Path i reads its count and atom doubles from its row on stream 1
-    (``rng.JumpRows``), so its numbers do not depend on ``n_paths``.
+    (``rng.JumpRows``), so its numbers do not depend on ``n_paths``.  A horizon
+    or dt that is not positive and finite, or a non-finite n_paths, raises
+    ValueError naming it, and fewer than one path ``EmptyPathSet``, before any
+    draw.
     """
+    horizon = checked(horizon, "horizon", "positive and finite")
+    dt = checked(dt, "dt", "positive and finite")
+    if checked(n_paths, "n_paths") < 1:
+        raise EmptyPathSet(f"n_paths must be at least 1, got {n_paths}")
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ValueError("horizon must be an integer number of steps")

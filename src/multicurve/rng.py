@@ -50,6 +50,8 @@ import math
 
 import numpy as np
 
+from ._checks import checked
+
 DRIVER_STREAM = 0
 YPERP_STREAM = 1
 DRIVER_JUMP_COLUMN = 4
@@ -106,7 +108,7 @@ def map_batches(batch, n_paths: int, batch_size: int) -> list:
     The results come in path order, and the batches run in it, because HJM
     kernel mode shares one ``KernelFamily`` cache across its batches.  A
     ``batch_size`` below 1 raises ValueError naming it, before any batch."""
-    if batch_size < 1:
+    if checked(batch_size, "batch_size") < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     return [batch(lo, min(lo + batch_size, n_paths)) for lo in range(0, n_paths, batch_size)]
 

@@ -31,6 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._checks import checked
+
 __all__ = [
     "Tenor",
     "DiscountCurve",
@@ -121,10 +123,17 @@ class Tenor:
 def _check_times(times: np.ndarray, what: str) -> None:
     if times.ndim != 1 or len(times) == 0:
         raise ValueError(f"{what} needs at least one pillar")
-    if times[0] <= 0:
-        raise ValueError(f"{what} pillars must be strictly positive")
+    checked(times, "times", "positive and finite")
     if np.any(np.diff(times) <= 0):
         raise NonIncreasingMaturities(f"{what} pillars must be strictly increasing")
+
+
+def _check_domain(curve, T: np.ndarray) -> None:
+    checked(T, "maturity", "finite and nonnegative")
+    if not curve.allow_extrapolation and np.any(T > curve.times[-1] * (1 + 1e-14) + 1e-14):
+        raise ExtrapolationDisabled(
+            f"maturity beyond last pillar {curve.times[-1]}; construct with allow_extrapolation=True"
+        )
 
 
 class DiscountCurve:
@@ -138,8 +147,7 @@ class DiscountCurve:
         _check_times(times, "discount curve")
         if len(discounts) != len(times):
             raise ValueError("times and discounts must have equal length")
-        if np.any(discounts <= 0):
-            raise ValueError("discount factors must be positive")
+        checked(discounts, "discounts", "positive and finite")
         self.times = np.concatenate(([0.0], times))
         self.log_discounts = np.concatenate(([0.0], np.log(discounts)))
         self.allow_extrapolation = allow_extrapolation
@@ -154,18 +162,10 @@ class DiscountCurve:
     def pillar_discounts(self) -> np.ndarray:
         return np.exp(self.log_discounts[1:])
 
-    def _check_domain(self, T: np.ndarray) -> None:
-        if np.any(T < 0):
-            raise ValueError("maturity must be nonnegative")
-        if not self.allow_extrapolation and np.any(T > self.times[-1] * (1 + 1e-14) + 1e-14):
-            raise ExtrapolationDisabled(
-                f"maturity beyond last pillar {self.times[-1]}; construct with allow_extrapolation=True"
-            )
-
     def discount(self, T):
         """B(0,T); log-linear between pillars, flat forward beyond if extrapolating."""
         T_arr = np.asarray(T, dtype=float)
-        self._check_domain(T_arr)
+        _check_domain(self, T_arr)
         logdf = np.interp(T_arr, self.times, self.log_discounts)
         over = T_arr > self.times[-1]
         if np.any(over):
@@ -177,7 +177,7 @@ class DiscountCurve:
     def instantaneous_forward(self, T):
         """f(0,T) = -d/dT log B(0,T); piecewise constant, right-continuous at pillars."""
         T_arr = np.asarray(T, dtype=float)
-        self._check_domain(T_arr)
+        _check_domain(self, T_arr)
         idx = np.searchsorted(self.times, T_arr, side="right") - 1
         idx = np.clip(idx, 0, len(self._segment_forwards) - 1)
         out = self._segment_forwards[idx]
@@ -185,9 +185,7 @@ class DiscountCurve:
 
     def simple_forward(self, T, delta) -> float:
         """Simply compounded OIS forward L_D(0; T, T+delta)."""
-        d = float(delta)
-        if d <= 0:
-            raise ValueError("tenor must be positive")
+        d = checked(delta, "delta", "positive and finite")
         return (self.discount(T) / self.discount(T + d) - 1.0) / d
 
 
@@ -203,8 +201,7 @@ class SpreadTermStructure:
         _check_times(times, "spread curve")
         if len(spreads) != len(times):
             raise ValueError("times and spreads must have equal length")
-        if np.any(spreads <= 0):
-            raise ValueError("spreads must be positive")
+        checked(spreads, "spreads", "positive and finite")
         self.tenor = tenor if isinstance(tenor, Tenor) else Tenor(tenor)
         self.times = times
         self.log_spreads = np.log(spreads)
@@ -222,18 +219,10 @@ class SpreadTermStructure:
     def pillar_spreads(self) -> np.ndarray:
         return np.exp(self.log_spreads)
 
-    def _check_domain(self, T: np.ndarray) -> None:
-        if np.any(T < 0):
-            raise ValueError("maturity must be nonnegative")
-        if not self.allow_extrapolation and np.any(T > self.times[-1] * (1 + 1e-14) + 1e-14):
-            raise ExtrapolationDisabled(
-                f"maturity beyond last pillar {self.times[-1]}; construct with allow_extrapolation=True"
-            )
-
     def spread(self, T):
         """S(0,T); flat in log left of the first pillar and (if enabled) beyond the last."""
         T_arr = np.asarray(T, dtype=float)
-        self._check_domain(T_arr)
+        _check_domain(self, T_arr)
         logs = np.interp(T_arr, self.times, self.log_spreads)
         out = np.exp(logs)
         return out if np.ndim(T) else float(out)
@@ -241,7 +230,7 @@ class SpreadTermStructure:
     def forward_spread_rate(self, T):
         """eta(T) = d/dT log S(0,T); piecewise constant, right-continuous, 0 where flat."""
         T_arr = np.atleast_1d(np.asarray(T, dtype=float))
-        self._check_domain(T_arr)
+        _check_domain(self, T_arr)
         out = np.zeros_like(T_arr)
         if len(self._segment_slopes) > 0:
             idx = np.searchsorted(self.times, T_arr, side="right") - 1
@@ -258,7 +247,7 @@ def fra_rate(spread: float, ois_forward: float, delta) -> float:
     L = (S * (1 + delta * L_D) - 1) / delta, the inverse of the spread
     definition S = (1 + delta L) / (1 + delta L_D).
     """
-    d = float(delta)
+    d = checked(delta, "delta", "positive and finite")
     return (spread * (1.0 + d * ois_forward) - 1.0) / d
 
 
@@ -309,7 +298,7 @@ class MarketQuoteSet:
 
 
 def _schedule(maturity: float, delta: float) -> np.ndarray:
-    n = int(round(maturity / delta))
+    n = int(round(checked(maturity, "maturity") / delta))
     if n < 1 or abs(n * delta - maturity) > 1e-9:
         raise ValueError(f"maturity {maturity} is not an integer number of {delta} periods")
     return delta * np.arange(0, n + 1)

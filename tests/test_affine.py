@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import logging
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import multicurve as mc
 from multicurve import affine as affine_module
 from multicurve.affine import (
     AffineJumps,
@@ -27,6 +30,7 @@ from multicurve.affine import (
     simulate_affine,
 )
 from multicurve.hjm import ExponentialVolatility, LevyHjmModel, LevyTriplet, simulate_hjm
+from multicurve.momentkernel import KernelFamily, simulate_yperp
 from multicurve.products import EmptyPathSet, caplet_price_mc, fra_value
 from multicurve.termstructure import DiscountCurve, SpreadTermStructure, Tenor
 
@@ -214,7 +218,7 @@ class TestRiccati:
         assert 0.0 < err.value.blow_up_time <= 10.0
 
     def test_horizon_must_be_nonnegative(self, cir_spec):
-        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        with pytest.raises(ValueError, match="^horizon must be finite and nonnegative"):
             one_row(cir_spec, [0.0], [], 0.0, -0.5)
         # at horizon 0 the exponents are the initial condition (0, V)
         phi, psi = _terminal_exponents(cir_spec, [[-0.3], [0.7]], [[], []], 1.0, [0.0, 0.0])
@@ -871,7 +875,7 @@ class TestCapletFourier:
         spec = ROW_SPECS["cir_jumps"]
         with pytest.raises(ValueError, match="fixed_rate must be finite"):
             caplet_price_fourier(spec, 1.0, T6M, strike)
-        with pytest.raises(ValueError, match="finite cap factors"):
+        with pytest.raises(ValueError, match="^cap factors must be positive and finite"):
             _caplet_contour_prices(spec, 1.0, 0, [1.01, 1.0 + 0.5 * strike])
 
 
@@ -930,19 +934,24 @@ def test_contour_logs_its_panels(vasicek_spec, caplog):
         assert int(match[2]) <= int(match[3])
 
 
+HJM_GUARD = dict(
+    driver=LevyTriplet(drift=[0.0, 0.0], covariance=np.diag([1e-4, 1e-4])),
+    n_curve_factors=1, ois_vol=ExponentialVolatility.flat(0.01),
+    spread_vols=[ExponentialVolatility.flat(0.005)], u_vectors=np.array([[1.0]]),
+    tenors=[T6M], forward_curve=0.02, forward_spread_curves=[0.005],
+    spread_factor_mode="integrated-drift")
+
+
 def hjm_guard_model():
-    return LevyHjmModel(
-        driver=LevyTriplet(drift=[0.0, 0.0], covariance=np.diag([1e-4, 1e-4])),
-        n_curve_factors=1, ois_vol=ExponentialVolatility.flat(0.01),
-        spread_vols=[ExponentialVolatility.flat(0.005)], u_vectors=np.array([[1.0]]),
-        tenors=[T6M], forward_curve=0.02, forward_spread_curves=[0.005],
-        spread_factor_mode="integrated-drift")
+    return LevyHjmModel(**HJM_GUARD)
 
 
 SIMULATORS = {
     "gauss2": lambda **kw: simulate_affine(ROW_SPECS["gauss2"], **kw),
     "cir_jumps": lambda **kw: simulate_affine(ROW_SPECS["cir_jumps"], **kw),
     "hjm": lambda **kw: simulate_hjm(hjm_guard_model(), **kw),
+    "yperp": lambda maturities, **kw: simulate_yperp(
+        KernelFamily([0.5, 1.0], mass_cap=10.0), lambda t: [0.01, 0.03], **kw),
 }
 
 
@@ -950,8 +959,17 @@ SIMULATORS = {
 NON_FINITE_ARGS = {
     "horizon": lambda value: value,
     "dt": lambda value: value,
+    "n_paths": lambda value: value,
     "maturities": lambda value: [1.0, value],
     "observation_times": lambda value: [value, 0.5],
+}
+
+# the NON_FINITE_ARGS each simulator reads
+READS = {
+    "gauss2": ("horizon", "dt", "n_paths", "maturities"),
+    "cir_jumps": ("horizon", "dt", "n_paths", "maturities"),
+    "hjm": ("horizon", "dt", "n_paths", "maturities", "observation_times"),
+    "yperp": ("horizon", "dt", "n_paths"),
 }
 
 
@@ -965,16 +983,29 @@ def no_draws(monkeypatch, what):
 
 @pytest.mark.parametrize("arg, name", [
     pytest.param(arg, name, id=f"{arg}-{name}") for arg in NON_FINITE_ARGS
-    for name in sorted(SIMULATORS) if arg != "observation_times" or name == "hjm"])
+    for name in sorted(SIMULATORS) if arg in READS[name]])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_horizon_or_dt_rejected(name, arg, value, monkeypatch):
-    # horizon and dt must also be positive; maturities and observation times
-    # need only be finite here, and every check runs before any draw
+    # horizon and dt must also be positive; the other arguments need only be
+    # finite here, and every check runs before any draw
     no_draws(monkeypatch, arg)
     kw = dict(horizon=0.5, dt=0.125, n_paths=4, seed=1, maturities=[1.0])
     kw[arg] = NON_FINITE_ARGS[arg](value)
     expected = "positive and finite" if arg in ("horizon", "dt") else "finite"
     with pytest.raises(ValueError, match=f"^{arg} must be {expected}"):
+        SIMULATORS[name](**kw)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+@pytest.mark.parametrize("arg", ["horizon", "dt"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_non_positive_horizon_or_dt_rejected(name, arg, value, monkeypatch):
+    # unchecked, simulate_yperp divided by a zero dt and asked numpy for
+    # negative dimensions at a negative horizon
+    no_draws(monkeypatch, arg)
+    kw = dict(horizon=0.5, dt=0.125, n_paths=4, seed=1, maturities=[1.0])
+    kw[arg] = value
+    with pytest.raises(ValueError, match=f"^{arg} must be positive and finite"):
         SIMULATORS[name](**kw)
 
 
@@ -986,7 +1017,7 @@ def test_empty_run_rejected_before_any_draw(name, n_paths, monkeypatch):
         SIMULATORS[name](horizon=0.5, dt=0.125, n_paths=n_paths, seed=1, maturities=[1.0])
 
 
-@pytest.mark.parametrize("name", sorted(SIMULATORS))
+@pytest.mark.parametrize("name", sorted(set(SIMULATORS) - {"yperp"}))
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_batch_size_below_one_rejected_before_any_draw(name, batch_size, monkeypatch):
     # rng.map_batches checks it for both simulators
@@ -994,6 +1025,162 @@ def test_batch_size_below_one_rejected_before_any_draw(name, batch_size, monkeyp
     with pytest.raises(ValueError, match="^batch_size must be at least 1"):
         SIMULATORS[name](horizon=0.5, dt=0.125, n_paths=4, seed=1, maturities=[1.0],
                          batch_size=batch_size)
+
+
+# ---------------------------------------------------------------------------
+# every public entry point takes a bad number with a typed error
+
+
+class CallHung(Exception):
+    """A call ran past its alarm."""
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    def hung(signum, frame):
+        raise CallHung(f"no result after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# the module errors the entry points document beside ValueError and its subclasses
+DOCUMENTED_ERRORS = (ValueError, mc.RiccatiExplosion, mc.RiccatiAccuracyError,
+                     mc.QuadratureNonConvergence, mc.SimulationAborted, mc.KernelInfeasible,
+                     mc.KernelResidualError, mc.NoSolution, mc.MaturityNotCovered)
+
+DISC = DiscountCurve([0.5, 1.0, 2.0], [0.99, 0.98, 0.955], allow_extrapolation=True)
+SPREAD_3M = SpreadTermStructure(T3M, [0.5, 1.0, 2.0], [1.0005, 1.001, 1.002],
+                                allow_extrapolation=True)
+SPREAD_6M = SpreadTermStructure(T6M, [0.5, 1.0, 2.0], [1.001, 1.002, 1.004],
+                                allow_extrapolation=True)
+PATHS = dict(time=0.5, maturities=[0.5, 1.0, 1.5], numeraire=[1.01, 1.02],
+             bonds=[[1.0, 0.99, 0.98], [1.0, 0.985, 0.97]],
+             spreads={T6M: np.array([[1.001, 1.002, 1.003], [1.0015, 1.0025, 1.0035]])})
+SIM_ARGS = dict(horizon=0.5, dt=0.125, n_paths=4, seed=1, maturities=[1.0])
+TARGETS = dict(u=[0.5, 1.0], p=[0.01, 0.03], mass_cap=10.0, floor=0.0)
+SCHEDULE = dict(schedule=[0.5, 1.0, 1.5])
+G2_STATE = dict(spec=ROW_SPECS["gauss2"], x=[0.02, 0.001], y=[0.004])
+
+# name: (call, valid keyword arguments, the numeric ones an example may spoil).
+# Tenor indices, dimensions, seeds and grid sizes select or size a computation
+# and are left alone.
+ENTRY_POINTS = {
+    "AffineModelSpec": (mc.AffineModelSpec, dict(
+        pos_dims=1, real_dims=1, drift_const=[0.032, 0.0], drift_linear=[[-0.8, 0.0], [0.2, -0.5]],
+        diffusion_const=[[0.0, 0.0], [0.0, 1e-4]],
+        diffusion_linear=[[[0.05, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        rate_const=0.0, rate_linear=[1.0, 1.0], n_spread=1, u_vectors=[[1.0]], tenors=(T6M,),
+        y_mode="diffusive", y_drift_const=[0.001], y_drift_linear=[[0.1, 0.0]],
+        y_diff_const=[[1e-4]], y_diff_linear=[[[2.5e-3]], [[0.0]]], x0=[0.03, 0.0], y0=[0.004]),
+        ["drift_const", "drift_linear", "diffusion_const", "diffusion_linear", "rate_const",
+         "rate_linear", "u_vectors", "y_drift_const", "y_drift_linear", "y_diff_const",
+         "y_diff_linear", "x0", "y0"]),
+    "AffineJumps": (mc.AffineJumps, dict(
+        atoms_x=[[0.01, 0.002]], probabilities=[1.0], intensity_const=0.5,
+        intensity_linear=[4.0, 0.0], atoms_y=[[0.002]]),
+        ["atoms_x", "probabilities", "intensity_const", "intensity_linear", "atoms_y"]),
+    "affine_bond": (mc.affine_bond, dict(spec=ROW_SPECS["cir_jumps"], x=[0.03, 0.0], tau=1.0),
+                    ["x", "tau"]),
+    "affine_spread": (mc.affine_spread, dict(G2_STATE, tau=1.0, i=0), ["x", "y", "tau"]),
+    "shifted_curves": (mc.shifted_curves, dict(
+        G2_STATE, market_disc=DISC, market_spreads={T6M: SPREAD_6M}, t=0.25, T=1.0, tenor=T6M),
+        ["x", "y", "t", "T"]),
+    **{f"caplet_price_fourier-{name}": (mc.caplet_price_fourier, dict(
+        spec=ROW_SPECS[name], T=1.0, tenor=T6M, fixed_rate=0.02, notional=1.0),
+        ["T", "fixed_rate", "notional"]) for name in ("gauss2", "cir_jumps")},
+    **{f"simulate-{name}": (SIMULATORS[name], dict(SIM_ARGS, batch_size=3),
+                            [*READS[name], "batch_size"]) for name in ("gauss2", "cir_jumps")},
+    "simulate-hjm": (SIMULATORS["hjm"], dict(SIM_ARGS, observation_times=[0.25, 0.5],
+                                             batch_size=3),
+                     [*READS["hjm"], "batch_size"]),
+    "simulate-yperp": (SIMULATORS["yperp"], SIM_ARGS, READS["yperp"]),
+    "LevyTriplet": (mc.LevyTriplet, dict(
+        drift=[0.0, 0.0], covariance=[[1e-4, 0.0], [0.0, 1e-4]], jump_sizes=[[0.01, 0.002]],
+        jump_intensities=[0.5]), ["drift", "covariance", "jump_sizes", "jump_intensities"]),
+    "ExponentialVolatility": (mc.ExponentialVolatility, dict(scales=[0.01], decays=[0.5]),
+                              ["scales", "decays"]),
+    "LevyHjmModel": (mc.LevyHjmModel, dict(HJM_GUARD, y0=[0.001], kernel_mass_cap=50.0),
+                     ["u_vectors", "forward_curve", "forward_spread_curves", "kernel_mass_cap",
+                      "y0"]),
+    **{name: (getattr(mc, name), dict(model=hjm_guard_model(), tau=1.0, **kw), ["tau"])
+       for name, kw in (("ois_drift", {}), ("spread_drift", dict(i=0)),
+                        ("spread_drift_adjustment", dict(i=0)))},
+    "MomentTargets": (mc.MomentTargets, dict(TARGETS, p_extra=1.0),
+                      ["u", "p", "mass_cap", "floor", "p_extra"]),
+    "solve_jump_kernel": (lambda **kw: mc.solve_jump_kernel(mc.MomentTargets(**kw)), TARGETS,
+                          ["u", "p", "mass_cap", "floor"]),
+    "feasibility_check": (lambda **kw: mc.feasibility_check(mc.MomentTargets(**kw)), TARGETS,
+                          ["u", "p", "mass_cap", "floor"]),
+    "DiscountCurve": (DiscountCurve, dict(times=[0.5, 1.0], discounts=[0.99, 0.98]),
+                      ["times", "discounts"]),
+    "SpreadTermStructure": (SpreadTermStructure, dict(
+        tenor=T6M, times=[0.5, 1.0], spreads=[1.001, 1.002]), ["times", "spreads"]),
+    "discount": (DISC.discount, dict(T=[0.25, 3.0]), ["T"]),
+    "instantaneous_forward": (DISC.instantaneous_forward, dict(T=1.5), ["T"]),
+    "simple_forward": (DISC.simple_forward, dict(T=1.0, delta=0.5), ["T", "delta"]),
+    "spread": (SPREAD_6M.spread, dict(T=[0.25, 3.0]), ["T"]),
+    "forward_spread_rate": (SPREAD_6M.forward_spread_rate, dict(T=1.5), ["T"]),
+    "fra_rate": (mc.fra_rate, dict(spread=1.001, ois_forward=0.02, delta=0.5),
+                 ["spread", "ois_forward", "delta"]),
+    "fra_rate_from_curves": (mc.fra_rate_from_curves, dict(
+        disc=DISC, spread_curve=SPREAD_6M, T=1.0), ["T"]),
+    "bootstrap_ois_curve": (lambda maturity, rate: mc.bootstrap_ois_curve(
+        [mc.OisSwapQuote(1.0, 0.02, T6M), mc.OisSwapQuote(maturity, rate, T6M)]),
+        dict(maturity=2.0, rate=0.021), ["maturity", "rate"]),
+    "bootstrap_spread_curve": (lambda maturity, rate: mc.bootstrap_spread_curve(
+        DISC, [mc.SpreadQuote(0.5, 0.025, "FRA"), mc.SpreadQuote(maturity, rate, "IRS")], T6M),
+        dict(maturity=2.0, rate=0.026), ["maturity", "rate"]),
+    "fra_value": (mc.fra_value, dict(
+        disc=DISC, spread_curve=SPREAD_6M, T=1.0, fixed_rate=0.02, notional=1.0),
+        ["T", "fixed_rate", "notional"]),
+    "ois_swap_rate": (mc.ois_swap_rate, dict(SCHEDULE, disc=DISC), ["schedule"]),
+    "ois_swap_value": (mc.ois_swap_value, dict(SCHEDULE, disc=DISC, fixed_rate=0.02,
+                                               notional=1.0),
+                       ["schedule", "fixed_rate", "notional"]),
+    "irs_swap_rate": (mc.irs_swap_rate, dict(SCHEDULE, disc=DISC, spread_curve=SPREAD_6M),
+                      ["schedule"]),
+    "irs_value": (mc.irs_value, dict(SCHEDULE, disc=DISC, spread_curve=SPREAD_6M,
+                                     fixed_rate=0.02, notional=1.0),
+                  ["schedule", "fixed_rate", "notional"]),
+    "basis_swap_spread": (mc.basis_swap_spread, dict(
+        disc=DISC, spread_a=SPREAD_6M, schedule_a=[0.5, 1.0, 1.5], spread_b=SPREAD_3M,
+        schedule_b=[0.5, 0.75, 1.0, 1.25, 1.5], schedule_fixed=[0.5, 1.0, 1.5]),
+        ["schedule_a", "schedule_b", "schedule_fixed"]),
+    "PathSet": (mc.PathSet, PATHS, ["time", "maturities", "numeraire", "bonds"]),
+    "caplet_price_mc": (mc.caplet_price_mc, dict(
+        paths=mc.PathSet(**PATHS), tenor=T6M, fixed_rate=0.02, notional=1.0),
+        ["fixed_rate", "notional"]),
+    "swaption_price_mc": (mc.swaption_price_mc, dict(
+        SCHEDULE, paths=mc.PathSet(**PATHS), tenor=T6M, fixed_rate=0.02, notional=1.0),
+        ["schedule", "fixed_rate", "notional"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@given(data=st.data())
+def test_public_entry_points_take_bad_numbers_with_typed_errors(name, data):
+    # one number of the call becomes NaN, +-inf, 0 or -1 (one entry of an
+    # array); the call may return, or raise ValueError or a documented module
+    # error, within a few seconds.  TypeError, ZeroDivisionError, IndexError,
+    # OverflowError, LinAlgError and a hang fail.
+    call, kwargs, numeric = ENTRY_POINTS[name]
+    arg = data.draw(st.sampled_from(numeric), label="argument")
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]), label="value")
+    spoiled = np.array(kwargs[arg], dtype=float)
+    spoiled.flat[data.draw(st.integers(0, spoiled.size - 1), label="entry")] = bad
+    with alarm(5.0):
+        try:
+            call(**{**kwargs, arg: spoiled if spoiled.ndim else float(spoiled)})
+        except (np.linalg.LinAlgError, IndexError):
+            raise  # numpy's subclasses of ValueError fail too
+        except DOCUMENTED_ERRORS:
+            pass
 
 
 class TestSpecValidation:
@@ -1083,3 +1270,22 @@ class TestSpecValidation:
         kw["x0"] = [-0.01, 0.0]
         with pytest.raises(ValueError, match="x0 must respect"):
             AffineModelSpec(**kw)
+
+    @pytest.mark.parametrize("field, value", [
+        ("drift_const", [math.nan, 0.0]), ("rate_const", math.nan), ("x0", [0.03, math.nan])],
+        ids=["drift_const", "rate_const", "x0"])
+    def test_non_finite_coefficient_named(self, field, value):
+        # each used to build a spec whose exponents and prices were NaN
+        kw = self.base_kwargs()
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            AffineModelSpec(**kw)
+
+
+def test_non_finite_state_named():
+    # affine_bond(spec, [nan, 0], 1) used to return nan
+    spec = ROW_SPECS["gauss2"]
+    with pytest.raises(ValueError, match="^x must be finite"):
+        affine_bond(spec, [math.nan, 0.0], 1.0)
+    with pytest.raises(ValueError, match="^y must be finite"):
+        affine_spread(spec, spec.x0, [math.inf], 1.0, 0)

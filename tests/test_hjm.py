@@ -114,6 +114,15 @@ class TestLevyTriplet:
                 LevyTriplet(drift=[0.0], covariance=[[1.0]],
                             jump_sizes=[[0.1]], jump_intensities=[bad])
 
+    @pytest.mark.parametrize("field, kw", [
+        ("drift", dict(drift=[math.nan])),
+        ("jump_sizes", dict(jump_sizes=[[math.inf]], jump_intensities=[1.0]))],
+        ids=["drift", "jump_sizes"])
+    def test_non_finite_drift_or_jump_size_named(self, field, kw):
+        # finite sizes as large as 1e308 stay allowed
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            LevyTriplet(**{"drift": [0.0], "covariance": [[1.0]], **kw})
+
     def test_diffusion_factor_singular_covariance(self):
         c = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one, Cholesky fails
         trip = LevyTriplet(drift=[0.0, 0.0], covariance=c)
@@ -139,6 +148,30 @@ class TestExponentialVolatility:
     def test_negative_decay_rejected(self):
         with pytest.raises(ValueError):
             ExponentialVolatility(scales=[0.01], decays=[-0.1])
+
+    @pytest.mark.parametrize("field", ["scales", "decays"])
+    def test_nan_scale_or_decay_named(self, field):
+        kw = dict(scales=[0.01], decays=[0.5])
+        kw[field] = [math.nan]
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ExponentialVolatility(**kw)
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("forward_curve", math.nan, "finite"), ("forward_spread_curves", [math.inf], "finite"),
+    ("kernel_mass_cap", math.nan, "positive and finite")],
+    ids=["forward_curve", "forward_spread_curves", "kernel_mass_cap"])
+def test_non_finite_model_input_named(field, value, rule):
+    # a NaN flat level used to abort every path after all the draws, and a
+    # NaN mass cap to fail at the first kernel LP under another name
+    kw = dict(driver=LevyTriplet(drift=[0.0, 0.0], covariance=np.eye(2)), n_curve_factors=1,
+              ois_vol=ExponentialVolatility.flat(0.01),
+              spread_vols=[ExponentialVolatility.flat(0.005)], u_vectors=[[1.0]],
+              tenors=[T6M], forward_curve=0.02, forward_spread_curves=[0.005],
+              spread_factor_mode="kernel")
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}"):
+        LevyHjmModel(**kw)
 
 
 class TestDrifts:
@@ -841,7 +874,9 @@ class TestGuards:
 
     def test_nan_driver_aborts(self):
         model = make_model()
-        bad = LevyTriplet(drift=[float("nan")], covariance=[[1.0]])
+        # the constructor rejects a NaN drift, so set it afterwards
+        bad = LevyTriplet(drift=[0.0], covariance=[[1.0]])
+        object.__setattr__(bad, "drift", np.array([np.nan]))
         model.driver = bad
         with pytest.raises(SimulationAborted):
             simulate_hjm(model, horizon=0.5, dt=1 / 4, n_paths=4, seed=1,

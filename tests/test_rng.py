@@ -654,7 +654,7 @@ def yperp_and_scalar(name, n_paths, seed):
 
 
 @settings(max_examples=20)
-@given(name=st.sampled_from(sorted(KERNEL_YPERP)), n_paths=st.integers(0, 12),
+@given(name=st.sampled_from(sorted(KERNEL_YPERP)), n_paths=st.integers(1, 12),
        seed=st.integers(0, 2 ** 64 - 1))
 def test_simulate_yperp_matches_scalar_rows(name, n_paths, seed):
     yperp_and_scalar(name, n_paths, seed)
@@ -662,7 +662,7 @@ def test_simulate_yperp_matches_scalar_rows(name, n_paths, seed):
 
 @settings(max_examples=20)
 @given(name=st.sampled_from(sorted(KERNEL_YPERP)), n_paths=st.integers(1, 12),
-       head=st.integers(0, 12), seed=st.integers(0, 2 ** 64 - 1))
+       head=st.integers(1, 12), seed=st.integers(0, 2 ** 64 - 1))
 def test_simulate_yperp_is_prefix_invariant(name, n_paths, head, seed):
     # the first k paths of an N-path run are a k-path run, bit for bit
     head = min(head, n_paths)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multicurve.products import irs_swap_rate, ois_swap_rate
+from multicurve.products import fra_value, irs_swap_rate, ois_swap_rate
 from multicurve.termstructure import (
     DiscountCurve,
     ExtrapolationDisabled,
@@ -120,6 +120,33 @@ class TestDiscountCurve:
             DiscountCurve([1.0], [-0.5])
         with pytest.raises(ValueError):
             DiscountCurve([-1.0], [0.99])
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: DiscountCurve([1.0, math.nan], [0.98, 0.95]), "times"),
+    (lambda: DiscountCurve([1.0, 2.0], [0.98, math.nan]), "discounts"),
+    (lambda: SpreadTermStructure(Tenor.parse("6M"), [math.nan], [1.001]), "times"),
+    (lambda: SpreadTermStructure(Tenor.parse("6M"), [1.0], [math.inf]), "spreads")],
+    ids=["discount-times", "discounts", "spread-times", "spreads"])
+def test_non_finite_pillar_named(build, name):
+    # NaN fails every comparison, so these curves used to be built
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        build()
+
+
+@pytest.mark.parametrize("price", [
+    lambda disc, spread: disc.discount(math.nan),
+    lambda disc, spread: disc.discount([0.5, math.inf]),
+    lambda disc, spread: spread.spread(math.nan),
+    lambda disc, spread: fra_value(disc, spread, math.nan, 0.02)],
+    ids=["discount-nan", "discount-inf", "spread-nan", "fra_value-nan"])
+def test_non_finite_maturity_rejected(price):
+    # these used to price nan, or 0.0 at an infinite maturity
+    disc = DiscountCurve([1.0, 2.0], [0.98, 0.95], allow_extrapolation=True)
+    spread = SpreadTermStructure(Tenor.parse("6M"), [1.0, 2.0], [1.001, 1.002],
+                                 allow_extrapolation=True)
+    with pytest.raises(ValueError, match="^maturity must be finite and nonnegative"):
+        price(disc, spread)
 
 
 class TestSpreadTermStructure:
